@@ -90,7 +90,7 @@ func run(args []string, out io.Writer) error {
 	adversary := fs.String("adversary", "", "compromise one hosted replica with a scripted byzantine attack: equivocate, forge-shares, vc-spam, tamper-catchup, tamper-snapshots, or suppress")
 	dataDir := fs.String("data-dir", "", "persist each hosted replica's ledger to a block store under this directory; a restarted process recovers from it")
 	segmentBytes := fs.Int64("segment-bytes", 0, "block-store segment file size cap in bytes (0: 4 MiB); needs -data-dir")
-	groupCommit := fs.Duration("group-commit", 0, "batch block-store fsyncs at this interval instead of per block (0: fsync every commit); needs -data-dir")
+	groupCommit := fs.Duration("group-commit", 0, "acknowledge after the OS write and fsync the block store on a timer at this interval (0: fsync, coalesced, before acknowledging); needs -data-dir")
 	snapshotInterval := fs.Uint64("snapshot-interval", 0, "write a checkpoint snapshot of executed state every N rounds and GC ledger segments below it (0: disabled, history unbounded)")
 	retainSegments := fs.Int("retain-segments", 0, "block-store segments to keep below the last durable checkpoint (0: 2); needs -snapshot-interval")
 	provisionClients := fs.Int("provision-clients", 0, "client identities to provision signing keys for; all processes must agree (0: 64)")

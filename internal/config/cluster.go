@@ -76,8 +76,9 @@ type RetentionSpec struct {
 	DataDir string `json:"data_dir,omitempty"`
 	// SegmentBytes caps one block-store segment file (0: 4 MiB).
 	SegmentBytes int64 `json:"segment_bytes,omitempty"`
-	// GroupCommit batches block-store fsyncs at this interval (0: fsync
-	// every commit).
+	// GroupCommit fsyncs the block store on a timer at this interval,
+	// acknowledging batches before they are durable (0: fsync, coalesced,
+	// before acknowledging).
 	GroupCommit Duration `json:"group_commit,omitempty"`
 	// SnapshotInterval writes a checkpoint snapshot every N rounds and GCs
 	// ledger segments below it (0: history unbounded).

@@ -315,6 +315,9 @@ func (r *Replica) applyImportedBlocks(blocks []*ledger.Block, notify, pre bool) 
 		r.execBatches.Add(1)
 		r.execTxns.Add(uint64(b.Batch.Len()))
 	}
+	// One hand-off for the range and whatever OnExecute asked to run once it
+	// is durable.
+	r.ledger.Handoff()
 
 	newRound := r.ledger.Height() / uint64(r.cfg.Topo.Clusters)
 	if newRound > r.executedRound.Load() {

@@ -531,6 +531,14 @@ func (r *Replica) setCert(cluster types.ClusterID, rnd uint64, cert *pbft.Certif
 // --- ordering and execution (Section 2.4) ------------------------------------
 
 func (r *Replica) tryExecute() {
+	// With a durability stage behind the ledger (a disk-backed fabric node)
+	// nothing below waits for the disk: blocks join the in-memory chain, each
+	// round is handed to the persister as one unit, and only the client
+	// acknowledgements wait — held until the fsync covering their block
+	// returns, then sent from the persister goroutine (the environments that
+	// attach a store have a goroutine-safe Send). Without one — the
+	// simulator, memory-only deployments — replies leave inline.
+	async := r.ledger.Persisting()
 	for {
 		next := r.executedRound.Load() + 1
 		rd := r.rounds[next]
@@ -559,15 +567,21 @@ func (r *Replica) tryExecute() {
 			// Inform only local clients (Section 2.4).
 			if r.cfg.ClientCluster(batch.Client) == r.myCluster && batch.Client.IsClient() {
 				r.env.Suite().ChargeMAC()
-				r.env.Send(batch.Client, &proto.Reply{
+				client, reply := batch.Client, &proto.Reply{
 					Client:    batch.Client,
 					ClientSeq: batch.Seq,
 					Replica:   r.cfg.Self,
 					TxnCount:  batch.Len(),
 					Result:    cert.Digest,
-				})
+				}
+				if async {
+					r.ledger.AfterDurable(func() { r.env.Send(client, reply) })
+				} else {
+					r.env.Send(client, reply)
+				}
 			}
 		}
+		r.ledger.Handoff()
 		r.maybeCaptureSnapshot(next)
 		r.gcRemoteState(next)
 		r.feedPrimary()

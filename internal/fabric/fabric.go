@@ -72,19 +72,24 @@ type Config struct {
 	Local []types.NodeID
 	// DataDir, when non-empty, makes every replica hosted by this process
 	// durable: each gets a segmented append-only block store under
-	// DataDir/node-<id> (internal/ledger/disk), certified blocks are
-	// persisted as they commit, and a restarted node bootstraps from its
-	// on-disk prefix — re-verified like an untrusted peer's chain — before
-	// catch-up fills only the genuinely missing suffix. Empty keeps
-	// ledgers in memory only (tests, benchmarks).
+	// DataDir/node-<id> (internal/ledger/disk) fed by a persister goroutine —
+	// the worker never waits for the disk; one fsync covers every block that
+	// committed while the previous fsync was in flight; and a client is
+	// answered only once the block holding its batch is fsynced on the
+	// answering replica. A restarted node bootstraps from its on-disk prefix
+	// — re-verified like an untrusted peer's chain — before catch-up fills
+	// only the genuinely missing suffix. Empty keeps ledgers in memory only
+	// (tests, benchmarks).
 	DataDir string
 	// DiskSegmentBytes caps one segment file of the block store; 0 selects
 	// disk.DefaultSegmentBytes. Ignored without DataDir.
 	DiskSegmentBytes int64
-	// DiskGroupCommit batches block-store fsyncs at this interval instead
-	// of syncing every append (trading up to one interval of committed
-	// blocks on machine — not process — crash for much higher append
-	// throughput). 0 fsyncs on every commit. Ignored without DataDir.
+	// DiskGroupCommit makes the block store acknowledge appends after the OS
+	// write and fsync on a timer at this interval instead: replies no longer
+	// wait for the disk at all, at the price that a machine — not process —
+	// crash can lose up to one interval of blocks the node already
+	// acknowledged. 0, the default, fsyncs before acknowledging (coalesced,
+	// see DataDir). Ignored without DataDir.
 	DiskGroupCommit time.Duration
 	// SnapshotInterval enables checkpoint snapshots every N global rounds:
 	// each replica captures its executed state, publishes it once covered by
@@ -262,8 +267,10 @@ func (f *Fabric) nodeDir(id types.NodeID) string {
 // suffix through the ordinary catch-up Import path (Bootstrap); a chain that
 // fails re-verification is dropped from disk too — it could never be served
 // to a peer — and counted as a verify rejection. The store attaches to the
-// ledger only after the bootstrap settles, aligned to exactly the accepted
-// chain, so disk and chain stay in lockstep from the first live append.
+// ledger — behind its persister, which from then on is the store's only
+// writer — only after the bootstrap settles, aligned to exactly the accepted
+// chain, so the disk is always a prefix of the chain from the first live
+// append.
 func (f *Fabric) attachDisk(n *Node) (func(r *core.Replica), error) {
 	if f.cfg.DataDir == "" {
 		return nil, nil
@@ -319,9 +326,18 @@ func (f *Fabric) attachDisk(n *Node) (func(r *core.Replica), error) {
 				return
 			}
 		}
-		r.Ledger().SetStore(st)
+		var backend ledger.Store = st
+		if testWrapStore != nil {
+			backend = testWrapStore(n.id, st)
+		}
+		r.Ledger().StartPersister(backend) // stopped in Node.stop
 	}, nil
 }
+
+// testWrapStore, when set by a test in this package, interposes on the
+// backend a node's persister writes to: to observe the moment each fsync
+// returns, or to inject disk failures.
+var testWrapStore func(id types.NodeID, st *disk.Store) ledger.Store
 
 func clientIDs(n int) []types.NodeID {
 	out := make([]types.NodeID, n)
@@ -527,8 +543,11 @@ type Node struct {
 	drops metrics.Drops
 
 	// store is the node's durable block store (nil without Config.DataDir).
-	// The node owns it: opened before start, closed after the pipeline
-	// drains in stop, so no append can race the close.
+	// The node owns it and the persister that writes to it: opened before
+	// start, attached on the worker at boot, and in stop — after the pipeline
+	// has drained — the persister writes out its queue and exits, then the
+	// store closes, so no append can race the close and a clean stop leaves
+	// the whole chain on disk.
 	store *disk.Store
 	// archive is the node's durable snapshot store (nil unless both
 	// Config.DataDir and Config.SnapshotInterval are set).
@@ -623,23 +642,40 @@ func newNode(f *Fabric, id types.NodeID) (*Node, error) {
 			if n.store == nil {
 				return
 			}
-			segs, bytes, err := n.store.ReclaimBelow(m.Height, f.cfg.RetainSegments)
-			if err != nil {
-				// GC failure never loses data — the segments just survive;
-				// the DiskBytes gauge surfaces unbounded growth.
-				return
-			}
-			n.segsReclaimed.Add(uint64(segs))
-			n.bytesReclaimed.Add(uint64(bytes))
+			// Queued behind every block executed so far and run by the
+			// persister, the store's one writer: the reclaim's marker and
+			// directory fsyncs stay off the worker too.
+			l := n.replica.Ledger()
+			l.AfterDurable(func() {
+				segs, bytes, err := n.store.ReclaimBelow(m.Height, f.cfg.RetainSegments)
+				if err != nil {
+					// GC failure never loses data — the segments just
+					// survive; the DiskBytes gauge surfaces unbounded growth.
+					return
+				}
+				n.segsReclaimed.Add(uint64(segs))
+				n.bytesReclaimed.Add(uint64(bytes))
+			})
+			l.Handoff()
 		},
 	}
 	// Every execution feeds the mempool's replay window, so a retry of an
 	// already-executed request is answered from the ledger instead of
 	// re-entering consensus; the user hook (if any) rides along.
+	// The window's answer is an acknowledgement like the reply itself —
+	// shedRequest, admitRequest and the RPC front door all serve "executed"
+	// from it — so on a disk-backed node the outcome enters the window only
+	// once its block is durable; until then a retry classifies as a duplicate
+	// of pending work and the held reply answers it.
 	hook := f.cfg.OnExecute
 	ccfg.OnExecute = func(round uint64, cluster types.ClusterID, batch types.Batch) {
 		if !batch.NoOp {
-			n.pool.MarkExecuted(batch.Client, batch.Seq, batch.Digest(), batch.Len())
+			client, seq, digest, txns := batch.Client, batch.Seq, batch.Digest(), batch.Len()
+			if l := n.replica.Ledger(); l.Persisting() {
+				l.AfterDurable(func() { n.pool.MarkExecuted(client, seq, digest, txns) })
+			} else {
+				n.pool.MarkExecuted(client, seq, digest, txns)
+			}
 		}
 		if hook != nil {
 			hook(id, round, cluster, batch)
@@ -968,11 +1004,20 @@ func (n *Node) SnapshotStats() metrics.SnapshotStats {
 		SegmentsReclaimed: n.segsReclaimed.Load(),
 		BytesReclaimed:    n.bytesReclaimed.Load(),
 	}
+	l := n.replica.Ledger()
 	if n.store != nil {
 		s.DiskBytes = uint64(n.store.Bytes())
+		s.DiskSyncs, s.DiskSyncedBlocks = n.store.SyncStats()
+		s.PersistQueue = uint64(l.PersistQueue())
 	}
-	if n.replica.Ledger().StoreErr() != nil {
+	if l.StoreErr() != nil {
 		s.StoreErrs = 1
+	} else if l.Persisting() {
+		// Height is read second, so a block that lands in between can only
+		// make the lag look larger, never negative.
+		if d, h := l.DurableHeight(), l.Height(); h > d {
+			s.DurableLag = h - d
+		}
 	}
 	return s
 }
@@ -1010,12 +1055,20 @@ func (c *shareCache) add(k core.ShareDedupKey) {
 	}
 }
 
+// stop halts the pipeline and returns once every goroutine of the node has
+// exited; concurrent and repeated calls wait for the first to finish.
 func (n *Node) stop() {
-	n.stopOnce.Do(func() { close(n.quit) })
-	n.wg.Wait()
-	if n.store != nil {
-		n.store.Close() // idempotent; flushes the last group-commit window
-	}
+	n.stopOnce.Do(func() {
+		close(n.quit)
+		n.wg.Wait()
+		// The worker is gone, so nothing feeds the persister any more: let
+		// it write out what is queued (releasing the replies held on it) and
+		// exit.
+		n.replica.Ledger().StopPersister()
+		if n.store != nil {
+			n.store.Close() // flushes the last group-commit window
+		}
+	})
 }
 
 func (n *Node) post(fn func()) {

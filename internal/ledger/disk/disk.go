@@ -20,13 +20,26 @@
 //
 //	u32 payload length | payload (one wire-encoded block) | u32 CRC-32C
 //
-// Durability is tunable: by default every Append fsyncs (a committed block
-// survives machine power loss), while Options.GroupCommit batches fsyncs on
-// a timer — Append then returns after the OS write, so a process kill loses
+// Durability: by default Append and AppendBatch return only after an fsync —
+// one per call, so a batch of blocks costs the same barrier as one block and
+// whatever they wrote survives machine power loss. The live node exploits
+// exactly that: its ledger's persister (ledger.StartPersister) is the
+// store's only writer and hands it, in one AppendBatch, every block that
+// accumulated while the previous fsync was in flight — commit-time
+// coalescing, with no timer — and the node acknowledges a batch to its
+// client only once the call covering its block has returned.
+// Options.GroupCommit is the other trade: appends return after the OS write
+// and a background flusher fsyncs on a timer, so a process kill loses
 // nothing (the page cache survives the process) but a machine crash can lose
-// up to one group-commit interval of blocks. Either way recovery never
-// yields a hole: the store only ever loses a suffix, and the consensus layer
-// re-fetches lost suffixes from peers via ledger catch-up.
+// up to one interval of blocks the node already acknowledged. Either way
+// recovery never yields a hole: the store only ever loses a suffix, and the
+// consensus layer re-fetches lost suffixes from peers via ledger catch-up.
+//
+// Locking: writers (appends, Sync, Truncate, Reanchor, ReclaimBelow, Close)
+// serialize on one mutex that is held across their fsyncs; the index that
+// readers consult (Height, Base, Block, Bytes, Segments, Err) sits under a
+// second mutex that is never held across an fsync, so monitoring and block
+// reads do not queue behind the disk.
 //
 // The store is deliberately dumb about trust: CRCs catch accidental
 // corruption, not tampering. A node treats its own disk like an untrusted
@@ -44,6 +57,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"resilientdb/internal/ledger"
@@ -130,30 +144,44 @@ type recordLoc struct {
 // block the consensus layer appends. Appends must arrive in strict height
 // order starting at Height()+1; the ledger guarantees that.
 //
-// All methods are safe for concurrent use; Append is expected from a single
-// writer (the replica's executor) with Sync/Close racing it at shutdown.
+// All methods are safe for concurrent use; appends are expected from a single
+// writer (the ledger's persister) with Sync/Close racing it at shutdown.
 type Store struct {
 	dir   string
 	codec BlockCodec
 	opts  Options
 
-	mu      sync.Mutex
-	lock    *os.File // held flock on dir/LOCK (nil on non-unix platforms)
-	cur     *os.File // last segment, open for append (nil: empty store)
-	curSeg  int      // its index; 0 when the store holds no segments
-	curSize int64
-	segs    []int // sorted indices of existing segment files
-	index   []recordLoc
+	// wmu serializes every operation that writes files and is held across
+	// their fsyncs. It guards the open segment (cur, curSeg, curSize), dirty
+	// and syncedTo. Lock order: wmu, then mu.
+	wmu      sync.Mutex
+	lock     *os.File // held flock on dir/LOCK (nil on non-unix platforms)
+	cur      *os.File // last segment, open for append (nil: empty store)
+	curSeg   int      // its index; 0 when the store holds no segments
+	curSize  int64
+	dirty    bool
+	syncedTo uint64 // height covered by the last commit fsync (or found at Open)
+
+	// mu guards what readers see — segs, index, base, closed, err, recovered
+	// — and is never held across an fsync. Writers mutate these under both
+	// locks.
+	mu    sync.Mutex
+	segs  []int // sorted indices of existing segment files
+	index []recordLoc
 	// base is the height of the last block below the stored suffix: the
 	// store holds heights base+1 … base+len(index). A store created before
 	// any checkpoint has base 0; checkpoint GC (ReclaimBelow) advances it a
 	// whole segment at a time, and a store created by snapshot-based state
 	// transfer adopts its base from the first appended block.
 	base      uint64
-	dirty     bool
 	closed    bool
 	err       error // sticky write failure; the store refuses further writes
 	recovered RecoveryStats
+
+	// Commit fsyncs and the blocks they made durable; their ratio is the
+	// coalescing factor (see SyncStats).
+	syncs        atomic.Uint64
+	syncedBlocks atomic.Uint64
 
 	flushQuit chan struct{}
 	flushDone chan struct{}
@@ -182,6 +210,7 @@ func Open(dir string, codec BlockCodec, opts Options) (*Store, []*ledger.Block, 
 		unlockDir(lock)
 		return nil, nil, err
 	}
+	s.syncedTo = s.base + uint64(len(s.index))
 	if opts.GroupCommit > 0 && !opts.NoSync {
 		s.flushQuit = make(chan struct{})
 		s.flushDone = make(chan struct{})
@@ -245,11 +274,11 @@ func readBaseMarker(dir string) uint64 {
 	return binary.BigEndian.Uint64(data)
 }
 
-// writeBaseMarkerLocked durably records base (removing the marker for base
-// 0). The marker is written before segments are reclaimed, so a crash
-// mid-GC leaves stale sub-base segments that recovery deletes — never a
-// marker claiming less than what was already removed.
-func (s *Store) writeBaseMarkerLocked(base uint64) error {
+// writeBaseMarker durably records base (removing the marker for base 0). The
+// marker is written before segments are reclaimed, so a crash mid-GC leaves
+// stale sub-base segments that recovery deletes — never a marker claiming
+// less than what was already removed. Called with wmu held.
+func (s *Store) writeBaseMarker(base uint64) error {
 	if base == 0 {
 		if err := os.Remove(basePath(s.dir)); err != nil && !os.IsNotExist(err) {
 			return err
@@ -421,45 +450,45 @@ func (s *Store) parseRecord(rest []byte, want uint64) (int, *ledger.Block) {
 	return int(8 + n), b
 }
 
-// Append persists one certified block durably (or page-cached, under group
-// commit) at the next height. It implements ledger.Store.
+// Append persists one certified block at the next height: one write and —
+// unless Options.GroupCommit or NoSync relax it — one fsync before it
+// returns. It implements ledger.Store.
 func (s *Store) Append(b *ledger.Block) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(b); err != nil {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.appendW(b); err != nil {
 		return err
 	}
-	return s.commitLocked()
+	return s.commitW()
 }
 
-// AppendBatch persists a verified range with a single durability barrier at
-// the end — one fsync per catch-up chunk instead of one per block. It
-// implements ledger.BatchStore. A mid-batch failure leaves a clean,
-// recoverable prefix (the sticky error keeps the damage a tail).
+// AppendBatch persists a range with a single durability barrier at the end —
+// one fsync however many blocks, which is what lets the ledger's persister
+// coalesce every block that arrived during the previous fsync, and catch-up
+// sync once per chunk. It implements ledger.BatchStore. A mid-batch failure
+// leaves a clean, recoverable prefix (the sticky error keeps the damage a
+// tail).
 func (s *Store) AppendBatch(blocks []*ledger.Block) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	for _, b := range blocks {
-		if err := s.appendLocked(b); err != nil {
+		if err := s.appendW(b); err != nil {
 			return err
 		}
 	}
-	return s.commitLocked()
+	return s.commitW()
 }
 
-// appendLocked frames and writes one block without syncing. Called with mu
-// held.
-func (s *Store) appendLocked(b *ledger.Block) error {
-	switch {
-	case s.closed:
-		return fmt.Errorf("disk: store is closed")
-	case s.err != nil:
-		return s.err
-	case b == nil || b.Cert == nil:
+// appendW frames and writes one block without syncing. Called with wmu held.
+func (s *Store) appendW(b *ledger.Block) error {
+	if err := s.writable(); err != nil {
+		return err
+	}
+	if b == nil || b.Cert == nil {
 		return fmt.Errorf("disk: block carries no certificate")
 	}
-	if b.Height != s.base+uint64(len(s.index))+1 {
-		return fmt.Errorf("disk: append height %d, store is at %d", b.Height, s.base+uint64(len(s.index)))
+	if height := s.Height(); b.Height != height+1 {
+		return fmt.Errorf("disk: append height %d, store is at %d", b.Height, height)
 	}
 
 	payload := types.GetEncoder()
@@ -485,30 +514,46 @@ func (s *Store) appendLocked(b *ledger.Block) error {
 		return s.fail(err)
 	}
 	s.curSize += int64(frame.Len())
+	s.mu.Lock()
 	s.index = append(s.index, recordLoc{seg: s.curSeg, off: off, n: frame.Len()})
+	s.mu.Unlock()
 	return nil
 }
 
-// commitLocked applies the durability policy after one append or batch:
-// fsync now (the default), or mark dirty for the group-commit flusher.
-// Called with mu held.
-func (s *Store) commitLocked() error {
-	if s.cur == nil {
-		return nil // nothing was ever written (empty batch on a fresh store)
-	}
+// commitW applies the durability policy after one append or batch: fsync now
+// (the default), or mark dirty for the group-commit flusher. Called with wmu
+// held.
+func (s *Store) commitW() error {
 	if s.opts.GroupCommit > 0 || s.opts.NoSync {
-		s.dirty = true
+		s.dirty = s.cur != nil
 		return nil
+	}
+	return s.syncW()
+}
+
+// syncW fsyncs the open segment and accounts the blocks that made durable.
+// Called with wmu held — and mu not: this is the one place the store waits
+// for the disk on the commit path, and readers must not wait with it.
+func (s *Store) syncW() error {
+	s.dirty = false
+	if s.opts.NoSync || s.cur == nil {
+		return nil // nothing was ever written (empty batch on a fresh store)
 	}
 	if err := s.cur.Sync(); err != nil {
 		return s.fail(err)
+	}
+	s.syncs.Add(1)
+	if h := s.Height(); h > s.syncedTo {
+		s.syncedBlocks.Add(h - s.syncedTo)
+		s.syncedTo = h
 	}
 	return nil
 }
 
 // roll seals the current segment and starts a new one whose first block is
 // height first. The new header is synced before any record follows it, so a
-// machine crash cannot persist records under an unwritten header.
+// machine crash cannot persist records under an unwritten header. Called with
+// wmu held.
 func (s *Store) roll(first uint64) error {
 	if s.cur != nil {
 		if !s.opts.NoSync {
@@ -545,37 +590,40 @@ func (s *Store) roll(first uint64) error {
 		}
 	}
 	s.cur, s.curSeg, s.curSize = f, idx, headerLen
+	s.mu.Lock()
 	s.segs = append(s.segs, idx)
+	s.mu.Unlock()
 	return nil
 }
 
 // fail records the first write failure and poisons the store: every later
 // write returns the same error, so a half-written tail never grows into a
-// half-written middle.
+// half-written middle. Called without mu.
 func (s *Store) fail(err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.err == nil {
 		s.err = fmt.Errorf("disk: %w", err)
 	}
 	return s.err
 }
 
-// Sync forces dirty data to stable storage (a no-op under NoSync).
-func (s *Store) Sync() error {
+// writable reports why the store refuses writes: it is closed, or an earlier
+// write failed.
+func (s *Store) writable() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.syncLocked()
+	if s.closed {
+		return fmt.Errorf("disk: store is closed")
+	}
+	return s.err
 }
 
-func (s *Store) syncLocked() error {
-	if s.opts.NoSync || s.cur == nil || s.closed {
-		s.dirty = false
-		return nil
-	}
-	if err := s.cur.Sync(); err != nil {
-		return s.fail(err)
-	}
-	s.dirty = false
-	return nil
+// Sync forces dirty data to stable storage (a no-op under NoSync).
+func (s *Store) Sync() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.syncW()
 }
 
 // flusher is the group-commit loop: it syncs dirty segments every
@@ -587,11 +635,11 @@ func (s *Store) flusher() {
 	for {
 		select {
 		case <-t.C:
-			s.mu.Lock()
+			s.wmu.Lock()
 			if s.dirty {
-				s.syncLocked()
+				s.syncW() // a failure is sticky: the next append reports it
 			}
-			s.mu.Unlock()
+			s.wmu.Unlock()
 		case <-s.flushQuit:
 			return
 		}
@@ -603,47 +651,44 @@ func (s *Store) flusher() {
 // round boundary; a chain that fails re-verification is dropped whole with
 // Truncate(0)). The next Append must supply height+1.
 func (s *Store) Truncate(height uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("disk: store is closed")
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.writable(); err != nil {
+		return err
 	}
-	if s.err != nil {
-		return s.err
-	}
-	if height >= s.base+uint64(len(s.index)) {
+	base, top := s.Base(), s.Height() // stable: every writer of either holds wmu
+	if height >= top {
 		return nil
 	}
-	if s.cur != nil {
-		if err := s.cur.Close(); err != nil {
-			return s.fail(err)
-		}
-		s.cur = nil
+	if err := s.closeCur(); err != nil {
+		return s.fail(err)
 	}
-	if height <= s.base {
+	if height <= base {
 		// Cutting into (or below) the GC'd prefix leaves nothing servable:
 		// wipe the segments whole. Truncating to exactly the base keeps the
 		// marker (the store stays anchored and the next append is base+1);
 		// cutting below it resets the store to a fresh, unanchored one.
-		return s.wipeSegmentsLocked(func() uint64 {
-			if height < s.base {
-				return 0
-			}
-			return s.base
-		}())
-	}
-	cut := s.index[height-s.base] // the record for block height+1
-	keep := s.segs[:0]
-	for _, idx := range s.segs {
-		if idx <= cut.seg {
-			keep = append(keep, idx)
-			continue
+		if height < base {
+			base = 0
 		}
+		return s.wipeSegments(base)
+	}
+	// Readers stop seeing the cut blocks before their files change.
+	s.mu.Lock()
+	cut := s.index[height-base] // the record for block height+1
+	s.index = s.index[:height-base]
+	var drop []int
+	for len(s.segs) > 0 && s.segs[len(s.segs)-1] > cut.seg {
+		drop = append(drop, s.segs[len(s.segs)-1])
+		s.segs = s.segs[:len(s.segs)-1]
+	}
+	s.mu.Unlock()
+	s.syncedTo = min(s.syncedTo, height)
+	for _, idx := range drop {
 		if err := os.Remove(s.segPath(idx)); err != nil {
 			return s.fail(err)
 		}
 	}
-	s.segs = keep
 	if err := os.Truncate(s.segPath(cut.seg), cut.off); err != nil {
 		return s.fail(err)
 	}
@@ -656,7 +701,6 @@ func (s *Store) Truncate(height uint64) error {
 		return s.fail(err)
 	}
 	s.cur, s.curSeg, s.curSize = f, cut.seg, cut.off
-	s.index = s.index[:height-s.base]
 	if !s.opts.NoSync {
 		if err := s.cur.Sync(); err != nil {
 			return s.fail(err)
@@ -666,6 +710,17 @@ func (s *Store) Truncate(height uint64) error {
 		}
 	}
 	return nil
+}
+
+// closeCur closes the open segment ahead of an operation that removes or
+// rewrites segment files. Called with wmu held.
+func (s *Store) closeCur() error {
+	if s.cur == nil {
+		return nil
+	}
+	err := s.cur.Close()
+	s.cur = nil
+	return err
 }
 
 // Block reads one persisted block back from disk (1-based height), mainly
@@ -718,24 +773,27 @@ func (s *Store) Base() uint64 {
 // reopened store demands exactly this start. Stores that already hold blocks
 // refuse, keeping append's contiguity check authoritative everywhere else.
 func (s *Store) SetBase(base uint64) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.writable(); err != nil {
+		return err
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("disk: store is closed")
-	}
-	if s.err != nil {
-		return s.err
-	}
-	if len(s.index) != 0 || len(s.segs) != 0 {
+	empty, same := len(s.index) == 0 && len(s.segs) == 0, base == s.base
+	s.mu.Unlock()
+	if !empty {
 		return fmt.Errorf("disk: cannot set base %d on a store holding blocks", base)
 	}
-	if base == s.base {
+	if same {
 		return nil
 	}
-	if err := s.writeBaseMarkerLocked(base); err != nil {
+	if err := s.writeBaseMarker(base); err != nil {
 		return s.fail(err)
 	}
+	s.mu.Lock()
 	s.base = base
+	s.mu.Unlock()
+	s.syncedTo = base
 	return nil
 }
 
@@ -744,37 +802,34 @@ func (s *Store) SetBase(base uint64) error {
 // node installing a verified checkpoint snapshot over a stale chain uses it —
 // every discarded block is covered by the snapshot's state.
 func (s *Store) Reanchor(base uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("disk: store is closed")
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.writable(); err != nil {
+		return err
 	}
-	if s.err != nil {
-		return s.err
+	if err := s.closeCur(); err != nil {
+		return s.fail(err)
 	}
-	if s.cur != nil {
-		if err := s.cur.Close(); err != nil {
-			return s.fail(err)
-		}
-		s.cur = nil
-	}
-	return s.wipeSegmentsLocked(base)
+	return s.wipeSegments(base)
 }
 
-// wipeSegmentsLocked removes every segment file and re-bases the empty store
-// at base (durably, via the marker). Called with mu held and s.cur closed.
-func (s *Store) wipeSegmentsLocked(base uint64) error {
-	for _, idx := range s.segs {
+// wipeSegments removes every segment file and re-bases the empty store at
+// base (durably, via the marker). Called with wmu held and s.cur closed.
+func (s *Store) wipeSegments(base uint64) error {
+	// Readers see the empty store before its files go.
+	s.mu.Lock()
+	segs := s.segs
+	s.segs, s.index, s.base = nil, nil, base
+	s.mu.Unlock()
+	s.curSeg, s.curSize, s.syncedTo = 0, 0, base
+	for _, idx := range segs {
 		if err := os.Remove(s.segPath(idx)); err != nil {
 			return s.fail(err)
 		}
 	}
-	s.segs, s.index = nil, nil
-	s.curSeg, s.curSize = 0, 0
-	if err := s.writeBaseMarkerLocked(base); err != nil {
+	if err := s.writeBaseMarker(base); err != nil {
 		return s.fail(err)
 	}
-	s.base = base
 	if !s.opts.NoSync {
 		if err := s.syncDir(); err != nil {
 			return s.fail(err)
@@ -816,16 +871,15 @@ func (s *Store) ReclaimBelow(height uint64, keep int) (int, int64, error) {
 	if keep < 1 {
 		keep = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, 0, fmt.Errorf("disk: store is closed")
-	}
-	if s.err != nil {
-		return 0, 0, s.err
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.writable(); err != nil {
+		return 0, 0, err
 	}
 	// Plan: leading whole segments whose last block is ≤ height, never the
-	// open segment, never below the retention floor.
+	// open segment, never below the retention floor. wmu keeps the plan valid
+	// after mu is released: no other writer can move segs, index or base.
+	s.mu.Lock()
 	nseg, drop := 0, uint64(0)
 	for len(s.segs)-nseg > keep {
 		segIdx := s.segs[nseg]
@@ -839,18 +893,26 @@ func (s *Store) ReclaimBelow(height uint64, keep int) (int, int64, error) {
 		nseg++
 		drop += cnt
 	}
+	newBase, doomed := s.base+drop, s.segs[:nseg]
+	s.mu.Unlock()
 	if nseg == 0 {
 		return 0, 0, nil
 	}
 	// Durably advance the base marker first: a crash after the marker but
 	// before (or during) the removals leaves whole sub-base segments, which
 	// recovery recognizes as an interrupted GC and finishes deleting.
-	if err := s.writeBaseMarkerLocked(s.base + drop); err != nil {
+	if err := s.writeBaseMarker(newBase); err != nil {
 		return 0, 0, s.fail(err)
 	}
+	// Readers stop seeing the reclaimed blocks before their files go.
+	s.mu.Lock()
+	s.base = newBase
+	s.index = s.index[drop:]
+	s.segs = s.segs[nseg:]
+	s.mu.Unlock()
 	var bytes int64
-	for i := 0; i < nseg; i++ {
-		path := s.segPath(s.segs[i])
+	for i, idx := range doomed {
+		path := s.segPath(idx)
 		if fi, err := os.Stat(path); err == nil {
 			bytes += fi.Size()
 		}
@@ -858,15 +920,20 @@ func (s *Store) ReclaimBelow(height uint64, keep int) (int, int64, error) {
 			return i, bytes, s.fail(err)
 		}
 	}
-	s.base += drop
-	s.index = s.index[drop:]
-	s.segs = s.segs[nseg:]
 	if !s.opts.NoSync {
 		if err := s.syncDir(); err != nil {
 			return nseg, bytes, s.fail(err)
 		}
 	}
 	return nseg, bytes, nil
+}
+
+// SyncStats returns how many commit fsyncs the store has issued since Open
+// and how many blocks those made durable. Blocks per sync is the coalescing
+// factor: 1 when every block pays its own fsync, higher when AppendBatch
+// callers (the ledger's persister, catch-up) cover several with one.
+func (s *Store) SyncStats() (syncs, blocks uint64) {
+	return s.syncs.Load(), s.syncedBlocks.Load()
 }
 
 // Dir returns the store's directory.
@@ -895,25 +962,21 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	fq := s.flushQuit
 	s.mu.Unlock()
-	if fq != nil {
-		close(fq)
+	if s.flushQuit != nil {
+		close(s.flushQuit)
 		<-s.flushDone
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	var first error
 	if s.cur != nil {
 		if !s.opts.NoSync {
-			if err := s.cur.Sync(); err != nil {
-				first = err
-			}
+			first = s.cur.Sync()
 		}
-		if err := s.cur.Close(); err != nil && first == nil {
+		if err := s.closeCur(); err != nil && first == nil {
 			first = err
 		}
-		s.cur = nil
 	}
 	unlockDir(s.lock)
 	s.lock = nil

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -568,4 +569,86 @@ func FuzzDiskRecovery(f *testing.F) {
 			t.Fatalf("rejected import mutated the ledger to height %d", l.Height())
 		}
 	})
+}
+
+// TestSyncStats pins the coalescing counters: a commit fsync is counted once
+// per Append or AppendBatch call however many blocks it covers, and not at
+// all when the store does not fsync on commit.
+func TestSyncStats(t *testing.T) {
+	src := makeBlocks(16)
+	st, _ := mustOpen(t, t.TempDir(), disk.Options{})
+	defer st.Close()
+	appendAll(t, st, src[:3])
+	if err := st.AppendBatch(src[3:13]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendBatch(src[13:]); err != nil {
+		t.Fatal(err)
+	}
+	if syncs, blocks := st.SyncStats(); syncs != 5 || blocks != 16 {
+		t.Fatalf("SyncStats = %d syncs, %d blocks; want 5 and 16", syncs, blocks)
+	}
+
+	ns, _ := mustOpen(t, t.TempDir(), disk.Options{NoSync: true})
+	defer ns.Close()
+	appendAll(t, ns, src)
+	if syncs, blocks := ns.SyncStats(); syncs != 0 || blocks != 0 {
+		t.Fatalf("nosync SyncStats = %d, %d; want zeros", syncs, blocks)
+	}
+}
+
+// TestReadersRaceSyncedAppends hammers the accessors the node's stats
+// sampler, RPC block reads and catch-up use while the single writer appends
+// with real fsyncs and checkpoint GC reclaims under it (run under -race).
+// None of them takes the writer's lock, so none waits for the disk; what they
+// return must stay coherent.
+func TestReadersRaceSyncedAppends(t *testing.T) {
+	st, _ := mustOpen(t, t.TempDir(), disk.Options{SegmentBytes: 2048})
+	defer st.Close()
+	src := makeBlocks(300)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h, base := st.Height(), st.Base()
+				if h > base {
+					if b, err := st.Block(h); err == nil && b.BatchDigest != src[h-1].BatchDigest {
+						t.Errorf("Block(%d) returned another block", h)
+						return
+					} else if errors.Is(err, disk.ErrCorrupt) {
+						t.Errorf("Block(%d) racing the writer: %v", h, err)
+						return
+					}
+				}
+				if st.Bytes() < 0 || st.Segments() < 0 || st.Err() != nil {
+					t.Errorf("store unhealthy mid-append: %v", st.Err())
+					return
+				}
+				st.SyncStats()
+			}
+		}()
+	}
+	for i := 0; i < len(src); i += 3 {
+		if err := st.AppendBatch(src[i : i+3]); err != nil {
+			t.Fatalf("append batch at %d: %v", i, err)
+		}
+		if i%60 == 57 {
+			if _, _, err := st.ReclaimBelow(uint64(i)-10, 2); err != nil {
+				t.Fatalf("reclaim: %v", err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if syncs, blocks := st.SyncStats(); syncs != 100 || blocks != 300 {
+		t.Fatalf("SyncStats = %d syncs, %d blocks; want 100 and 300", syncs, blocks)
+	}
 }

@@ -8,6 +8,7 @@ package ledger
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"resilientdb/internal/types"
 )
@@ -84,31 +85,37 @@ func blockHash(b *Block) types.Digest {
 	return types.Hash(enc.Bytes())
 }
 
-// Store is a durable backend for the chain. When one is attached
-// (SetStore), every certified block the ledger accepts — whether appended by
-// consensus execution (AppendCertified) or by catch-up (Import) — is handed
-// to the store before the ledger operation returns, so the on-disk prefix
-// never lags the in-memory chain by more than the in-flight call. The
-// production implementation is the segmented append-only file store in
+// Store is a durable backend for the chain: every certified block the
+// ledger accepts — appended by consensus execution (AppendCertified) or by
+// catch-up (Import) — reaches it, in strict height order, from one goroutine
+// at a time and never under the ledger's lock. When it reaches it depends on
+// how the store was attached. SetStore is write-through: the store call runs
+// inside the ledger operation, which returns with the block durable.
+// StartPersister is what the live node uses: the ledger operation returns
+// once the block is in the in-memory chain, a persister goroutine hands the
+// store everything queued in one AppendBatch, and DurableHeight — not Height
+// — says how much of the chain is on disk (see persist.go). The production
+// implementation is the segmented append-only file store in
 // internal/ledger/disk; the ledger treats the store as write-only (reading
 // it back is the bootstrap path in internal/fabric, which re-verifies every
 // recovered block before this ledger ever sees it).
 type Store interface {
-	// Append persists one certified block at its height. Calls arrive in
-	// strict height order, under the ledger's lock.
+	// Append persists one certified block at its height and returns once it
+	// is durable.
 	Append(b *Block) error
 }
 
-// BatchStore is an optional Store extension for multi-block persistence:
-// Import hands a whole verified range over in one call, letting the backend
-// amortize a single fsync across the batch instead of syncing per block —
-// recovery imports arrive in 64-block catch-up chunks, and one fsync per
-// chunk gives the same crash guarantee (a machine crash mid-import already
-// only ever costs a re-fetchable suffix) at a fraction of the cost.
+// BatchStore is an optional Store extension for multi-block persistence: the
+// persister's coalesced bursts and Import's verified ranges are handed over
+// in one call, letting the backend spend a single fsync on the whole batch
+// instead of one per block — with the same crash guarantee, since a machine
+// crash mid-batch only ever costs a re-fetchable suffix nobody was told is
+// durable.
 type BatchStore interface {
 	Store
 	// AppendBatch persists the blocks in order and makes them durable as
-	// one unit.
+	// one unit. The slice is the caller's and is reused after the call
+	// returns; implementations must not retain it.
 	AppendBatch(blocks []*Block) error
 }
 
@@ -135,6 +142,16 @@ type Ledger struct {
 	// observable (StoreErr) rather than silent.
 	store    Store
 	storeErr error
+
+	// The durability stage (persist.go). persister is non-nil while a
+	// persister goroutine owns the store; staged is the hand-off the
+	// appending goroutine is assembling for it (guarded by mu); durable is
+	// the height the store has confirmed; queued counts blocks handed off
+	// but not yet written.
+	persister atomic.Pointer[persister]
+	staged    handoff
+	durable   atomic.Uint64
+	queued    atomic.Int64
 }
 
 // New returns an empty ledger.
@@ -162,29 +179,39 @@ type AnchorStore interface {
 // detached (with StoreErr set) when it does not or the re-base fails, so
 // disk and chain can never disagree about where history starts.
 func (l *Ledger) AnchorSnapshot(height uint64, hash types.Digest) error {
+	// Blocks still queued for the store belong to the chain being discarded:
+	// let them land first, so the re-base below is the store's next operation.
+	l.flush()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if height == 0 {
+		l.mu.Unlock()
 		return fmt.Errorf("ledger: anchor: height must be positive")
 	}
 	if head := l.base + uint64(len(l.blocks)); head >= height {
+		l.mu.Unlock()
 		return fmt.Errorf("ledger: anchor at %d would not extend the chain (height %d)", height, head)
 	}
 	l.blocks = nil
 	l.base, l.baseHash = height, hash
-	if l.store != nil {
-		as, ok := l.store.(AnchorStore)
-		var err error
-		if !ok {
-			err = fmt.Errorf("ledger: store cannot re-anchor at %d; store detached", height)
-		} else {
-			err = as.Reanchor(height)
-		}
-		if err != nil {
-			l.storeErr = err
-			l.store = nil
-		}
+	st := l.store
+	l.mu.Unlock()
+	if st == nil {
+		return nil
 	}
+	// The persister is idle (flushed above, and only this goroutine feeds
+	// it), so the store is ours to re-base — outside mu: it fsyncs.
+	as, ok := st.(AnchorStore)
+	var err error
+	if !ok {
+		err = fmt.Errorf("ledger: store cannot re-anchor at %d; store detached", height)
+	} else {
+		err = as.Reanchor(height)
+	}
+	if err != nil {
+		l.detach(err)
+		return nil
+	}
+	l.durable.Store(height)
 	return nil
 }
 
@@ -217,16 +244,18 @@ func (l *Ledger) Prune(height uint64) error {
 	return nil
 }
 
-// SetStore attaches a durable backend. Blocks already in the chain are NOT
+// SetStore attaches a durable backend write-through: every later certified
+// append or import calls the store before it returns (tools, tests and
+// benchmarks that want "one append, one fsync"; the live node attaches its
+// store with StartPersister instead). Blocks already in the chain are NOT
 // replayed into it — attach the store before appending, or after importing
-// exactly the prefix the store already holds (the bootstrap path in
-// internal/fabric does the latter, truncating the store to the accepted
-// prefix first).
+// exactly the prefix the store already holds.
 func (l *Ledger) SetStore(s Store) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.store = s
 	l.storeErr = nil
+	l.durable.Store(l.base + uint64(len(l.blocks)))
 }
 
 // StoreErr returns the persistence failure that detached the durable
@@ -243,9 +272,14 @@ func (l *Ledger) StoreErr() error {
 // durability gap through the same channel as an append failure. A nil err
 // is a no-op.
 func (l *Ledger) NoteStoreFailure(err error) {
-	if err == nil {
-		return
+	if err != nil {
+		l.detach(err)
 	}
+}
+
+// detach ends persistence: the store is dropped and the first failure kept
+// for StoreErr. Consensus carries on memory-only.
+func (l *Ledger) detach(err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.storeErr == nil {
@@ -254,26 +288,72 @@ func (l *Ledger) NoteStoreFailure(err error) {
 	l.store = nil
 }
 
-// persist hands one certified block to the attached store. Called with mu
-// held. A block without a certificate cannot be persisted — it could never
-// be re-verified at bootstrap — and since the store requires contiguous
-// heights, one such block ends durability for the whole chain: the store
-// detaches immediately with an explanatory StoreErr rather than failing
-// later with a confusing height mismatch. (The GeoBFT execution path only
-// ever appends certified blocks, so this fires only on misuse.)
-func (l *Ledger) persist(b *Block) {
-	if l.store == nil {
+// route sends blocks that just entered the chain toward the store: staged
+// for the next Handoff while a persister runs, otherwise returned for the
+// caller to write through once it has released mu (write waits for the
+// disk). Called with mu held.
+func (l *Ledger) route(blocks []*Block) (writeThrough []*Block) {
+	switch {
+	case l.store == nil:
+		return nil
+	case l.persister.Load() != nil:
+		l.staged.blocks = append(l.staged.blocks, blocks...)
+		return nil
+	}
+	return blocks
+}
+
+// write hands blocks to the attached store — one Append, or one AppendBatch
+// when the store can make a range durable as a unit — and publishes the new
+// durable height. It runs on the persister goroutine, or on the appending
+// goroutine in write-through mode, never under mu. The first failure
+// detaches the store. A block without a certificate cannot be persisted — it
+// could never be re-verified at bootstrap — and since the store requires
+// contiguous heights, one such block ends durability for the whole chain:
+// the store detaches with an explanatory StoreErr rather than failing later
+// with a confusing height mismatch. (The GeoBFT execution path only ever
+// appends certified blocks, so this fires only on misuse.)
+func (l *Ledger) write(blocks []*Block) {
+	if len(blocks) == 0 {
 		return
 	}
-	if b.Cert == nil {
-		l.storeErr = fmt.Errorf("ledger: block %d has no certificate and cannot be persisted; store detached", b.Height)
-		l.store = nil
+	l.mu.RLock()
+	st := l.store
+	l.mu.RUnlock()
+	if st == nil {
 		return
 	}
-	if err := l.store.Append(b); err != nil {
-		l.storeErr = err
-		l.store = nil
+	var err error
+	for i, b := range blocks {
+		if b.Cert == nil {
+			blocks = blocks[:i] // the certified prefix still lands
+			err = fmt.Errorf("ledger: block %d has no certificate and cannot be persisted; store detached", b.Height)
+			break
+		}
 	}
+	if len(blocks) > 0 {
+		if werr := appendTo(st, blocks); werr != nil {
+			err = werr
+		} else {
+			l.durable.Store(blocks[len(blocks)-1].Height)
+		}
+	}
+	if err != nil {
+		l.detach(err)
+	}
+}
+
+// appendTo makes blocks durable in st with as few barriers as st allows.
+func appendTo(st Store, blocks []*Block) error {
+	if bs, ok := st.(BatchStore); ok && len(blocks) > 1 {
+		return bs.AppendBatch(blocks)
+	}
+	for _, b := range blocks {
+		if err := st.Append(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Append adds the next block for (round, cluster, batch, certDigest) and
@@ -291,7 +371,6 @@ func (l *Ledger) AppendCertified(round uint64, cluster types.ClusterID, batch ty
 
 func (l *Ledger) append(round uint64, cluster types.ClusterID, batch types.Batch, certDigest types.Digest, cert Certificate) *Block {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	b := &Block{
 		Height:      l.base + uint64(len(l.blocks)+1),
 		Round:       round,
@@ -308,7 +387,14 @@ func (l *Ledger) append(round uint64, cluster types.ClusterID, batch types.Batch
 	}
 	b.Hash = blockHash(b)
 	l.blocks = append(l.blocks, b)
-	l.persist(b)
+	var wt []*Block
+	if l.store != nil { // keeps the one-element slice off the no-store path
+		wt = l.route([]*Block{b})
+	}
+	l.mu.Unlock()
+	if wt != nil {
+		l.write(wt)
+	}
 	return b
 }
 
@@ -415,6 +501,14 @@ func (l *Ledger) Export(from uint64, max int) []*Block {
 // recovering replica copies the ledger from untrusted peers and validates it
 // locally).
 func (l *Ledger) Import(blocks []*Block, verify func(*Block) error) error {
+	wt, err := l.importLocked(blocks, verify)
+	l.write(wt)
+	return err
+}
+
+// importLocked is Import under mu; it returns what the caller must write
+// through once the lock is released (see route).
+func (l *Ledger) importLocked(blocks []*Block, verify func(*Block) error) ([]*Block, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	prev := l.baseHash
@@ -425,17 +519,17 @@ func (l *Ledger) Import(blocks []*Block, verify func(*Block) error) error {
 	staged := make([]*Block, 0, len(blocks))
 	for i, b := range blocks {
 		if b == nil {
-			return fmt.Errorf("ledger: import: nil block at index %d", i)
+			return nil, fmt.Errorf("ledger: import: nil block at index %d", i)
 		}
 		want := base + uint64(i) + 1
 		if b.Height != want {
-			return fmt.Errorf("ledger: import: block %d has height %d, want %d", i, b.Height, want)
+			return nil, fmt.Errorf("ledger: import: block %d has height %d, want %d", i, b.Height, want)
 		}
 		if got := b.Batch.RecomputedDigest(); got != b.BatchDigest {
-			return fmt.Errorf("ledger: import: block %d batch digest mismatch", want)
+			return nil, fmt.Errorf("ledger: import: block %d batch digest mismatch", want)
 		}
 		if b.Prev != prev {
-			return fmt.Errorf("ledger: import: block %d breaks the hash chain", want)
+			return nil, fmt.Errorf("ledger: import: block %d breaks the hash chain", want)
 		}
 		// Stage a copy with the derived fields completed; the caller's blocks
 		// (possibly shared with another ledger) are never mutated. The cheap
@@ -444,11 +538,11 @@ func (l *Ledger) Import(blocks []*Block, verify func(*Block) error) error {
 		nb := *b
 		nb.Hash = blockHash(&nb)
 		if b.Hash != nb.Hash {
-			return fmt.Errorf("ledger: import: block %d hash mismatch", want)
+			return nil, fmt.Errorf("ledger: import: block %d hash mismatch", want)
 		}
 		if verify != nil {
 			if err := verify(b); err != nil {
-				return fmt.Errorf("ledger: import: block %d: %w", want, err)
+				return nil, fmt.Errorf("ledger: import: block %d: %w", want, err)
 			}
 		}
 		if nb.Cert != nil {
@@ -458,38 +552,7 @@ func (l *Ledger) Import(blocks []*Block, verify func(*Block) error) error {
 		prev = nb.Hash
 	}
 	l.blocks = append(l.blocks, staged...)
-	l.persistBatch(staged)
-	return nil
-}
-
-// persistBatch hands an imported range to the attached store, preferring
-// the BatchStore fast path (one durability barrier for the whole range).
-// Called with mu held.
-func (l *Ledger) persistBatch(staged []*Block) {
-	if l.store == nil {
-		return
-	}
-	bs, ok := l.store.(BatchStore)
-	if !ok {
-		for _, b := range staged {
-			l.persist(b)
-		}
-		return
-	}
-	for _, b := range staged {
-		if b.Cert == nil {
-			// An uncertified block ends durability (see persist); route
-			// through the per-block path so it detaches with the same error.
-			for _, b := range staged {
-				l.persist(b)
-			}
-			return
-		}
-	}
-	if err := bs.AppendBatch(staged); err != nil {
-		l.storeErr = err
-		l.store = nil
-	}
+	return l.route(staged), nil
 }
 
 // PrefixOf reports whether l is a prefix of other (used by tests to check

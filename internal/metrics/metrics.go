@@ -149,6 +149,18 @@ type SnapshotStats struct {
 	// after a persistence failure (Ledger.StoreErr non-nil): the node runs
 	// on, memory-only, but its durability gap must not go unnoticed.
 	StoreErrs uint64 `json:"store_errs"`
+	// DiskSyncs counts the block stores' commit fsyncs, DiskSyncedBlocks the
+	// blocks those made durable. Blocks per sync is the coalescing factor of
+	// the durability stage: 1 means every block paid its own fsync.
+	DiskSyncs        uint64 `json:"disk_syncs"`
+	DiskSyncedBlocks uint64 `json:"disk_synced_blocks"`
+	// PersistQueue is a gauge: blocks executed and handed to a persister but
+	// not yet written. DurableLag is its companion: ledger height minus
+	// durable height, i.e. queued plus in-flight blocks, whose client
+	// replies are being held. Both hover near zero on a healthy disk; a
+	// stalled one shows here before clients time out.
+	PersistQueue uint64 `json:"persist_queue"`
+	DurableLag   uint64 `json:"durable_lag"`
 }
 
 // Add accumulates o into s.
@@ -161,6 +173,10 @@ func (s *SnapshotStats) Add(o SnapshotStats) {
 	s.BytesReclaimed += o.BytesReclaimed
 	s.DiskBytes += o.DiskBytes
 	s.StoreErrs += o.StoreErrs
+	s.DiskSyncs += o.DiskSyncs
+	s.DiskSyncedBlocks += o.DiskSyncedBlocks
+	s.PersistQueue += o.PersistQueue
+	s.DurableLag += o.DurableLag
 }
 
 // Collector accumulates samples. It is safe for concurrent use (the real

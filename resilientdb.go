@@ -89,10 +89,13 @@ type Options struct {
 	// DiskSegmentBytes caps one block-store segment file (0: 4 MiB).
 	// Ignored without DataDir.
 	DiskSegmentBytes int64
-	// DiskGroupCommit batches block-store fsyncs at this interval instead
-	// of syncing every committed block; it trades up to one interval of
-	// blocks on machine (not process) crash for append throughput. 0
-	// fsyncs every commit. Ignored without DataDir.
+	// DiskGroupCommit makes the block store acknowledge appends after the
+	// OS write and fsync on a timer at this interval, so replies stop
+	// waiting for the disk; it trades up to one interval of acknowledged
+	// blocks on machine (not process) crash. 0, the default, fsyncs before
+	// a batch is acknowledged — off the consensus worker, one fsync
+	// covering every block committed during the previous one. Ignored
+	// without DataDir.
 	DiskGroupCommit time.Duration
 	// SnapshotInterval, when non-zero, bounds each replica's history: every
 	// N rounds the replica captures a content-addressed snapshot of its
