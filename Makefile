@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt fuzz bench bench-wan chaos docs-check
+.PHONY: check build test race vet fmt fuzz bench bench-wan chaos docs-check ab
 
 check: vet race
 
@@ -73,3 +73,12 @@ bench:
 bench-wan:
 	$(GO) run ./cmd/wanbench -clusters 3 -replicas 4 -duration 3s \
 		-sweep 0ms,50ms,100ms,200ms -out BENCH_WAN.json
+
+# Alternated parent-vs-change benchmark runs (what a perf claim rests on):
+# archives PARENT, runs benchmark/run.sh from it and from this tree N times
+# each on workload W with the order flipped every pair, prints q1/median/q3
+# per metric and the pairs won. ARGS goes to the benchmark on both sides
+# (ARGS='-trace 1' for the per-layer table). See scripts/ab.sh.
+#   make ab PARENT=HEAD~1 W=mem-sat N=10
+ab:
+	bash scripts/ab.sh $(PARENT) $(W) $(N) $(ARGS)

@@ -208,7 +208,10 @@ func viewChangeSpam() Scenario {
 			before := l0.Committed()
 			// Liveness under spam: client batches keep confirming while the
 			// attacker floods campaigns and starves the victim's checkpoints.
-			if err := e.WaitCommitted(l0, before+4, 90*time.Second); err != nil {
+			// Eight batches of one cluster are at least eight rounds, so the
+			// window spans a checkpoint (every 6 rounds) even when no round
+			// is a no-op.
+			if err := e.WaitCommitted(l0, before+8, 90*time.Second); err != nil {
 				return err
 			}
 			adv := e.Adversary(0, 1)

@@ -63,6 +63,7 @@ func (r *Replica) scheduleCatchup() {
 	for i := uint(0); i < r.cuFails && i < catchupMaxBackoff; i++ {
 		d *= 2
 	}
+	r.cuArmedRound = r.executedRound.Load()
 	r.catchupTimer = r.env.SetTimer(d, r.catchupTick)
 }
 
@@ -70,6 +71,16 @@ func (r *Replica) catchupTick() {
 	r.catchupTimer = nil
 	if !r.catchupGap() {
 		r.cuFails = 0
+		return
+	}
+	// Certified rounds beyond the next executable one are also what ordinary
+	// pipelining looks like. A replica whose execution advanced while the
+	// timer ran is being served by the live protocol: keep supervising, pull
+	// nothing. Only a stall, or proof that the cluster checkpointed past our
+	// commit point, is worth a peer's ledger.
+	if r.executedRound.Load() > r.cuArmedRound && r.behindSeq <= r.local.CommittedUpTo() {
+		r.cuFails = 0
+		r.scheduleCatchup()
 		return
 	}
 	// Back off when ticks stop making progress (the reachable peers are dead,
@@ -87,9 +98,8 @@ func (r *Replica) catchupTick() {
 }
 
 // catchupGap reports whether there is still evidence of being behind. Rounds
-// beyond the blocking one can also accumulate under normal pipelining while
-// one cluster lags; in that case the peers' ledgers are no longer than ours,
-// the request comes back empty, and the tick is a cheap no-op.
+// beyond the blocking one also accumulate under normal pipelining; catchupTick
+// tells the two apart by whether execution is advancing.
 func (r *Replica) catchupGap() bool {
 	next := r.executedRound.Load() + 1
 	for rnd := range r.rounds {
@@ -310,6 +320,7 @@ func (r *Replica) applyImportedBlocks(blocks []*ledger.Block, notify, pre bool) 
 			r.cfg.OnExecute(b.Round, b.Cluster, b.Batch)
 		}
 		if b.Batch.NoOp {
+			r.execNoOps.Add(1)
 			continue
 		}
 		r.execBatches.Add(1)

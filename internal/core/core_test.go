@@ -296,6 +296,12 @@ func TestNoOpFillWhenOneClusterIdle(t *testing.T) {
 	if noops == 0 {
 		t.Error("no no-op blocks from the idle cluster")
 	}
+	// An idle cluster fills at once: it never holds a round open (no grace).
+	for id, r := range reps {
+		if st := r.RoundStats(); st.GracesArmed != 0 {
+			t.Errorf("replica %v armed %d no-op graces under one-sided load", id, st.GracesArmed)
+		}
+	}
 }
 
 func TestSafetyAcrossSeedsProperty(t *testing.T) {

@@ -509,8 +509,9 @@ func (f *Fabric) StartNode(id types.NodeID, keepLedger bool) error {
 // level drops (full mailboxes, full send queues, codec failures) plus this
 // process's per-node output-queue drops and verify-stage rejections — and
 // the aggregated mempool admission counters (admitted, duplicate, replayed,
-// rate-limited, evicted) of every hosted replica. Safe to call while the
-// fabric is running.
+// rate-limited, evicted), checkpoint/GC counters and round-filling counters
+// (client vs no-op batches executed, no-op pacing) of every hosted replica.
+// Safe to call while the fabric is running.
 func (f *Fabric) Stats() metrics.DropStats {
 	st := f.tr.Stats()
 	f.mu.Lock()
@@ -519,6 +520,7 @@ func (f *Fabric) Stats() metrics.DropStats {
 		st.Add(n.drops.Snapshot())
 		st.Mempool.Add(n.pool.Stats())
 		st.Snapshots.Add(n.SnapshotStats())
+		st.Rounds.Add(n.replica.RoundStats())
 	}
 	return st
 }

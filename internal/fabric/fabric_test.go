@@ -69,6 +69,20 @@ func TestFabricEndToEnd(t *testing.T) {
 			t.Errorf("%v store digest differs", id)
 		}
 	}
+	// The fabric's own round accounting: every block of every replica is
+	// either a client batch or a no-op, and all 12 client batches executed
+	// everywhere.
+	var blocks uint64
+	for _, id := range topo.AllReplicas() {
+		blocks += f.Replica(id).Ledger().Height()
+	}
+	rs := f.Stats().Rounds
+	if rs.ClientBatches != 12*8 || rs.ClientBatches+rs.NoOpBatches != blocks {
+		t.Errorf("Stats().Rounds = %+v over %d blocks: want 96 client batches and the rest no-ops", rs, blocks)
+	}
+	if frac := rs.NoOpFrac(); frac != float64(rs.NoOpBatches)/float64(blocks) {
+		t.Errorf("NoOpFrac = %v", frac)
+	}
 }
 
 func TestFabricExecuteHook(t *testing.T) {

@@ -59,9 +59,10 @@ func (d *Drops) Snapshot() DropStats {
 	}
 }
 
-// DropStats is a snapshot of Drops, aggregatable across sources. Mempool and
-// Snapshots ride along for reporting convenience: admission outcomes and
-// checkpoint/GC activity are accounting, not losses, so Total ignores them.
+// DropStats is a snapshot of Drops, aggregatable across sources. Mempool,
+// Snapshots and Rounds ride along for reporting convenience: admission
+// outcomes, checkpoint/GC activity and round filling are accounting, not
+// losses, so Total ignores them.
 type DropStats struct {
 	Mailbox      uint64        `json:"mailbox"`
 	SendQueue    uint64        `json:"send_queue"`
@@ -73,6 +74,7 @@ type DropStats struct {
 	AuthReject   uint64        `json:"auth_reject"`
 	Mempool      MempoolStats  `json:"mempool"`
 	Snapshots    SnapshotStats `json:"snapshots"`
+	Rounds       RoundStats    `json:"rounds"`
 }
 
 // Add accumulates o into s (merging per-node or per-transport snapshots).
@@ -87,6 +89,7 @@ func (s *DropStats) Add(o DropStats) {
 	s.AuthReject += o.AuthReject
 	s.Mempool.Add(o.Mempool)
 	s.Snapshots.Add(o.Snapshots)
+	s.Rounds.Add(o.Rounds)
 }
 
 // Total returns the sum of all drop classes. Mempool admission outcomes are
@@ -121,6 +124,42 @@ func (s *MempoolStats) Add(o MempoolStats) {
 	s.Replayed += o.Replayed
 	s.RateLimited += o.RateLimited
 	s.Evicted += o.Evicted
+}
+
+// RoundStats counts what the global rounds executed at one replica carried
+// and what no-op pacing did there (core.Replica), aggregatable across
+// replicas. Every replica executes every cluster's batch, so summed over a
+// deployment the first two scale with the replica count; their ratio does not.
+type RoundStats struct {
+	// ClientBatches counts executed batches that carried client transactions.
+	ClientBatches uint64 `json:"client_batches"`
+	// NoOpBatches counts executed no-op batches: rounds a cluster filled
+	// because it had no client load for them. Each cost a full consensus
+	// instance, certificate and ledger block.
+	NoOpBatches uint64 `json:"noop_batches"`
+	// GracesArmed counts grace timers armed by primaries: times a round
+	// other clusters had certified was left open for a client batch.
+	GracesArmed uint64 `json:"graces_armed"`
+	// GraceFilled counts the open rounds client batches took before a grace
+	// ran out — rounds that would have been no-ops without pacing.
+	GraceFilled uint64 `json:"grace_filled"`
+}
+
+// Add accumulates o into s.
+func (s *RoundStats) Add(o RoundStats) {
+	s.ClientBatches += o.ClientBatches
+	s.NoOpBatches += o.NoOpBatches
+	s.GracesArmed += o.GracesArmed
+	s.GraceFilled += o.GraceFilled
+}
+
+// NoOpFrac is the share of executed batches that were no-ops (0 before
+// anything executed).
+func (s RoundStats) NoOpFrac() float64 {
+	if n := s.ClientBatches + s.NoOpBatches; n > 0 {
+		return float64(s.NoOpBatches) / float64(n)
+	}
+	return 0
 }
 
 // SnapshotStats counts checkpoint-snapshot and ledger-GC activity at one

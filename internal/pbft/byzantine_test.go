@@ -269,3 +269,51 @@ func TestViewChangeSpamBounded(t *testing.T) {
 		t.Fatal("spoofed view-change identity vanished uncounted")
 	}
 }
+
+// TestNoVerifyOnVoteForDecidedEntry counts signature checks per committed
+// sequence on the serial path: once an entry is decided (own vote plus
+// quorum−1 peer votes) a surplus commit vote must cost no Verify, while a
+// vote with a spoofed identity is still rejected first.
+func TestNoVerifyOnVoteForDecidedEntry(t *testing.T) {
+	rig := newByzRig(t)
+	// Rebuild replica 0 on a suite that reports every Verify: Verify is the
+	// only priced operation, so each charge is one signature check.
+	verifies := 0
+	dir := crypto.NewDirectory(crypto.Fast, rig.members)
+	suite := crypto.NewSuite(dir, 0, crypto.Costs{Verify: 1}, func(time.Duration) { verifies++ })
+	committed := 0
+	rig.r = NewReplica(&byzEnv{id: 0, suite: suite, rng: rand.New(rand.NewSource(1))},
+		Config{Members: rig.members, Self: 0, F: 1}, Hooks{
+			Committed: func(uint64, *Certificate) { committed++ },
+			Rejected:  func() { rig.rejected++ },
+		})
+	quorum := rig.r.quorum()
+
+	for seq := uint64(1); seq <= 3; seq++ {
+		b := types.Batch{Client: types.ClientIDBase, Seq: seq, Txns: []types.Transaction{{Key: 1, Value: seq}}}
+		rig.r.SubmitLocal(b, nil, true) // replica 0 leads view 0: proposes seq
+		d := b.Digest()
+		for _, id := range rig.members[1:] {
+			rig.r.HandleMessage(id, &Prepare{View: 0, Seq: seq, Digest: d, Replica: id,
+				Sig: rig.suites[id].Sign(PreparePayload(0, seq, d))})
+		}
+		before := verifies
+		for i, id := range rig.members[1:] {
+			rig.r.HandleMessage(id, &Commit{View: 0, Seq: seq, Digest: d, Replica: id,
+				Sig: rig.suites[id].Sign(CommitPayload(0, seq, d))})
+			if decided := i+2 >= quorum; decided != (committed == int(seq)) {
+				t.Fatalf("seq %d: after %d peer votes committed=%d", seq, i+1, committed)
+			}
+		}
+		if got := verifies - before; got != quorum-1 {
+			t.Errorf("seq %d: %d commit signatures verified, want quorum-1 = %d", seq, got, quorum-1)
+		}
+		// A decided entry still rejects a vote whose claimed voter is not its
+		// sender, and still without touching the signature.
+		rejected := rig.rejected
+		rig.r.HandleMessage(3, &Commit{View: 0, Seq: seq, Digest: d, Replica: 2, Sig: []byte("x")})
+		if rig.rejected != rejected+1 || verifies-before != quorum-1 {
+			t.Errorf("seq %d: spoofed vote on a decided entry: rejected %d→%d, verifies %d", seq, rejected, rig.rejected, verifies-before)
+		}
+	}
+}

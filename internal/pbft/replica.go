@@ -486,6 +486,13 @@ func (r *Replica) onCommit(from types.NodeID, m *Commit, pre bool) {
 		return
 	}
 	e := r.entryAt(m.Seq)
+	if e.committed {
+		// Decided: the certificate is built, so a further vote (with n=4, the
+		// third peer's) would be verified and then never used. Only this serial
+		// path saves the check; the pool's PreVerify is stateless and verifies
+		// every vote before it can know the entry's state.
+		return
+	}
 	set := e.votes(e.commits, voteKey{view: m.View, digest: m.Digest})
 	if _, dup := set[from]; dup {
 		return

@@ -47,6 +47,11 @@ type Ledger = ledger.Ledger
 // deployment's hosted replicas (the Snapshots field of Stats).
 type SnapshotStats = metrics.SnapshotStats
 
+// RoundStats counts what the executed global rounds carried — client batches
+// vs the no-ops a cluster without load certifies — and what no-op pacing did
+// (the Rounds field of Stats).
+type RoundStats = metrics.RoundStats
+
 // Options configures a fabric deployment.
 type Options struct {
 	// Clusters is the number of regions (z ≥ 1).
@@ -397,8 +402,9 @@ func (db *DB) Topology() (clusters, perCluster, f int) {
 }
 
 // Stats returns a snapshot of the deployment's message-loss counters (full
-// queues, codec failures, verify-stage rejections). Safe to call while the
-// deployment is running.
+// queues, codec failures, verify-stage rejections) with the admission,
+// checkpoint/GC and round-filling accounting alongside. Safe to call while
+// the deployment is running.
 func (db *DB) Stats() metrics.DropStats { return db.fab.Stats() }
 
 // RPCAddr returns the bound address of this process's RPC front door, or ""
