@@ -43,8 +43,10 @@ fuzz:
 # partition/restart scenarios, the bounded-history scenarios (a fresh
 # replica joining a GC'd 100k-block chain via verified snapshot transfer)
 # plus the Byzantine suite (equivocating primary, forged certificate
-# shares, view-change spam, tampered catch-up, starved catch-up peer,
-# tampered snapshot server) over the full seed matrix, and the harness's
+# shares, forged votes from a backup and from a primary, view-change spam,
+# tampered catch-up, starved catch-up peer, tampered snapshot server) over
+# the full seed matrix — `make check` runs the same scenarios on their first
+# seed, and the per-round signature budget test — and the harness's
 # own teeth test (a >f coalition must demonstrably break the safety
 # checks). Replay one failure byte-for-byte with CHAOS_SEED=<seed> make
 # chaos. See README "Failure model & recovery".

@@ -18,11 +18,12 @@
 //
 // With -adversary one hosted replica (replica (0,0) in-process; the
 // process's own replica in multi-process mode) runs a scripted Byzantine
-// attack from internal/byzantine — equivocate, forge-shares, vc-spam,
-// tamper-catchup, or suppress — from startup. The deployment tolerates f
-// Byzantine replicas per cluster, so a run with one adversary must still
-// commit every batch; the final report counts the forged messages the
-// honest replicas rejected.
+// attack from internal/byzantine — equivocate, forge-shares, forge-votes,
+// vc-spam, tamper-catchup, tamper-snapshots, or suppress — from startup. The
+// deployment tolerates f Byzantine replicas per cluster, so a run with one
+// adversary must still commit every batch; the final report counts the
+// forged messages the honest replicas rejected and the badly signed votes
+// they dropped from proofs.
 //
 // With -data-dir the replica persists its ledger to a segmented append-only
 // block store in that directory and, when relaunched with the same flags,
@@ -87,7 +88,7 @@ func run(args []string, out io.Writer) error {
 	serve := fs.Duration("serve", 0, "replica auto-shutdown after this duration (0: run until signal)")
 	localTimeout := fs.Duration("local-timeout", 500*time.Millisecond, "local view-change timeout")
 	remoteTimeout := fs.Duration("remote-timeout", time.Second, "remote view-change timeout")
-	adversary := fs.String("adversary", "", "compromise one hosted replica with a scripted byzantine attack: equivocate, forge-shares, vc-spam, tamper-catchup, tamper-snapshots, or suppress")
+	adversary := fs.String("adversary", "", "compromise one hosted replica with a scripted byzantine attack: equivocate, forge-shares, forge-votes, vc-spam, tamper-catchup, tamper-snapshots, or suppress")
 	dataDir := fs.String("data-dir", "", "persist each hosted replica's ledger to a block store under this directory; a restarted process recovers from it")
 	segmentBytes := fs.Int64("segment-bytes", 0, "block-store segment file size cap in bytes (0: 4 MiB); needs -data-dir")
 	groupCommit := fs.Duration("group-commit", 0, "acknowledge after the OS write and fsync the block store on a timer at this interval (0: fsync, coalesced, before acknowledging); needs -data-dir")
@@ -411,7 +412,8 @@ func runInProcess(out io.Writer, clusters, replicas, batches, batchSize int, cra
 	fmt.Fprintf(out, "ledger: %d blocks, head %s (verified)\n", led.Height(), led.Head().Short())
 	printSnapshotStats(out, db)
 	if adversary != "" {
-		fmt.Fprintf(out, "adversary: %d forged messages rejected\n", db.Stats().VerifyReject)
+		st := db.Stats()
+		fmt.Fprintf(out, "adversary: %d forged messages rejected, %d badly signed votes dropped from proofs\n", st.VerifyReject, st.Crypto.BadVoteSigs)
 	}
 	return nil
 }

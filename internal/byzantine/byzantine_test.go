@@ -365,3 +365,60 @@ func TestComposeFirstInterceptorWins(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestVoteForger: every vote keeps its routing and loses its signature, the
+// original (shared with the other recipients) is never touched, shares are
+// withheld only across clusters and only when asked, and SilentAfter ends
+// everything.
+func TestVoteForger(t *testing.T) {
+	w := newWorld()
+	fleet := byzantine.NewFleet(7)
+	self := w.topo.ReplicaID(0, 0)
+	adv := fleet.Adversary(w.topo, crypto.Fast, self, &byzantine.VoteForger{WithholdShares: true, SilentAfter: 3})
+	adv.Arm()
+	peer, remote := w.topo.ReplicaID(0, 2), w.topo.ReplicaID(1, 1)
+
+	d := types.Hash([]byte("batch"))
+	commit := &pbft.Commit{View: 0, Seq: 1, Digest: d, Replica: self, Sig: w.suites[self].Sign(pbft.CommitPayload(0, 1, d))}
+	prepare := &pbft.Prepare{View: 0, Seq: 1, Digest: d, Replica: self, Sig: w.suites[self].Sign(pbft.PreparePayload(0, 1, d))}
+	for _, vote := range []types.Message{commit, prepare} {
+		ds, ok := adv.Rewrite(peer, vote)
+		if !ok || len(ds) != 1 || ds[0].To != peer || ds[0].Msg == vote {
+			t.Fatalf("%s: ok=%v deliveries=%v", vote.MsgType(), ok, ds)
+		}
+	}
+	ds, _ := adv.Rewrite(peer, commit)
+	forged := ds[0].Msg.(*pbft.Commit)
+	if forged.View != 0 || forged.Seq != 1 || forged.Digest != d || forged.Replica != self {
+		t.Fatalf("forged vote lost its routing: %+v", forged)
+	}
+	if w.suites[peer].Verify(self, pbft.CommitPayload(0, 1, d), forged.Sig) {
+		t.Fatal("forged vote still verifies")
+	}
+	if !w.suites[peer].Verify(self, pbft.CommitPayload(0, 1, d), commit.Sig) {
+		t.Fatal("forging mutated the original vote")
+	}
+
+	// Three votes forged: silent from here on, shares and votes alike.
+	share := &core.GlobalShare{Cluster: 0, Round: 1, Cert: &pbft.Certificate{}}
+	for _, to := range []types.NodeID{peer, remote} {
+		for _, m := range []types.Message{commit, share} {
+			if ds, ok := adv.Rewrite(to, m); !ok || ds != nil {
+				t.Fatalf("silent forger sent %s to %v", m.MsgType(), to)
+			}
+		}
+	}
+	if st := adv.Stats(); st.Tampered != 3 || st.Suppressed != 4 {
+		t.Fatalf("stats = %+v, want 3 tampered, 4 suppressed", st)
+	}
+
+	// Without SilentAfter: shares are withheld across clusters only.
+	adv = fleet.Adversary(w.topo, crypto.Fast, self, &byzantine.VoteForger{WithholdShares: true})
+	adv.Arm()
+	if ds, ok := adv.Rewrite(remote, share); !ok || ds != nil {
+		t.Fatal("cross-cluster share not withheld")
+	}
+	if _, ok := adv.Rewrite(peer, share); ok {
+		t.Fatal("local share forward intercepted")
+	}
+}

@@ -73,5 +73,13 @@ func CorpusMessages() []types.Message {
 		&pbft.Request{Batch: rb, Sig: csuite.Sign(pbft.RequestPayload(&rb))},
 		&pbft.Request{Batch: rb, Sig: []byte("forged")},
 		&pbft.Request{Batch: eb, Sig: csuite.Sign(pbft.RequestPayload(&eb))})
+
+	// The vote forger's wire-borne votes: valid routing, garbage signature
+	// (appended last so the seeds above keep their file names).
+	d := blocks[0].BatchDigest
+	out = append(out,
+		forgeVote(&pbft.Prepare{View: 0, Seq: 1, Digest: d, Replica: adv.ID(), Sig: adv.Suite().Sign(pbft.PreparePayload(0, 1, d))}),
+		forgeVote(&pbft.Commit{View: 0, Seq: 1, Digest: d, Replica: adv.ID(), Sig: adv.Suite().Sign(pbft.CommitPayload(0, 1, d))}),
+		forgeVote(&pbft.Checkpoint{Seq: 6, Digest: d, Replica: adv.ID(), Sig: []byte{}}))
 	return out
 }

@@ -25,6 +25,9 @@ import (
 //     fail.
 //   - ShareForger: garbled commit certificates sent cross-cluster (GeoBFT's
 //     global sharing step), forcing the remote view-change path.
+//   - VoteForger: prepare, commit and checkpoint votes with valid routing and
+//     garbage signatures — the attack on counting votes by channel
+//     authentication and verifying signatures only where a proof is shown.
 //   - ViewChangeSpammer: stale and far-future view-change campaigns plus
 //     forged remote view-change requests, probing the spam defenses.
 //   - CatchupTamperer: tampered and fabricated catch-up responses aimed at a
@@ -218,6 +221,92 @@ func forgeShare(gs *core.GlobalShare, n int) *core.GlobalShare {
 		cert.Batch = tampered
 	}
 	return &core.GlobalShare{Cluster: gs.Cluster, Round: gs.Round, Cert: cert}
+}
+
+// VoteForger signs garbage. Every prepare, commit and checkpoint vote the
+// compromised replica sends keeps its routing — the right view, sequence and
+// digest, the replica's own identity, a channel that authenticates it — and
+// carries a signature that verifies under no key. Honest replicas count such
+// a vote (the channel vouches for its sender) and must find it out wherever a
+// proof built from it would be shown: the primary before it shares a
+// certificate, a backup before it serves a block or persists one, every
+// campaigner before its view-change message. The bad votes are dropped and
+// counted (Stats().Crypto.BadVoteSigs), commits continue, and no honest
+// replica ever sends a certificate that fails verification. As a backup the
+// script is the whole attack. As a primary, WithholdShares and SilentAfter add
+// the rest of the worst case: the other clusters get nothing, the cluster
+// must depose the primary through campaigns whose retained vote sets hold its
+// garbage, and the new primary must still reshare every withheld round.
+type VoteForger struct {
+	// WithholdShares also suppresses the certificate shares the replica owes
+	// other clusters while it is primary.
+	WithholdShares bool
+	// SilentAfter, when positive, makes the replica fall silent — every
+	// message to another replica suppressed — once it has forged that many
+	// votes.
+	SilentAfter int
+
+	mu     sync.Mutex
+	forged int
+}
+
+// Name implements Script.
+func (s *VoteForger) Name() string { return "vote-forger" }
+
+// Rewrite implements Script.
+func (s *VoteForger) Rewrite(a *Adversary, to types.NodeID, msg types.Message) ([]transport.Delivery, bool) {
+	if to.IsClient() {
+		return nil, false
+	}
+	vote := forgeVote(msg)
+	s.mu.Lock()
+	silent := s.SilentAfter > 0 && s.forged >= s.SilentAfter
+	if vote != nil && !silent {
+		s.forged++
+	}
+	s.mu.Unlock()
+	switch {
+	case silent:
+		a.suppressed.Add(1)
+		return nil, true
+	case vote != nil:
+		a.tampered.Add(1)
+		return []transport.Delivery{{To: to, Msg: vote}}, true
+	}
+	if _, isShare := msg.(*core.GlobalShare); isShare && s.WithholdShares && a.topo.ClusterOf(to) != a.Cluster() {
+		a.suppressed.Add(1)
+		return nil, true
+	}
+	return nil, false
+}
+
+// forgeVote returns a copy of a prepare, commit or checkpoint vote with its
+// signature garbled (the original is shared with the other recipients), or
+// nil for any other message.
+func forgeVote(msg types.Message) types.Message {
+	garble := func(sig []byte) []byte {
+		out := append([]byte(nil), sig...)
+		if len(out) == 0 {
+			return []byte("forged")
+		}
+		out[0] ^= 0xff
+		return out
+	}
+	switch m := msg.(type) {
+	case *pbft.Prepare:
+		c := *m
+		c.Sig = garble(m.Sig)
+		return &c
+	case *pbft.Commit:
+		c := *m
+		c.Sig = garble(m.Sig)
+		return &c
+	case *pbft.Checkpoint:
+		c := *m
+		c.Sig = garble(m.Sig)
+		return &c
+	}
+	return nil
 }
 
 // ViewChangeSpammer rides on the compromised replica's normal traffic: every
@@ -594,7 +683,7 @@ func (c composite) Rewrite(a *Adversary, to types.NodeID, msg types.Message) ([]
 
 // ScriptByName builds a named built-in script for the given compromised
 // replica — the command-line entry point (cmd/resilientdb -adversary).
-// Recognized names: "equivocate", "forge-shares", "vc-spam",
+// Recognized names: "equivocate", "forge-shares", "forge-votes", "vc-spam",
 // "tamper-catchup", "tamper-snapshots", "suppress".
 func ScriptByName(name string, topo config.Topology, self types.NodeID) (Script, error) {
 	switch name {
@@ -602,6 +691,8 @@ func ScriptByName(name string, topo config.Topology, self types.NodeID) (Script,
 		return &EquivocatingPrimary{Rounds: 8, Detector: true}, nil
 	case "forge-shares":
 		return &ShareForger{}, nil
+	case "forge-votes":
+		return &VoteForger{}, nil
 	case "vc-spam":
 		return &ViewChangeSpammer{}, nil
 	case "tamper-catchup":
@@ -611,5 +702,5 @@ func ScriptByName(name string, topo config.Topology, self types.NodeID) (Script,
 	case "suppress":
 		return &Suppressor{Victims: []types.NodeID{types.NoNode}}, nil
 	}
-	return nil, fmt.Errorf("byzantine: unknown adversary script %q (want equivocate, forge-shares, vc-spam, tamper-catchup, tamper-snapshots, or suppress)", name)
+	return nil, fmt.Errorf("byzantine: unknown adversary script %q (want equivocate, forge-shares, forge-votes, vc-spam, tamper-catchup, tamper-snapshots, or suppress)", name)
 }

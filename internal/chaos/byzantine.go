@@ -23,6 +23,8 @@ func ByzantineScenarios() []Scenario {
 	return []Scenario{
 		equivocatingPrimary(),
 		forgedShares(),
+		forgedVotes(),
+		forgedVotesPrimary(),
 		viewChangeSpam(),
 		tamperedCatchup(),
 		byzStarvedCatchup(),
@@ -175,6 +177,140 @@ func forgedShares() Scenario {
 			}
 			if got := e.VerifyRejects(); got <= pre {
 				return fmt.Errorf("chaos: forged shares vanished uncounted (verify-rejects %d → %d)", pre, got)
+			}
+			return e.AssertPrefixes()
+		},
+	}
+}
+
+// forgedVotes hands a cluster-0 backup to the vote forger on a disk-backed
+// deployment: every prepare, commit and checkpoint vote it sends is routed
+// correctly and signed with garbage. Votes are counted on channel
+// authentication, so the garbage is counted too; what must hold is that it
+// never gets out. Commits continue; the primary finds the bad signature when
+// it proves each certificate and shares only what verifies (Run's certificate
+// audit checks every share and every catch-up block an honest replica
+// sends); every replica of the cluster proves its own cluster's certificate
+// before the block is persisted, so a backup restarted from its disk
+// bootstraps its whole prefix — every certificate re-verified — without a
+// single rejection and without fetching a block, then keeps up; the bad votes
+// are counted; and nothing honest is ever rejected by an honest receiver.
+// The restart happens while the deployment is idle: a crashed member next to
+// a forging one is two faults in one cluster, beyond the f=1 any of this is
+// promised for.
+func forgedVotes() Scenario {
+	return Scenario{
+		Name:        "byz-forged-votes",
+		Description: "a backup signs garbage votes: counted on arrival, found out before anything is shown or persisted, commits continue, a disk restart re-verifies clean",
+		Clusters:    2, Replicas: 4,
+		Disk:      true,
+		Byzantine: []Role{{Cluster: 0, Index: 2, Script: &byzantine.VoteForger{}}},
+		Run: func(e *Env) error {
+			l0 := e.StartLoad(0)
+			e.StartLoad(1)
+			if err := e.WaitHeight(0, 1, warmup, 60*time.Second); err != nil {
+				return err
+			}
+			pre := e.VerifyRejects()
+			e.Arm(0, 2)
+			if err := e.WaitCommitted(l0, l0.Committed()+8, 90*time.Second); err != nil {
+				return err
+			}
+			e.StopLoads()
+			if err := e.WaitQuiet(500*time.Millisecond, 90*time.Second); err != nil {
+				return err
+			}
+			// Every own-cluster block on (0,3)'s disk was decided on vote sets
+			// the forger was part of. It comes back from that disk alone.
+			h := e.Height(0, 3)
+			e.Crash(0, 3)
+			if err := e.Restart(0, 3, true); err != nil {
+				return err
+			}
+			if err := e.WaitHeight(0, 3, h, 30*time.Second); err != nil {
+				return fmt.Errorf("chaos: disk bootstrap did not restore the prefix: %w", err)
+			}
+			if got := e.Fab.Replica(e.ReplicaID(0, 3)).CatchUpBlocks(); got != 0 {
+				return fmt.Errorf("chaos: the restarted replica fetched %d blocks over the network; its disk held them all", got)
+			}
+			l2 := e.StartLoad(2) // fresh identities, same home clusters
+			e.StartLoad(3)
+			if err := e.WaitCommitted(l2, 3, 90*time.Second); err != nil {
+				return err
+			}
+			e.StopLoads()
+			if err := e.WaitConverged(90 * time.Second); err != nil {
+				return err
+			}
+			e.StopAll()
+			if st := e.Adversary(0, 2).Stats(); st.Tampered == 0 {
+				return fmt.Errorf("chaos: the vote forger never forged a vote")
+			}
+			if cs := e.CryptoStats(); cs.BadVoteSigs == 0 {
+				return fmt.Errorf("chaos: forged votes vanished uncounted: %+v", cs)
+			}
+			if got := e.VerifyRejects(); got != pre {
+				return fmt.Errorf("chaos: %d messages rejected while only votes were forged (disk bootstrap included): nothing honest may be rejected", got-pre)
+			}
+			if v := e.View(0, 1); v != 0 {
+				return fmt.Errorf("chaos: a forging backup moved cluster 0 to view %d", v)
+			}
+			return e.AssertPrefixes()
+		},
+	}
+}
+
+// forgedVotesPrimary is the same forger as cluster 0's primary, which also
+// withholds every certificate share and, a few rounds in, falls silent: the
+// worst case for proving late. Its cluster keeps deciding on vote sets that
+// hold its garbage while the other cluster gets nothing; deposing it takes a
+// view change whose every honest campaign must show a stable-checkpoint proof
+// and prepared proofs chosen from vote sets that contain the garbage (built
+// unchecked, all of them would be discarded and the view change would never
+// complete); and the new primary must reshare a provable certificate for
+// every withheld round from the votes it kept.
+func forgedVotesPrimary() Scenario {
+	return Scenario{
+		Name:        "byz-forged-votes-primary",
+		Description: "the primary signs garbage votes, withholds its shares and goes silent: the view change completes on proven campaigns and every withheld round is reshared provably",
+		Clusters:    2, Replicas: 4,
+		Byzantine: []Role{{Cluster: 0, Index: 0, Script: &byzantine.VoteForger{WithholdShares: true, SilentAfter: 96}}},
+		Run: func(e *Env) error {
+			l0 := e.StartLoad(0)
+			l1 := e.StartLoad(1)
+			// Past a checkpoint interval, so the stable proof of the coming
+			// campaigns is made of votes from the attack window too.
+			if err := e.WaitCommitted(l0, 8, 60*time.Second); err != nil {
+				return err
+			}
+			pre := e.VerifyRejects()
+			e.Arm(0, 0)
+			before0, before1 := l0.Committed(), l1.Committed()
+			// Liveness for both clusters: cluster 1 cannot execute a round
+			// without cluster 0's certificate for it, cluster 0's clients
+			// cannot be answered by a silent primary.
+			if err := e.WaitCommitted(l0, before0+3, 120*time.Second); err != nil {
+				return err
+			}
+			if err := e.WaitCommitted(l1, before1+3, 120*time.Second); err != nil {
+				return err
+			}
+			e.StopLoads()
+			if err := e.WaitConverged(90 * time.Second); err != nil {
+				return err
+			}
+			e.StopAll()
+			if v := e.View(0, 1); v == 0 {
+				return fmt.Errorf("chaos: cluster 0 committed past its forging primary without a view change")
+			}
+			if st := e.Adversary(0, 0).Stats(); st.Tampered == 0 || st.Suppressed == 0 {
+				return fmt.Errorf("chaos: the primary never forged or never withheld: %+v", st)
+			}
+			if cs := e.CryptoStats(); cs.BadVoteSigs == 0 {
+				return fmt.Errorf("chaos: forged votes vanished uncounted: %+v", cs)
+			}
+			if got := e.VerifyRejects(); got != pre {
+				return fmt.Errorf("chaos: %d messages rejected while only votes were forged: no honest certificate or campaign may be rejected", got-pre)
 			}
 			return e.AssertPrefixes()
 		},

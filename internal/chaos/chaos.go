@@ -26,11 +26,13 @@ import (
 
 	"resilientdb/internal/byzantine"
 	"resilientdb/internal/config"
+	"resilientdb/internal/core"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/fabric"
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/mempool"
 	"resilientdb/internal/metrics"
+	"resilientdb/internal/pbft"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
@@ -102,16 +104,24 @@ func Run(s Scenario, seed int64, logf func(format string, args ...any)) error {
 	net := transport.NewFaulty(transport.NewMem(), seed)
 	var tr transport.Transport = net
 	byz := make(map[types.NodeID]*byzantine.Adversary, len(s.Byzantine))
+	var audit *certAudit
 	if len(s.Byzantine) > 0 {
 		fleet := byzantine.NewFleet(seed)
 		for _, role := range s.Byzantine {
 			id := topo.ReplicaID(role.Cluster, role.Index)
 			byz[id] = fleet.Adversary(topo, crypto.Real, id, role.Script)
 		}
+		audit = newCertAudit(topo)
 		// The tap wraps the fault injector: a compromised replica's rewritten
 		// deliveries experience the same drops and partitions as honest
-		// traffic.
-		tr = transport.NewTap(net, fleet.Intercept)
+		// traffic. Honest replicas' sends pass the certificate audit on the
+		// way.
+		tr = transport.NewTap(net, func(from, to types.NodeID, msg types.Message) ([]transport.Delivery, bool) {
+			if byz[from] == nil {
+				audit.observe(from, msg)
+			}
+			return fleet.Intercept(from, to, msg)
+		})
 	}
 	cfg := fabric.Config{
 		Topo:             topo,
@@ -153,7 +163,77 @@ func Run(s Scenario, seed int64, logf func(format string, args ...any)) error {
 	}
 	defer e.StopAll()
 	logf("chaos/%s: z=%d n=%d seed=%d disk=%v byzantine=%d", s.Name, s.Clusters, s.Replicas, seed, s.Disk, len(s.Byzantine))
-	return s.Run(e)
+	if err := s.Run(e); err != nil {
+		return err
+	}
+	if audit != nil {
+		return audit.err()
+	}
+	return nil
+}
+
+// certAudit checks from outside, in every scenario with Byzantine roles, the
+// property the rest depends on: a commit certificate an honest replica sends
+// — shared with another cluster, or inside a block of a catch-up response —
+// verifies. Honest replicas count commit votes on channel authentication and
+// must prove a certificate before showing it; whatever a compromised cluster
+// member signed, nothing unproven may leave them. Each certificate object is
+// checked once (the in-process transport passes it by pointer to every
+// recipient).
+type certAudit struct {
+	topo  config.Topology
+	suite *crypto.Suite
+	seen  sync.Map // *pbft.Certificate → struct{}
+
+	mu    sync.Mutex
+	bad   int
+	first string
+}
+
+func newCertAudit(topo config.Topology) *certAudit {
+	id := topo.ReplicaID(0, 0) // any identity: verification uses public keys only
+	dir := crypto.NewDirectory(crypto.Real, topo.AllReplicas())
+	return &certAudit{topo: topo, suite: crypto.NewSuite(dir, id, crypto.FreeCosts(), nil)}
+}
+
+func (a *certAudit) observe(from types.NodeID, msg types.Message) {
+	switch m := msg.(type) {
+	case *core.GlobalShare:
+		a.check(from, m.Cluster, m.Cert, "shared")
+	case *core.CatchUpResp:
+		for _, b := range m.Blocks {
+			if cert, ok := b.Cert.(*pbft.Certificate); ok {
+				a.check(from, b.Cluster, cert, "served in a catch-up response")
+			}
+		}
+	}
+}
+
+func (a *certAudit) check(from types.NodeID, cluster types.ClusterID, cert *pbft.Certificate, how string) {
+	if cert == nil {
+		return
+	}
+	if _, dup := a.seen.LoadOrStore(cert, struct{}{}); dup {
+		return
+	}
+	c := int(cluster)
+	if c >= 0 && c < a.topo.Clusters && cert.Verify(a.suite, a.topo.ClusterMembers(c), a.topo.PerCluster-a.topo.F()) {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.bad++; a.bad == 1 {
+		a.first = fmt.Sprintf("honest replica %v %s a certificate for sequence %d of cluster %d that does not verify", from, how, cert.Seq, cluster)
+	}
+}
+
+func (a *certAudit) err() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.bad > 0 {
+		return fmt.Errorf("chaos: %d unproven certificates left honest replicas; first: %s", a.bad, a.first)
+	}
+	return nil
 }
 
 // checkFaultBound enforces the ≤ f Byzantine replicas per cluster assumption
@@ -211,6 +291,11 @@ func (e *Env) Arm(cluster, idx int) {
 	e.Logf("chaos: arming %s on %v", adv.Script().Name(), adv.ID())
 	adv.Arm()
 }
+
+// CryptoStats reads the deployment-wide signature counters: ed25519
+// operations run, votes found badly signed when a proof was assembled, shows
+// declined for want of a proof (summed across replicas).
+func (e *Env) CryptoStats() metrics.CryptoStats { return e.Fab.Stats().Crypto }
 
 // VerifyRejects reads the deployment's forged-message counter: every message
 // discarded by a cryptographic check, pooled or inline (see
@@ -394,6 +479,32 @@ func (e *Env) WaitConverged(timeout time.Duration) error {
 			return last
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// WaitQuiet polls until the deployment is converged and has stayed at the
+// same height for the quiet period: every consensus instance that was in
+// flight when the loads stopped has run its course (an open round is filled
+// within a few milliseconds, and executing it moves every ledger). Scenarios
+// use it before a fault that must not coincide with a decision being made.
+func (e *Env) WaitQuiet(quiet, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	var height uint64
+	var since time.Time
+	for {
+		err := e.converged()
+		if h := e.MaxHeight(); err != nil || h != height {
+			height, since = h, time.Now()
+		} else if time.Since(since) >= quiet {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			if err == nil {
+				err = fmt.Errorf("chaos: height still moving at %d", height)
+			}
+			return err
+		}
+		time.Sleep(25 * time.Millisecond)
 	}
 }
 

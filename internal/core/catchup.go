@@ -171,7 +171,17 @@ func (r *Replica) onCatchUpReq(from types.NodeID, m *CatchUpReq) {
 	if from.IsClient() {
 		return
 	}
-	blocks := trimToRoundBoundary(r.ledger.Export(m.NextHeight, catchupBatch), r.cfg.Topo.Clusters)
+	// The response is cut at the first block of our own cluster we cannot
+	// prove: the requester's rotation moves on to peers that can, and to the
+	// other clusters, which verified that certificate when it was shared.
+	blocks := r.ledger.Export(m.NextHeight, catchupBatch) // a fresh slice: ours to edit
+	for i, b := range blocks {
+		if blocks[i] = r.showBlock(b); blocks[i] == nil {
+			blocks = blocks[:i]
+			break
+		}
+	}
+	blocks = trimToRoundBoundary(blocks, r.cfg.Topo.Clusters)
 	if len(blocks) == 0 && m.NextHeight > r.ledger.Base() {
 		return // nothing useful: the requester is at or past our suffix
 	}
@@ -410,21 +420,24 @@ func (r *Replica) localHistory(seq uint64) types.Digest {
 	return r.clusterHistories(seq)[r.myCluster]
 }
 
-// certAt returns the commit certificate for (round, cluster): from the
-// in-flight round state, or — for executed rounds — from the ledger, which
-// retains the full chain. It replaces the old bounded retention window, so a
-// lagging peer's DRvc can be answered for any executed round.
+// certAt returns the commit certificate for (round, cluster) in a form this
+// replica may send: from the in-flight round state, or — for executed rounds
+// — from the ledger, which retains the full chain, so a lagging peer's DRvc
+// can be answered for any executed round. Another cluster's certificate was
+// verified when it arrived; our own is proven first (provenOwn), and nil is
+// returned when it cannot be.
 func (r *Replica) certAt(rnd uint64, cluster types.ClusterID) *pbft.Certificate {
+	var held *pbft.Certificate
 	if rd := r.rounds[rnd]; rd != nil && rd.certs[cluster] != nil {
-		return rd.certs[cluster]
-	}
-	if rnd >= 1 && rnd <= r.executedRound.Load() {
+		held = rd.certs[cluster]
+	} else if rnd >= 1 && rnd <= r.executedRound.Load() {
 		h := (rnd-1)*uint64(r.cfg.Topo.Clusters) + uint64(cluster) + 1
 		if b := r.ledger.Block(h); b != nil {
-			if c, ok := b.Cert.(*pbft.Certificate); ok {
-				return c
-			}
+			held, _ = b.Cert.(*pbft.Certificate)
 		}
 	}
-	return nil
+	if int(cluster) == r.myCluster {
+		return r.provenOwn(rnd, held)
+	}
+	return held
 }

@@ -42,6 +42,12 @@ type manualNet struct {
 	// hold, if set, parks matching messages until release.
 	hold func(m manualMsg) bool
 	held []manualMsg
+	// tamper, if set, may replace a message on its way to one recipient (a
+	// Byzantine sender's script); it must not modify the original, which the
+	// other recipients share.
+	tamper func(m manualMsg) types.Message
+	// sent, if set, observes every message as it is delivered.
+	sent func(m manualMsg)
 }
 
 type manualEnv struct {
@@ -131,6 +137,12 @@ func (n *manualNet) drain() {
 		if n.hold != nil && n.hold(m) {
 			n.held = append(n.held, m)
 			continue
+		}
+		if n.tamper != nil {
+			m.msg = n.tamper(m)
+		}
+		if n.sent != nil {
+			n.sent(m)
 		}
 		if r := n.reps[m.to]; r != nil {
 			r.Receive(m.from, m.msg)

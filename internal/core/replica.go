@@ -195,6 +195,8 @@ type Replica struct {
 	catchupBlocks atomic.Uint64
 	gracesArmed   atomic.Uint64
 	graceFilled   atomic.Uint64
+	badVoteSigs   atomic.Uint64 // votes of this cluster dropped from a proof: signature bad
+	unprovable    atomic.Uint64 // shows declined for want of n−f valid signatures
 
 	// snapshot stats (atomic, same contract)
 	snapRound      atomic.Uint64
@@ -255,6 +257,9 @@ func (r *Replica) InitEnv(env proto.Env) {
 		},
 		Rejected:     r.noteReject,
 		Checkpointed: r.onStableCheckpoint,
+		Proven:       r.onLocalProven,
+		BadVoteSig:   func() { r.badVoteSigs.Add(1) },
+		Unprovable:   func() { r.unprovable.Add(1) },
 	})
 }
 
@@ -357,6 +362,14 @@ func (r *Replica) RoundStats() metrics.RoundStats {
 		GracesArmed:   r.gracesArmed.Load(),
 		GraceFilled:   r.graceFilled.Load(),
 	}
+}
+
+// ProofStats returns how many votes of this replica's own cluster were
+// dropped from a proof because their signature was bad, and how many shows
+// the replica declined because it could not prove what it held (see
+// metrics.CryptoStats). Safe to call while the replica is running.
+func (r *Replica) ProofStats() (badVoteSigs, unprovable uint64) {
+	return r.badVoteSigs.Load(), r.unprovable.Load()
 }
 
 // --- client admission and pipelining ---------------------------------------
@@ -499,18 +512,84 @@ func (r *Replica) paceNoOps() {
 // --- local replication completion -------------------------------------------
 
 // onLocalCommit receives the local cluster's commit certificates in round
-// order (PBFT delivers them gap-free).
+// order (PBFT delivers them gap-free). cert is what the decision was counted
+// on: votes authenticated by their channels, signatures unchecked. That is
+// enough to order and execute the batch. The primary is about to show it to
+// other clusters, so the primary proves it, here, every round; if a vote in
+// it turns out bad the share waits for the next vote (onLocalProven).
 func (r *Replica) onLocalCommit(seq uint64, cert *pbft.Certificate) {
 	r.localUpTo = seq
 	if !cert.Batch.NoOp && seq > r.clientUpTo {
 		r.clientUpTo = seq // also seen by backups, so a new primary inherits it
 	}
+	if r.IsPrimary() {
+		if proven, _ := r.local.Prove(seq); proven != nil {
+			cert = proven
+			r.shareRound(seq, cert)
+		}
+	}
 	r.setCert(types.ClusterID(r.myCluster), seq, cert)
+	r.feedPrimary()
+	r.rearmDetection()
+}
+
+// onLocalProven resumes what waited on a proof of round seq that came up
+// short: the primary's share, a disk-backed replica's execution.
+func (r *Replica) onLocalProven(seq uint64, cert *pbft.Certificate) {
 	if r.IsPrimary() {
 		r.shareRound(seq, cert)
 	}
-	r.feedPrimary()
-	r.rearmDetection()
+	r.tryExecute()
+}
+
+// provenOwn returns this cluster's certificate for rnd in the form it may be
+// shown to anyone who cannot rely on our channels: n−f commit signatures this
+// replica has verified itself. Other clusters' certificates need no such
+// step, they were verified when they arrived. held is the certificate the
+// caller has for the round (from the round state or the ledger); it is used
+// only when the local PBFT no longer remembers the round and then has to
+// verify whole. nil means not provable, or not yet.
+func (r *Replica) provenOwn(rnd uint64, held *pbft.Certificate) *pbft.Certificate {
+	if cert, known := r.local.Prove(rnd); known {
+		return cert
+	}
+	if held != nil && held.Verify(r.env.Suite(), r.members, r.quorum()) {
+		return held
+	}
+	return nil
+}
+
+// showBlock returns b in the form it may leave this replica: as is when it
+// holds another cluster's batch, carrying a proven certificate when it holds
+// one of ours, nil — counted — when that cannot be had. The chain's block is
+// never modified; a block whose certificate had to be replaced is a copy.
+func (r *Replica) showBlock(b *ledger.Block) *ledger.Block {
+	if int(b.Cluster) != r.myCluster {
+		return b
+	}
+	held, _ := b.Cert.(*pbft.Certificate)
+	cert := r.provenOwn(b.Round, held)
+	switch cert {
+	case nil:
+		r.unprovable.Add(1)
+		return nil
+	case held:
+		return b
+	}
+	nb := *b
+	nb.Cert, nb.CertDigest = cert, cert.CertDigest()
+	return &nb
+}
+
+// ShowBlock returns the block at height h for handing to a client (a proven
+// read, the RPC block endpoint): see showBlock. nil when there is no such
+// block or its certificate cannot be proven. It must run on the replica's
+// event loop.
+func (r *Replica) ShowBlock(h uint64) *ledger.Block {
+	if b := r.ledger.Block(h); b != nil {
+		return r.showBlock(b)
+	}
+	return nil
 }
 
 // shareRound performs the global phase of Figure 5: send the certificate to
@@ -626,6 +705,17 @@ func (r *Replica) tryExecute() {
 		rd := r.rounds[next]
 		if rd == nil || rd.have < r.cfg.Topo.Clusters {
 			return
+		}
+		if async {
+			// What reaches the disk is re-verified at the next start and
+			// served to peers: a disk-backed replica proves its own cluster's
+			// certificate before the block exists. Short of n−f valid votes
+			// the round waits for the next one (onLocalProven).
+			own := r.provenOwn(next, rd.certs[r.myCluster])
+			if own == nil {
+				return
+			}
+			rd.certs[r.myCluster] = own
 		}
 		r.executedRound.Store(next)
 		delete(r.rounds, next)
@@ -930,14 +1020,12 @@ func (r *Replica) onLocalViewChange(view uint64, primary types.NodeID) {
 	if r.reshareFloor > 0 && r.reshareFloor < from {
 		from = r.reshareFloor
 	}
+	// A round whose retained votes do not yet prove is skipped here and
+	// shared from onLocalProven when the next vote completes it.
 	const maxReshare = 512
 	count := 0
 	for rnd := from; rnd <= r.localUpTo && count < maxReshare; rnd++ {
-		cert := r.certAt(rnd, types.ClusterID(r.myCluster))
-		if cert == nil {
-			cert = r.local.Certificate(rnd)
-		}
-		if cert != nil {
+		if cert := r.certAt(rnd, types.ClusterID(r.myCluster)); cert != nil {
 			r.shareRound(rnd, cert)
 			count++
 		}

@@ -51,7 +51,10 @@ func (r *Replica) maybeCaptureSnapshot(round uint64) {
 		return
 	}
 	z := r.cfg.Topo.Clusters
-	tip := r.ledger.Block(round * uint64(z))
+	// The manifest shows the tip block's certificate to whoever installs the
+	// snapshot; a replica of the tip's cluster that cannot prove it captures
+	// nothing this time (counted), and the other replicas' manifests serve.
+	tip := r.ShowBlock(round * uint64(z))
 	if tip == nil {
 		return
 	}
@@ -309,14 +312,16 @@ func (r *Replica) cancelSnapshotSync() {
 // onSnapshotResp routes one piece of snapshot material. pre marks manifests
 // whose signature and certificate already passed PreVerify on the pool.
 func (r *Replica) onSnapshotResp(from types.NodeID, m *SnapshotResp, pre bool) {
-	if r.sync == nil || from.IsClient() {
-		return // unsolicited
+	if from.IsClient() {
+		return
 	}
 	if m.Manifest != nil && m.Chunk < 0 {
 		r.onSnapshotManifest(from, m.Manifest, pre)
 		return
 	}
-	r.onSnapshotChunk(from, m)
+	if r.sync != nil {
+		r.onSnapshotChunk(from, m)
+	}
 }
 
 // onSnapshotManifest records one replica's endorsement of a snapshot key and
@@ -324,20 +329,25 @@ func (r *Replica) onSnapshotResp(from types.NodeID, m *SnapshotResp, pre bool) {
 // same key — under the ≤f-faults-per-cluster assumption at least one of them
 // is honest, so the content addresses can be trusted.
 func (r *Replica) onSnapshotManifest(from types.NodeID, man *snapshot.Manifest, pre bool) {
-	s := r.sync
 	if man.Replica != from {
 		r.noteSnapReject() // relayed endorsement: only self-endorsed manifests count
 		return
 	}
 	if !pre {
-		// Verified (and forgeries counted) even when the quorum already
-		// formed: whether a tampered manifest lands before or after the two
-		// honest ones that complete it is a scheduling accident, and rejection
-		// accounting must not depend on it.
+		// Verified (and forgeries counted) whatever state the transfer is in
+		// — quorum already formed, or the whole transfer finished by the time
+		// a slow server's answer lands: whether a tampered manifest arrives
+		// before or after the honest ones is a scheduling accident, and
+		// rejection accounting must not depend on it (the pool path verifies
+		// every manifest before the worker sees it, for the same reason).
 		if err := man.Verify(r.cfg.Topo, r.env.Suite()); err != nil {
 			r.noteSnapReject() // forged signature, bad certificate, or malformed
 			return
 		}
+	}
+	s := r.sync
+	if s == nil {
+		return // no transfer in progress: unsolicited, or ours just finished
 	}
 	if s.manifest != nil {
 		return // already in the chunk phase

@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"resilientdb/internal/types"
@@ -83,6 +84,8 @@ type Suite struct {
 
 	mu    sync.Mutex // guards cmacs (lazily populated)
 	cmacs map[types.NodeID]*CMAC
+
+	signs, verifies atomic.Uint64 // Sign and Verify calls (see Ops)
 }
 
 // NewSuite returns a suite for node id. charge may be nil (no CPU
@@ -111,8 +114,15 @@ func fastTag(signer types.NodeID, payload []byte) []byte {
 	return h.Sum(nil)[:16]
 }
 
+// Ops returns how many signatures this suite has produced and how many it
+// has checked: one count per Sign and per Verify call, in either mode. Every
+// digital-signature operation of a node goes through its suite, so these are
+// the node's ed25519 counts. Safe to call concurrently.
+func (s *Suite) Ops() (signs, verifies uint64) { return s.signs.Load(), s.verifies.Load() }
+
 // Sign produces a digital signature of payload by this node.
 func (s *Suite) Sign(payload []byte) []byte {
+	s.signs.Add(1)
 	s.bill(s.costs.Sign)
 	if s.dir.mode == Real {
 		return ed25519.Sign(s.dir.priv[s.id], payload)
@@ -122,6 +132,7 @@ func (s *Suite) Sign(payload []byte) []byte {
 
 // Verify reports whether sig is signer's signature over payload.
 func (s *Suite) Verify(signer types.NodeID, payload, sig []byte) bool {
+	s.verifies.Add(1)
 	s.bill(s.costs.Verify)
 	if s.dir.mode == Real {
 		pub, ok := s.dir.pub[signer]

@@ -510,8 +510,9 @@ func (f *Fabric) StartNode(id types.NodeID, keepLedger bool) error {
 // process's per-node output-queue drops and verify-stage rejections — and
 // the aggregated mempool admission counters (admitted, duplicate, replayed,
 // rate-limited, evicted), checkpoint/GC counters and round-filling counters
-// (client vs no-op batches executed, no-op pacing) of every hosted replica.
-// Safe to call while the fabric is running.
+// (client vs no-op batches executed, no-op pacing) and signature counters
+// (ed25519 operations run, badly signed votes found, shows declined) of every
+// hosted replica. Safe to call while the fabric is running.
 func (f *Fabric) Stats() metrics.DropStats {
 	st := f.tr.Stats()
 	f.mu.Lock()
@@ -521,6 +522,7 @@ func (f *Fabric) Stats() metrics.DropStats {
 		st.Mempool.Add(n.pool.Stats())
 		st.Snapshots.Add(n.SnapshotStats())
 		st.Rounds.Add(n.replica.RoundStats())
+		st.Crypto.Add(n.CryptoStats())
 	}
 	return st
 }
@@ -991,6 +993,17 @@ func (n *Node) MempoolLen() int { return n.pool.Len() }
 
 // MempoolStats returns a snapshot of the node's admission counters.
 func (n *Node) MempoolStats() metrics.MempoolStats { return n.pool.Stats() }
+
+// CryptoStats returns the node's digital-signature counters: every Sign and
+// Verify its suite ran (on any of its goroutines), the votes its proofs found
+// badly signed, and the shows it declined. Safe to call while the node is
+// running.
+func (n *Node) CryptoStats() metrics.CryptoStats {
+	var s metrics.CryptoStats
+	s.Signs, s.Verifies = n.env.suite.Ops()
+	s.BadVoteSigs, s.Unprovable = n.replica.ProofStats()
+	return s
+}
 
 // SnapshotStats returns the node's checkpoint/GC counters: replica-level
 // snapshot activity, pool-level rejections of tampered snapshot material,

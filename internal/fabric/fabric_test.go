@@ -9,6 +9,7 @@ import (
 
 	"resilientdb/internal/config"
 	"resilientdb/internal/fabric"
+	"resilientdb/internal/metrics"
 	"resilientdb/internal/types"
 )
 
@@ -82,6 +83,27 @@ func TestFabricEndToEnd(t *testing.T) {
 	}
 	if frac := rs.NoOpFrac(); frac != float64(rs.NoOpBatches)/float64(blocks) {
 		t.Errorf("NoOpFrac = %v", frac)
+	}
+	// The signature counters, per node: a backup verifies the other cluster's
+	// n−f commit signatures each round and nothing else — no vote; the primary
+	// also proves its own cluster's certificate (quorum−1 peer votes) before
+	// sharing it, and verified the six client requests it admitted. Everyone
+	// signs a prepare and a commit per round and a checkpoint every sixth.
+	var sum metrics.CryptoStats
+	for _, id := range topo.AllReplicas() {
+		cs := f.Node(id).CryptoStats()
+		sum.Add(cs)
+		rounds := f.Replica(id).ExecutedRound()
+		want := metrics.CryptoStats{Verifies: 3 * rounds, Signs: 2*rounds + rounds/6}
+		if topo.LocalIndex(id) == 0 {
+			want.Verifies += 2*rounds + 6
+		}
+		if cs != want {
+			t.Errorf("%v after %d rounds: %+v, want %+v", id, rounds, cs, want)
+		}
+	}
+	if got := f.Stats().Crypto; got != sum {
+		t.Errorf("Stats().Crypto = %+v, nodes sum to %+v", got, sum)
 	}
 }
 

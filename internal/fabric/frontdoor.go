@@ -35,6 +35,13 @@ var ErrNodeStopped = errors.New("fabric: node stopped")
 // starve reads).
 var ErrReadTimeout = errors.New("fabric: proven read timed out")
 
+// ErrUnprovable reports that the node holds the requested block but declines
+// to show it: the block is its own cluster's and the commit votes the node
+// retains for it do not hold n−f valid signatures (a member of the cluster
+// signed garbage). The refusal is counted in Stats().Crypto.Unprovable; ask
+// another replica.
+var ErrUnprovable = errors.New("fabric: block certificate cannot be proven by this replica")
+
 // ID returns the node's replica identifier.
 func (n *Node) ID() types.NodeID { return n.id }
 
@@ -49,10 +56,56 @@ func (n *Node) Head() types.Digest { return n.replica.Ledger().Head() }
 // ExecutedRound returns the highest consensus round the node has executed.
 func (n *Node) ExecutedRound() uint64 { return n.replica.ExecutedRound() }
 
-// BlockAt returns the ledger block at height h — with its commit
-// certificate, so callers can serve it as a proof — or nil when h is beyond
-// the head or pruned below the retention base.
+// BlockAt returns the ledger block at height h exactly as the node holds it,
+// or nil when h is beyond the head or pruned below the retention base. It is
+// for in-process inspection: the certificate of a block from the node's own
+// cluster may be one whose signatures the node has not checked (commit votes
+// are counted on channel authentication). To hand a block to a third party
+// as a proof use ShowBlock.
 func (n *Node) BlockAt(h uint64) *ledger.Block { return n.replica.Ledger().Block(h) }
+
+// onWorker runs fn on the worker loop and returns its result, or
+// ErrNodeStopped / ErrReadTimeout when the worker does not get to it.
+func onWorker[T any](n *Node, timeout time.Duration, fn func() (T, error)) (T, error) {
+	type result struct {
+		v   T
+		err error
+	}
+	done := make(chan result, 1)
+	n.post(func() {
+		v, err := fn()
+		done <- result{v, err}
+	})
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	var zero T
+	select {
+	case r := <-done:
+		return r.v, r.err
+	case <-n.quit:
+		return zero, ErrNodeStopped
+	case <-timer.C:
+		return zero, ErrReadTimeout
+	}
+}
+
+// ShowBlock returns the ledger block at height h with a commit certificate
+// the node has verified itself, fit to serve as a proof (the RPC block
+// endpoint). It runs on the worker loop, which owns the retained votes a
+// proof is assembled from. A nil block with a nil error means there is no
+// such block (beyond the head, or pruned); ErrUnprovable means the node has
+// it and cannot prove it.
+func (n *Node) ShowBlock(h uint64, timeout time.Duration) (*ledger.Block, error) {
+	return onWorker(n, timeout, func() (*ledger.Block, error) {
+		if n.replica.Ledger().Block(h) == nil {
+			return nil, nil
+		}
+		if b := n.replica.ShowBlock(h); b != nil {
+			return b, nil
+		}
+		return nil, ErrUnprovable
+	})
+}
 
 // SubmitRequest admits one signed client request arriving from outside the
 // replica transport (the RPC front door). It runs the exact admission path
@@ -155,8 +208,7 @@ func ReadStatePayload(rs *ReadState) []byte {
 // result is a consistent cut: value, height, round, and state digest all
 // come from the same instant between batch executions.
 func (n *Node) ProvenRead(key uint64, timeout time.Duration) (*ReadState, error) {
-	done := make(chan *ReadState, 1)
-	n.post(func() {
+	return onWorker(n, timeout, func() (*ReadState, error) {
 		r := n.replica
 		rs := &ReadState{Replica: n.id, Key: key}
 		rs.Value, rs.Found = r.Store().Get(key)
@@ -165,21 +217,15 @@ func (n *Node) ProvenRead(key uint64, timeout time.Duration) (*ReadState, error)
 		rs.StateDigest = r.Store().Digest()
 		rs.Applied = r.Store().Applied()
 		if rs.Height > 0 {
-			rs.Block = r.Ledger().Block(rs.Height)
+			// The head block's certificate is what makes the read provable to
+			// a client: it leaves the replica here, so it is proven here.
+			if rs.Block = r.ShowBlock(rs.Height); rs.Block == nil {
+				return nil, ErrUnprovable
+			}
 		}
 		rs.Sig = n.env.suite.Sign(ReadStatePayload(rs))
-		done <- rs
-	})
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case rs := <-done:
 		return rs, nil
-	case <-n.quit:
-		return nil, ErrNodeStopped
-	case <-timer.C:
-		return nil, ErrReadTimeout
-	}
+	})
 }
 
 // VerifyReadState checks a read attestation against the deployment's key

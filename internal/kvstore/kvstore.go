@@ -17,8 +17,16 @@ import (
 // Store is a single replica's copy of the table. It is not safe for
 // concurrent use; each replica owns one store and applies batches from its
 // execution loop only.
+//
+// The preloaded table is dense — keys 0 … records−1, which is every key a
+// YCSB workload draws — so those rows live in a slice indexed by key: a
+// write is one store, and preloading is one allocation instead of a
+// hundred-thousand-entry map build. Any other key (an RPC client may send
+// one) goes to a spill map. Which of the two holds a row is invisible from
+// outside: Get, Len, Digest and the serialized bytes do not depend on it.
 type Store struct {
-	vals    map[uint64]uint64
+	rows    []uint64          // rows[k] is key k's value, for k < len(rows)
+	spill   map[uint64]uint64 // every other row; nil until one exists
 	applied uint64
 	digest  uint64 // running chain over applied writes
 }
@@ -27,16 +35,23 @@ type Store struct {
 // mirroring the paper's initialization of an identical YCSB table on every
 // replica.
 func New(records int) *Store {
-	s := &Store{vals: make(map[uint64]uint64, records)}
-	for i := 0; i < records; i++ {
-		s.vals[uint64(i)] = uint64(i)
+	s := &Store{rows: make([]uint64, records)}
+	for i := range s.rows {
+		s.rows[i] = uint64(i)
 	}
 	return s
 }
 
 // Apply executes one write transaction.
 func (s *Store) Apply(t types.Transaction) {
-	s.vals[t.Key] = t.Value
+	if t.Key < uint64(len(s.rows)) {
+		s.rows[t.Key] = t.Value
+	} else {
+		if s.spill == nil {
+			s.spill = make(map[uint64]uint64)
+		}
+		s.spill[t.Key] = t.Value
+	}
 	s.applied++
 	h := fnv.New64a()
 	var buf [24]byte
@@ -61,7 +76,10 @@ func (s *Store) ApplyBatch(b *types.Batch) {
 
 // Get returns the value of key and whether it exists.
 func (s *Store) Get(key uint64) (uint64, bool) {
-	v, ok := s.vals[key]
+	if key < uint64(len(s.rows)) {
+		return s.rows[key], true
+	}
+	v, ok := s.spill[key]
 	return v, ok
 }
 
@@ -79,7 +97,7 @@ func (s *Store) Digest() types.Digest {
 }
 
 // Len returns the number of rows in the table.
-func (s *Store) Len() int { return len(s.vals) }
+func (s *Store) Len() int { return len(s.rows) + len(s.spill) }
 
 // Serialize returns the canonical byte encoding of the full store state:
 // the applied count, the running digest, and every row in ascending key
@@ -87,24 +105,27 @@ func (s *Store) Len() int { return len(s.vals) }
 // serialize to identical bytes, so the hash of this encoding is the state
 // hash that checkpoint snapshots are content-addressed by.
 func (s *Store) Serialize() []byte {
-	keys := make([]uint64, 0, len(s.vals))
-	for k := range s.vals {
+	// Spill keys are all ≥ len(rows), so dense rows first, then the spill
+	// keys sorted, is ascending key order.
+	keys := make([]uint64, 0, len(s.spill))
+	for k := range s.spill {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]byte, 0, 24+16*len(keys))
-	var buf [8]byte
-	put64(buf[:], s.applied)
-	out = append(out, buf[:]...)
-	put64(buf[:], s.digest)
-	out = append(out, buf[:]...)
-	put64(buf[:], uint64(len(keys)))
-	out = append(out, buf[:]...)
+	out := make([]byte, 24+16*s.Len())
+	put64(out[0:8], s.applied)
+	put64(out[8:16], s.digest)
+	put64(out[16:24], uint64(s.Len()))
+	off := 24
+	for k, v := range s.rows {
+		put64(out[off:off+8], uint64(k))
+		put64(out[off+8:off+16], v)
+		off += 16
+	}
 	for _, k := range keys {
-		put64(buf[:], k)
-		out = append(out, buf[:]...)
-		put64(buf[:], s.vals[k])
-		out = append(out, buf[:]...)
+		put64(out[off:off+8], k)
+		put64(out[off+8:off+16], s.spill[k])
+		off += 16
 	}
 	return out
 }
@@ -118,16 +139,42 @@ func (s *Store) Restore(data []byte) error {
 	}
 	applied := get64(data[0:8])
 	digest := get64(data[8:16])
-	rows := get64(data[16:24])
-	if rows > uint64(len(data)-24)/16 || len(data) != 24+16*int(rows) {
-		return fmt.Errorf("kvstore: snapshot row count %d disagrees with %d payload bytes", rows, len(data))
+	n := get64(data[16:24])
+	if n > uint64(len(data)-24)/16 || len(data) != 24+16*int(n) {
+		return fmt.Errorf("kvstore: snapshot row count %d disagrees with %d payload bytes", n, len(data))
 	}
-	vals := make(map[uint64]uint64, rows)
-	for i := 0; i < int(rows); i++ {
+	// Rows whose key equals their position are the dense prefix 0, 1, 2, …;
+	// whatever follows the first gap spills. (Input rows need not be sorted
+	// or distinct: a later row for a key overwrites an earlier one, as it
+	// always did.)
+	row := func(i int) (key, val uint64) {
 		off := 24 + 16*i
-		vals[get64(data[off:off+8])] = get64(data[off+8 : off+16])
+		return get64(data[off : off+8]), get64(data[off+8 : off+16])
 	}
-	s.vals, s.applied, s.digest = vals, applied, digest
+	dense := 0
+	for dense < int(n) {
+		if k, _ := row(dense); k != uint64(dense) {
+			break
+		}
+		dense++
+	}
+	rows := make([]uint64, dense)
+	for i := range rows {
+		_, rows[i] = row(i)
+	}
+	var spill map[uint64]uint64
+	for i := dense; i < int(n); i++ {
+		k, v := row(i)
+		if k < uint64(dense) {
+			rows[k] = v
+			continue
+		}
+		if spill == nil {
+			spill = make(map[uint64]uint64, int(n)-dense)
+		}
+		spill[k] = v
+	}
+	s.rows, s.spill, s.applied, s.digest = rows, spill, applied, digest
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"bytes"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -109,5 +111,109 @@ func BenchmarkApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Apply(types.Transaction{Key: uint64(i) % 1000, Value: uint64(i)})
+	}
+}
+
+// refSerialize is the encoding Serialize must produce, computed the plain
+// way from a map of the rows: header, then every row in ascending key order.
+func refSerialize(applied, digest uint64, rows map[uint64]uint64) []byte {
+	keys := make([]uint64, 0, len(rows))
+	for k := range rows {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out := make([]byte, 0, 24+16*len(keys))
+	var buf [8]byte
+	for _, v := range []uint64{applied, digest, uint64(len(keys))} {
+		put64(buf[:], v)
+		out = append(out, buf[:]...)
+	}
+	for _, k := range keys {
+		put64(buf[:], k)
+		out = append(out, buf[:]...)
+		put64(buf[:], rows[k])
+		out = append(out, buf[:]...)
+	}
+	return out
+}
+
+// TestSpillKeysRoundTrip: keys outside the preloaded range — an RPC client
+// may write any key — live beside the dense rows without changing anything
+// observable: Get, Len, and the serialized bytes (so the snapshot state hash)
+// are what a plain map of the rows gives, and a restore brings all of it
+// back, into a store preloaded with a different table size too.
+func TestSpillKeysRoundTrip(t *testing.T) {
+	s := New(8)
+	ref := map[uint64]uint64{}
+	for i := uint64(0); i < 8; i++ {
+		ref[i] = i
+	}
+	writes := []types.Transaction{
+		{Key: 3, Value: 30}, {Key: 8, Value: 80}, {Key: 1 << 40, Value: 7},
+		{Key: 12, Value: 1}, {Key: 8, Value: 81}, {Key: 7, Value: 70},
+	}
+	for _, w := range writes {
+		s.Apply(w)
+		ref[w.Key] = w.Value
+	}
+	if s.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(ref))
+	}
+	for k, want := range ref {
+		if got, ok := s.Get(k); !ok || got != want {
+			t.Errorf("Get(%d) = %d, %v; want %d", k, got, ok, want)
+		}
+	}
+	if _, ok := s.Get(9); ok {
+		t.Error("Get(9): a key never written exists")
+	}
+	state := s.Serialize()
+	if want := refSerialize(s.applied, s.digest, ref); !bytes.Equal(state, want) {
+		t.Fatalf("Serialize differs from the ascending-key encoding of the rows:\n got %x\nwant %x", state, want)
+	}
+	for _, records := range []int{0, 8, 100} {
+		r := New(records)
+		if err := r.Restore(state); err != nil {
+			t.Fatalf("Restore into New(%d): %v", records, err)
+		}
+		if r.Len() != s.Len() || r.Digest() != s.Digest() || !bytes.Equal(r.Serialize(), state) {
+			t.Errorf("New(%d) after Restore: Len %d digest %v, want %d %v and identical bytes", records, r.Len(), r.Digest(), s.Len(), s.Digest())
+		}
+		r.Apply(types.Transaction{Key: 9, Value: 90}) // a gap key after restore
+		if v, ok := r.Get(9); !ok || v != 90 || r.Len() != s.Len()+1 {
+			t.Errorf("New(%d): write after Restore: Get(9) = %d, %v; Len %d", records, v, ok, r.Len())
+		}
+	}
+}
+
+// TestRestoreAcceptsAnyRowOrder: Restore never required sorted or distinct
+// rows (a later row for a key wins); the result must not depend on where the
+// dense prefix happens to end.
+func TestRestoreAcceptsAnyRowOrder(t *testing.T) {
+	rows := [][2]uint64{{0, 1}, {1, 2}, {5, 50}, {2, 20}, {1, 3}, {5, 51}}
+	data := make([]byte, 24+16*len(rows))
+	put64(data[0:8], 6)
+	put64(data[8:16], 0xabc)
+	put64(data[16:24], uint64(len(rows)))
+	for i, r := range rows {
+		put64(data[24+16*i:], r[0])
+		put64(data[32+16*i:], r[1])
+	}
+	s := New(3)
+	if err := s.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]uint64{0: 1, 1: 3, 2: 20, 5: 51}
+	if s.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
+	}
+	if !bytes.Equal(s.Serialize(), refSerialize(6, 0xabc, want)) {
+		t.Errorf("Serialize after an unordered Restore: %x", s.Serialize())
+	}
+}
+
+func BenchmarkNew100k(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		New(100_000)
 	}
 }

@@ -60,9 +60,9 @@ func (d *Drops) Snapshot() DropStats {
 }
 
 // DropStats is a snapshot of Drops, aggregatable across sources. Mempool,
-// Snapshots and Rounds ride along for reporting convenience: admission
-// outcomes, checkpoint/GC activity and round filling are accounting, not
-// losses, so Total ignores them.
+// Snapshots, Rounds and Crypto ride along for reporting convenience:
+// admission outcomes, checkpoint/GC activity, round filling and signature
+// work are accounting, not losses, so Total ignores them.
 type DropStats struct {
 	Mailbox      uint64        `json:"mailbox"`
 	SendQueue    uint64        `json:"send_queue"`
@@ -75,6 +75,7 @@ type DropStats struct {
 	Mempool      MempoolStats  `json:"mempool"`
 	Snapshots    SnapshotStats `json:"snapshots"`
 	Rounds       RoundStats    `json:"rounds"`
+	Crypto       CryptoStats   `json:"crypto"`
 }
 
 // Add accumulates o into s (merging per-node or per-transport snapshots).
@@ -90,6 +91,7 @@ func (s *DropStats) Add(o DropStats) {
 	s.Mempool.Add(o.Mempool)
 	s.Snapshots.Add(o.Snapshots)
 	s.Rounds.Add(o.Rounds)
+	s.Crypto.Add(o.Crypto)
 }
 
 // Total returns the sum of all drop classes. Mempool admission outcomes are
@@ -160,6 +162,36 @@ func (s RoundStats) NoOpFrac() float64 {
 		return float64(s.NoOpBatches) / float64(n)
 	}
 	return 0
+}
+
+// CryptoStats counts digital-signature work at one replica, aggregatable
+// across replicas: what the ed25519 budget of a round actually was, counted
+// where the operations run rather than inferred from a profile. Divide by
+// executed rounds for the per-round cost.
+type CryptoStats struct {
+	// Verifies and Signs count the node's crypto.Suite Verify and Sign
+	// calls: client requests, remote certificates, proofs of its own
+	// cluster's votes; its prepares, commits, checkpoints, read attestations.
+	Verifies uint64 `json:"verifies"`
+	Signs    uint64 `json:"signs"`
+	// BadVoteSigs counts prepare, commit and checkpoint votes that were
+	// counted on channel authentication and whose signature then failed when
+	// a proof was assembled from them. Non-zero means a member of the
+	// replica's own cluster is signing garbage.
+	BadVoteSigs uint64 `json:"bad_vote_sigs"`
+	// Unprovable counts shows this replica declined because it could not
+	// assemble n−f valid signatures from the votes it retains: a catch-up
+	// response cut short, a proven read or snapshot refused, a view-change
+	// claim sent short. The asker goes to another replica.
+	Unprovable uint64 `json:"unprovable"`
+}
+
+// Add accumulates o into s.
+func (s *CryptoStats) Add(o CryptoStats) {
+	s.Verifies += o.Verifies
+	s.Signs += o.Signs
+	s.BadVoteSigs += o.BadVoteSigs
+	s.Unprovable += o.Unprovable
 }
 
 // SnapshotStats counts checkpoint-snapshot and ledger-GC activity at one

@@ -270,50 +270,168 @@ func TestViewChangeSpamBounded(t *testing.T) {
 	}
 }
 
-// TestNoVerifyOnVoteForDecidedEntry counts signature checks per committed
-// sequence on the serial path: once an entry is decided (own vote plus
-// quorum−1 peer votes) a surplus commit vote must cost no Verify, while a
-// vote with a spoofed identity is still rejected first.
-func TestNoVerifyOnVoteForDecidedEntry(t *testing.T) {
-	rig := newByzRig(t)
-	// Rebuild replica 0 on a suite that reports every Verify: Verify is the
-	// only priced operation, so each charge is one signature check.
-	verifies := 0
-	dir := crypto.NewDirectory(crypto.Fast, rig.members)
-	suite := crypto.NewSuite(dir, 0, crypto.Costs{Verify: 1}, func(time.Duration) { verifies++ })
-	committed := 0
-	rig.r = NewReplica(&byzEnv{id: 0, suite: suite, rng: rand.New(rand.NewSource(1))},
-		Config{Members: rig.members, Self: 0, F: 1}, Hooks{
-			Committed: func(uint64, *Certificate) { committed++ },
-			Rejected:  func() { rig.rejected++ },
-		})
-	quorum := rig.r.quorum()
+// voteRig is replica 0 leading view 0 with the test playing its three peers.
+type voteRig struct {
+	*byzRig
+	committed, proven, bad int
+}
 
-	for seq := uint64(1); seq <= 3; seq++ {
-		b := types.Batch{Client: types.ClientIDBase, Seq: seq, Txns: []types.Transaction{{Key: 1, Value: seq}}}
-		rig.r.SubmitLocal(b, nil, true) // replica 0 leads view 0: proposes seq
-		d := b.Digest()
-		for _, id := range rig.members[1:] {
-			rig.r.HandleMessage(id, &Prepare{View: 0, Seq: seq, Digest: d, Replica: id,
-				Sig: rig.suites[id].Sign(PreparePayload(0, seq, d))})
+func newVoteRig(t *testing.T) *voteRig {
+	v := &voteRig{byzRig: newByzRig(t)}
+	v.r = NewReplica(&byzEnv{id: 0, suite: v.suites[0], rng: rand.New(rand.NewSource(1))},
+		Config{Members: v.members, Self: 0, F: 1, CheckpointInterval: 2}, Hooks{
+			Committed:  func(uint64, *Certificate) { v.committed++ },
+			Rejected:   func() { v.rejected++ },
+			Proven:     func(uint64, *Certificate) { v.proven++ },
+			BadVoteSig: func() { v.bad++ },
+		})
+	return v
+}
+
+func (v *voteRig) verifies() uint64 { _, n := v.suites[0].Ops(); return n }
+
+// propose has replica 0 propose batch seq and delivers every peer's prepare.
+func (v *voteRig) propose(seq uint64) types.Digest {
+	b := types.Batch{Client: types.ClientIDBase, Seq: seq, Txns: []types.Transaction{{Key: 1, Value: seq}}}
+	v.r.SubmitLocal(b, nil, true)
+	d := b.Digest()
+	for _, id := range v.members[1:] {
+		v.r.HandleMessage(id, &Prepare{View: 0, Seq: seq, Digest: d, Replica: id,
+			Sig: v.suites[id].Sign(PreparePayload(0, seq, d))})
+	}
+	return d
+}
+
+// commit delivers id's commit vote for (seq, d); forged garbles the signature.
+func (v *voteRig) commit(id types.NodeID, seq uint64, d types.Digest, forged bool) {
+	sig := v.suites[id].Sign(CommitPayload(0, seq, d))
+	if forged {
+		sig = []byte("garbage-signature")
+	}
+	v.r.HandleMessage(id, &Commit{View: 0, Seq: seq, Digest: d, Replica: id, Sig: sig})
+}
+
+// TestCommitVotesProvenOnlyWhenShown pins the vote-handling rule: receiving
+// and counting commit votes runs no signature check at all — a vote is
+// refused only if it names someone other than its sender or carries no
+// signature to keep — and Prove, the step before a certificate is shown,
+// checks exactly quorum−1 peer signatures once.
+func TestCommitVotesProvenOnlyWhenShown(t *testing.T) {
+	v := newVoteRig(t)
+	quorum := v.r.quorum()
+	d := v.propose(1)
+	for i, id := range v.members[1:] {
+		v.commit(id, 1, d, false)
+		if decided := i+2 >= quorum; decided != (v.committed == 1) {
+			t.Fatalf("after %d peer votes committed=%d", i+1, v.committed)
 		}
-		before := verifies
-		for i, id := range rig.members[1:] {
-			rig.r.HandleMessage(id, &Commit{View: 0, Seq: seq, Digest: d, Replica: id,
-				Sig: rig.suites[id].Sign(CommitPayload(0, seq, d))})
-			if decided := i+2 >= quorum; decided != (committed == int(seq)) {
-				t.Fatalf("seq %d: after %d peer votes committed=%d", seq, i+1, committed)
-			}
+	}
+	if got := v.verifies(); got != 0 {
+		t.Fatalf("%d signatures verified while counting votes, want 0", got)
+	}
+	v.r.HandleMessage(3, &Commit{View: 0, Seq: 1, Digest: d, Replica: 2, Sig: []byte("x")})
+	v.r.HandleMessage(3, &Commit{View: 0, Seq: 2, Digest: d, Replica: 3})
+	if v.rejected != 2 || v.verifies() != 0 {
+		t.Fatalf("spoofed and unsigned votes: rejected %d (want 2), verifies %d (want 0)", v.rejected, v.verifies())
+	}
+
+	cert, known := v.r.Prove(1)
+	if !known || cert == nil || !cert.Verify(v.suites[1], v.members, quorum) || len(cert.Signers) != quorum {
+		t.Fatalf("Prove(1) = %+v, known=%v: want a verifying certificate of exactly %d signatures", cert, known, quorum)
+	}
+	if got := v.verifies(); got != uint64(quorum-1) {
+		t.Errorf("Prove checked %d signatures, want quorum-1 = %d (its own needs none)", got, quorum-1)
+	}
+	if again, _ := v.r.Prove(1); again != cert || v.verifies() != uint64(quorum-1) {
+		t.Errorf("second Prove: new certificate or new checks (%d)", v.verifies())
+	}
+	if _, known := v.r.Prove(9); known {
+		t.Error("Prove claims to know an undecided sequence")
+	}
+}
+
+// TestProveDefersOnBadVoteUntilSpareArrives: a vote with a garbage signature
+// is among the n−f the decision was counted on. Prove drops and counts it,
+// comes up short, and the next vote — arriving after the decision — completes
+// the proof and fires Hooks.Proven. The bad vote's slot cannot be refilled.
+func TestProveDefersOnBadVoteUntilSpareArrives(t *testing.T) {
+	v := newVoteRig(t)
+	d := v.propose(1)
+	v.commit(1, 1, d, true)
+	v.commit(2, 1, d, false)
+	if v.committed != 1 {
+		t.Fatal("not decided on n−f channel-authenticated votes")
+	}
+	if cert, known := v.r.Prove(1); cert != nil || !known || v.bad != 1 {
+		t.Fatalf("Prove with a bad vote among n−f: cert=%v known=%v bad=%d, want nil, true, 1", cert, known, v.bad)
+	}
+	checked := v.verifies()
+	if cert, _ := v.r.Prove(1); cert != nil || v.verifies() != checked {
+		t.Fatal("a second Prove with no new vote must cost nothing and prove nothing")
+	}
+	v.commit(1, 1, d, false) // the forger tries again: its slot stays taken
+	if v.proven != 0 {
+		t.Fatal("a repeated vote from the bad voter completed the proof")
+	}
+	v.commit(3, 1, d, false)
+	if v.proven != 1 || v.bad != 1 {
+		t.Fatalf("after the spare vote: proven=%d bad=%d, want 1, 1", v.proven, v.bad)
+	}
+	cert, _ := v.r.Prove(1)
+	if cert == nil || !cert.Verify(v.suites[2], v.members, v.r.quorum()) {
+		t.Fatalf("proven certificate does not verify: %+v", cert)
+	}
+	for _, id := range cert.Signers {
+		if id == 1 {
+			t.Fatal("the bad voter is in the proven certificate")
 		}
-		if got := verifies - before; got != quorum-1 {
-			t.Errorf("seq %d: %d commit signatures verified, want quorum-1 = %d", seq, got, quorum-1)
+	}
+}
+
+// TestSpareVotesOutliveTheEntry: entries are collected at a stable checkpoint
+// before anyone asked for a proof — for the checkpoint's own sequence even
+// before its last commit vote arrived. The spare votes must survive with the
+// logged decision, and keep arriving into it, so a later Prove — a new
+// primary resharing a withheld round — still succeeds.
+func TestSpareVotesOutliveTheEntry(t *testing.T) {
+	v := newVoteRig(t)
+	var digests [3]types.Digest
+	for seq := uint64(1); seq <= 2; seq++ {
+		d := v.propose(seq)
+		digests[seq] = d
+		v.commit(1, seq, d, true) // counted, garbage
+		v.commit(2, seq, d, false)
+	}
+	v.commit(3, 1, digests[1], false) // seq 1's spare arrives while the entry lives
+	if v.committed != 2 {
+		t.Fatalf("committed %d of 2", v.committed)
+	}
+	hist := v.r.history[2]
+	for _, id := range v.members[1:] {
+		v.r.HandleMessage(id, &Checkpoint{Seq: 2, Digest: hist, Replica: id,
+			Sig: v.suites[id].Sign(checkpointPayload(2, hist))})
+	}
+	if v.r.StableSeq() != 2 || len(v.r.entries) != 0 {
+		t.Fatalf("checkpoint 2 not stable or entries not collected (stable %d, %d entries)", v.r.StableSeq(), len(v.r.entries))
+	}
+	if cert, known := v.r.Prove(2); cert != nil || !known {
+		t.Fatalf("seq 2 proved from two valid votes: %+v known=%v", cert, known)
+	}
+	v.commit(3, 2, digests[2], false) // seq 2's spare arrives below the window
+	if v.proven != 1 {
+		t.Fatalf("the spare below the window did not complete the waiting proof (proven=%d)", v.proven)
+	}
+	for seq := uint64(1); seq <= 2; seq++ {
+		cert, known := v.r.Prove(seq)
+		if !known || cert == nil || !cert.Verify(v.suites[3], v.members, v.r.quorum()) {
+			t.Fatalf("seq %d: Prove after collection = %+v known=%v", seq, cert, known)
 		}
-		// A decided entry still rejects a vote whose claimed voter is not its
-		// sender, and still without touching the signature.
-		rejected := rig.rejected
-		rig.r.HandleMessage(3, &Commit{View: 0, Seq: seq, Digest: d, Replica: 2, Sig: []byte("x")})
-		if rig.rejected != rejected+1 || verifies-before != quorum-1 {
-			t.Errorf("seq %d: spoofed vote on a decided entry: rejected %d→%d, verifies %d", seq, rejected, rig.rejected, verifies-before)
-		}
+	}
+	if v.bad != 2 {
+		t.Errorf("bad votes counted %d, want 2", v.bad)
+	}
+	v.r.HandleMessage(7, &Commit{View: 0, Seq: 3, Digest: digests[1], Replica: 7, Sig: []byte("outsider")})
+	if v.rejected != 1 {
+		t.Errorf("a vote from outside the membership: rejected=%d, want 1", v.rejected)
 	}
 }

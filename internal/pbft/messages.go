@@ -54,10 +54,10 @@ func (*PrePrepare) MsgType() string { return "pbft/preprepare" }
 // WireSize implements types.Message (5.4 kB at batch 100).
 func (p *PrePrepare) WireSize() int { return types.HeaderBytes + p.Batch.WireSize() }
 
-// Prepare is a backup's first-phase echo of a proposal. Prepares carry a
-// signature that is only verified lazily, when a prepare set is used as a
-// prepared-certificate inside a view-change (normal-case authentication is
-// via MACs, as in the paper's configuration).
+// Prepare is a backup's first-phase echo of a proposal. It is counted on the
+// authentication of the channel it arrives on (as in the paper's
+// configuration); its signature is retained and verified only by the replica
+// that shows a prepare set as a prepared-certificate inside a view-change.
 type Prepare struct {
 	View    uint64
 	Seq     uint64
@@ -73,6 +73,10 @@ func (*Prepare) WireSize() int { return types.ControlBytes }
 
 // Commit is the second-phase vote. Commits are digitally signed: n−f of
 // them form the commit certificate that GeoBFT forwards across clusters.
+// A receiver counts the vote on channel authentication and retains the
+// signature; it is verified where a certificate built from it is shown
+// (Replica.Prove) and by whoever that certificate is shown to
+// (Certificate.Verify).
 type Commit struct {
 	View    uint64
 	Seq     uint64
@@ -88,7 +92,8 @@ func (*Commit) WireSize() int { return types.ControlBytes }
 
 // Checkpoint announces the replica's history digest at a checkpoint
 // sequence. Signed, so checkpoint quorums can prove stability inside
-// view-changes.
+// view-changes; counted on channel authentication, the signature verified by
+// the replica that shows the quorum there.
 type Checkpoint struct {
 	Seq     uint64
 	Digest  types.Digest

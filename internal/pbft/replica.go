@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,8 +54,12 @@ func (c *Config) withDefaults() Config {
 // Hooks are the replica's upcalls. Committed fires exactly once per
 // sequence number, in order.
 type Hooks struct {
-	// Committed delivers the certificate for seq; certificates arrive in
-	// strictly increasing seq order with no gaps.
+	// Committed delivers the decision for seq; decisions arrive in strictly
+	// increasing seq order with no gaps. cert lists the n−f commit votes the
+	// decision was counted on, authenticated by their channels; their
+	// signatures have not been checked. It is good for ordering and
+	// executing the batch. Before it is shown to anyone who cannot rely on
+	// this replica's channels, get the proven form from Prove.
 	Committed func(seq uint64, cert *Certificate)
 	// ViewChanged fires after a new view is installed.
 	ViewChanged func(view uint64, primary types.NodeID)
@@ -76,6 +81,19 @@ type Hooks struct {
 	// and garbage-collects ledger segments on this signal, never earlier: a
 	// snapshot must not outrun the proof that its prefix is common.
 	Checkpointed func(seq uint64)
+	// Proven fires when a Prove that came up short of n−f valid signatures
+	// succeeds after all, because a further commit vote arrived: whoever was
+	// waiting to show seq's certificate can show it now.
+	Proven func(seq uint64, cert *Certificate)
+	// BadVoteSig fires once for every retained vote — commit, prepare or
+	// checkpoint — whose signature failed when a proof was assembled. The
+	// vote had been counted on its channel's authentication; it is dropped
+	// from the proof, never shown.
+	BadVoteSig func()
+	// Unprovable fires when this replica declines to show something because
+	// the votes it retains do not hold n−f valid signatures: a certificate
+	// left out of a catch-up reply, a view-change claim sent short.
+	Unprovable func()
 }
 
 // voteKey identifies the proposal a prepare/commit vote supports. Votes are
@@ -98,7 +116,27 @@ type entry struct {
 	prepared      bool
 	sentCommit    bool
 	committed     bool
-	cert          *Certificate
+	dec           *decided // set with committed; shared with certLog
+}
+
+// decided is what the replica keeps about a committed sequence, in the entry
+// while that lives and in certLog after. cert starts as the n−f votes the
+// decision was counted on — authenticated by their channels, signatures
+// unchecked — and votes holds every commit vote received for the decided
+// proposal, those n−f and any that arrive later (onCommit adds to it even
+// after the entry is collected): the spares a proof draws on when a counted
+// signature turns out bad. proven records that this replica has itself
+// verified every signature in cert (Prove, or AdoptCertificate's full check);
+// the spares are dropped then. The memo sits here and never on the
+// Certificate: the in-process transport hands messages over by pointer, so a
+// flag on the object would let one replica's check stand in for another's.
+type decided struct {
+	cert   *Certificate
+	votes  map[types.NodeID][]byte
+	proven bool
+	// wanted marks a Prove that came up short of n−f valid signatures; the
+	// next spare retries it and reports through Hooks.Proven.
+	wanted bool
 }
 
 func (e *entry) votes(m map[voteKey]map[types.NodeID][]byte, k voteKey) map[types.NodeID][]byte {
@@ -133,10 +171,14 @@ type Replica struct {
 	inFlight  map[types.Digest]bool        // primary: proposed, not yet committed
 	forwarded map[types.Digest]signedBatch // backup: awaiting execution
 
-	history      map[uint64]types.Digest // digest chain over committed batches
-	checkpoints  map[uint64]map[types.NodeID]*Checkpoint
+	history     map[uint64]types.Digest // digest chain over committed batches
+	checkpoints map[uint64]map[types.NodeID]*Checkpoint
+	// stable holds every matching checkpoint vote received for lowWater,
+	// late ones included, until a view change needs the proof; stableProof is
+	// the n−f of them whose signatures verified (see provenStable).
+	stable       map[types.NodeID]*Checkpoint
 	stableProof  []*Checkpoint
-	certLog      map[uint64]*Certificate
+	certLog      map[uint64]*decided
 	catchupAsked time.Duration
 
 	progressTimer proto.Timer
@@ -166,7 +208,7 @@ func NewReplica(env proto.Env, cfg Config, hooks Hooks) *Replica {
 		forwarded:   make(map[types.Digest]signedBatch),
 		history:     map[uint64]types.Digest{0: {}},
 		checkpoints: make(map[uint64]map[types.NodeID]*Checkpoint),
-		certLog:     make(map[uint64]*Certificate),
+		certLog:     make(map[uint64]*decided),
 		vcStore:     make(map[uint64]map[types.NodeID]*ViewChange),
 	}
 	return r
@@ -180,6 +222,13 @@ func (r *Replica) quorum() int { return r.n - r.cfg.F }
 func (r *Replica) reject() {
 	if r.hooks.Rejected != nil {
 		r.hooks.Rejected()
+	}
+}
+
+// unprovable reports one declined show (see Hooks.Unprovable).
+func (r *Replica) unprovable() {
+	if r.hooks.Unprovable != nil {
+		r.hooks.Unprovable()
 	}
 }
 
@@ -212,9 +261,6 @@ func (r *Replica) QueueLen() int { return len(r.queue) }
 // NextSeq returns the highest sequence number this replica has assigned as
 // primary (composing protocols use it for round accounting).
 func (r *Replica) NextSeq() uint64 { return r.nextSeq }
-
-// Certificate returns the commit certificate for seq if still retained.
-func (r *Replica) Certificate(seq uint64) *Certificate { return r.certLog[seq] }
 
 func (r *Replica) entryAt(seq uint64) *entry {
 	e := r.entries[seq]
@@ -348,15 +394,21 @@ func (r *Replica) handle(from types.NodeID, msg types.Message, pre bool) bool {
 		return true
 	case *Prepare:
 		r.env.Suite().ChargeVerifyMAC()
-		r.onPrepare(from, m)
+		if r.isMember(from) {
+			r.onPrepare(from, m)
+		}
 		return true
 	case *Commit:
 		r.env.Suite().ChargeVerifyMAC()
-		r.onCommit(from, m, pre)
+		if r.isMember(from) {
+			r.onCommit(from, m)
+		}
 		return true
 	case *Checkpoint:
 		r.env.Suite().ChargeVerifyMAC()
-		r.onCheckpoint(from, m)
+		if r.isMember(from) {
+			r.onCheckpoint(from, m)
+		}
 		return true
 	case *ViewChange:
 		r.onViewChange(from, m)
@@ -371,6 +423,19 @@ func (r *Replica) handle(from types.NodeID, msg types.Message, pre bool) bool {
 		r.onCatchupReply(from, m)
 		return true
 	}
+	return false
+}
+
+// isMember gates the votes: they are counted on the channel's word for who
+// sent them, so the sender must be someone whose vote counts. Anything else
+// is rejected.
+func (r *Replica) isMember(id types.NodeID) bool {
+	for _, m := range r.cfg.Members {
+		if m == id {
+			return true
+		}
+	}
+	r.reject()
 	return false
 }
 
@@ -434,8 +499,8 @@ func (r *Replica) onPrepare(from types.NodeID, m *Prepare) {
 	// Votes for the current or any future view are bucketed; only stale
 	// views are discarded. This keeps votes that raced ahead of their
 	// preprepare or of our view-change installation.
-	if m.Replica != from {
-		r.reject() // spoofed vote identity
+	if m.Replica != from || len(m.Sig) == 0 {
+		r.reject() // spoofed vote identity, or no signature to retain
 		return
 	}
 	if m.View < r.view || !r.inWindow(m.Seq) {
@@ -446,8 +511,9 @@ func (r *Replica) onPrepare(from types.NodeID, m *Prepare) {
 	if _, dup := set[from]; dup {
 		return
 	}
-	// Prepare signatures are verified lazily (only when used in a
-	// view-change proof); normal-case authenticity rests on channel MACs.
+	// Counted on the channel's authentication of its sender; the signature
+	// is retained and checked only if a view-change proof shows it
+	// (provenVotes).
 	set[from] = m.Sig
 	r.maybePrepared(m.Seq, e)
 }
@@ -475,67 +541,146 @@ func (r *Replica) sendCommit(seq uint64, e *entry) {
 	r.maybeCommitted(seq, e)
 }
 
-// onCommit applies a commit vote. pre marks votes whose signature already
-// passed PreVerify.
-func (r *Replica) onCommit(from types.NodeID, m *Commit, pre bool) {
-	if m.Replica != from {
-		r.reject() // spoofed vote identity
+// onCommit counts a commit vote. What authenticates it is the channel it
+// arrived on — the frame MAC over TCP, the in-process endpoint on Mem — plus
+// the checks that the vote names its sender and the sender is a member; the
+// ed25519 signature is kept and verified only when a certificate built from
+// it is about to be shown (Prove).
+func (r *Replica) onCommit(from types.NodeID, m *Commit) {
+	if m.Replica != from || len(m.Sig) == 0 {
+		r.reject() // spoofed vote identity, or no signature to retain
 		return
 	}
 	if !r.inWindow(m.Seq) {
+		// The entry is collected (or never existed); a sequence decided here
+		// still takes the vote as a spare. A checkpoint can stabilize before
+		// the last commit vote of its own sequence arrives.
+		if d := r.certLog[m.Seq]; d != nil {
+			r.spareVote(d, from, m)
+		}
 		return
 	}
 	e := r.entryAt(m.Seq)
 	if e.committed {
-		// Decided: the certificate is built, so a further vote (with n=4, the
-		// third peer's) would be verified and then never used. Only this serial
-		// path saves the check; the pool's PreVerify is stateless and verifies
-		// every vote before it can know the entry's state.
+		r.spareVote(e.dec, from, m)
 		return
 	}
 	set := e.votes(e.commits, voteKey{view: m.View, digest: m.Digest})
 	if _, dup := set[from]; dup {
 		return
 	}
-	// Commit signatures are verified on receipt: they end up in
-	// certificates that other clusters check.
-	if !pre && !r.env.Suite().Verify(from, CommitPayload(m.View, m.Seq, m.Digest), m.Sig) {
-		r.reject()
-		return
-	}
 	set[from] = m.Sig
 	r.maybeCommitted(m.Seq, e)
 }
 
+// spareVote keeps a commit vote for a proposal that is already decided, and
+// retries the proof that was waiting for one.
+func (r *Replica) spareVote(d *decided, from types.NodeID, m *Commit) {
+	if d.proven || m.View != d.cert.View || m.Digest != d.cert.Digest {
+		return // n−f verified signatures are in hand, or not a vote for the decision
+	}
+	if _, dup := d.votes[from]; dup {
+		return
+	}
+	d.votes[from] = m.Sig
+	if d.wanted {
+		d.wanted = false
+		if cert, _ := r.Prove(m.Seq); cert != nil && r.hooks.Proven != nil {
+			r.hooks.Proven(m.Seq, cert)
+		}
+	}
+}
+
 func (r *Replica) maybeCommitted(seq uint64, e *entry) {
-	if e.committed || !e.prepared || len(e.commits[e.key()]) < r.quorum() {
+	set := e.commits[e.key()]
+	if e.committed || !e.prepared || len(set) < r.quorum() {
 		return
 	}
 	e.committed = true
 	dbg("%v COMMITTED seq=%d view=%d", r.env.ID(), seq, e.view)
-	e.cert = r.buildCert(seq, e)
-	r.certLog[seq] = e.cert
+	signers, sigs := sortedVotes(set, r.quorum())
+	e.dec = &decided{votes: set, cert: &Certificate{
+		View: e.view, Seq: seq, Digest: e.digest, Batch: e.batch,
+		Signers: signers, Sigs: sigs,
+	}}
+	r.certLog[seq] = e.dec
 	r.advanceCommitted()
 }
 
-func (r *Replica) buildCert(seq uint64, e *entry) *Certificate {
-	set := e.commits[e.key()]
+// sortedVotes lists up to limit of the votes not marked bad, in signer order.
+func sortedVotes(set map[types.NodeID][]byte, limit int) ([]types.NodeID, [][]byte) {
 	signers := make([]types.NodeID, 0, len(set))
-	for id := range set {
-		signers = append(signers, id)
+	for id, sig := range set {
+		if sig != nil {
+			signers = append(signers, id)
+		}
 	}
 	sort.Slice(signers, func(i, j int) bool { return signers[i] < signers[j] })
-	if len(signers) > r.quorum() {
-		signers = signers[:r.quorum()]
+	if len(signers) > limit {
+		signers = signers[:limit]
 	}
 	sigs := make([][]byte, len(signers))
 	for i, id := range signers {
 		sigs[i] = set[id]
 	}
-	return &Certificate{
-		View: e.view, Seq: seq, Digest: e.digest, Batch: e.batch,
-		Signers: signers, Sigs: sigs,
+	return signers, sigs
+}
+
+// provenVotes picks n−f votes from set whose signatures over payload verify,
+// in signer order, running ed25519 over each until it has them (this
+// replica's own vote is taken on trust: it made that signature). A vote that
+// fails is marked bad in set — it keeps its slot, so its sender cannot refill
+// it, and is never looked at again — and counted. ok is false when fewer
+// than n−f verify; the valid ones found are returned all the same.
+func (r *Replica) provenVotes(set map[types.NodeID][]byte, payload []byte) (signers []types.NodeID, sigs [][]byte, ok bool) {
+	ids, all := sortedVotes(set, len(set))
+	signers, sigs = make([]types.NodeID, 0, r.quorum()), make([][]byte, 0, r.quorum())
+	for i, id := range ids {
+		if len(signers) == r.quorum() {
+			break
+		}
+		if id != r.env.ID() && !r.env.Suite().Verify(id, payload, all[i]) {
+			set[id] = nil
+			if r.hooks.BadVoteSig != nil {
+				r.hooks.BadVoteSig()
+			}
+			continue
+		}
+		signers, sigs = append(signers, id), append(sigs, all[i])
 	}
+	return signers, sigs, len(signers) == r.quorum()
+}
+
+// Prove returns seq's commit certificate in the only form that may leave
+// this replica: exactly n−f commit signatures from distinct members, every
+// one verified here. The first call for a sequence runs ed25519 over the
+// retained votes (quorum−1 checks when all are good, since the replica's own
+// needs none); later calls return the same certificate at no cost. known is
+// false when the replica holds no record of seq — never decided here, or the
+// record collected — and the caller must look elsewhere. A nil certificate
+// with known set means fewer than n−f retained votes verify: the next commit
+// vote for seq retries, and Hooks.Proven reports success.
+func (r *Replica) Prove(seq uint64) (cert *Certificate, known bool) {
+	d := r.certLog[seq]
+	switch {
+	case d == nil:
+		return nil, false
+	case d.proven:
+		return d.cert, true
+	case d.wanted:
+		return nil, true // came up short already and no vote has arrived since
+	}
+	c := d.cert
+	signers, sigs, ok := r.provenVotes(d.votes, CommitPayload(c.View, seq, c.Digest))
+	if !ok {
+		d.wanted = true
+		return nil, true
+	}
+	if !slices.Equal(signers, c.Signers) {
+		d.cert = &Certificate{View: c.View, Seq: seq, Digest: c.Digest, Batch: c.Batch, Signers: signers, Sigs: sigs}
+	}
+	d.proven, d.votes = true, nil
+	return d.cert, true
 }
 
 func (r *Replica) advanceCommitted() {
@@ -560,7 +705,7 @@ func (r *Replica) advanceCommitted() {
 		r.history[r.committedUpTo] = types.Hash(enc.Bytes())
 
 		if r.hooks.Committed != nil {
-			r.hooks.Committed(r.committedUpTo, e.cert)
+			r.hooks.Committed(r.committedUpTo, e.dec.cert)
 		}
 		if r.committedUpTo%r.cfg.CheckpointInterval == 0 {
 			r.emitCheckpoint(r.committedUpTo)
@@ -583,7 +728,18 @@ func (r *Replica) emitCheckpoint(seq uint64) {
 }
 
 func (r *Replica) onCheckpoint(from types.NodeID, m *Checkpoint) {
-	if m.Seq <= r.lowWater || m.Replica != from {
+	if m.Replica != from || len(m.Sig) == 0 {
+		return
+	}
+	if m.Seq == r.lowWater && r.stable != nil && m.Digest == r.history[m.Seq] {
+		// Late vote for the checkpoint that is already stable: a spare for
+		// the proof a view change may have to show.
+		if _, dup := r.stable[from]; !dup {
+			r.stable[from] = m
+		}
+		return
+	}
+	if m.Seq <= r.lowWater {
 		return
 	}
 	set := r.checkpoints[m.Seq]
@@ -631,8 +787,13 @@ func (r *Replica) stabilize(seq uint64, proof []*Checkpoint) {
 		return
 	}
 	r.lowWater = seq
-	sort.Slice(proof, func(i, j int) bool { return proof[i].Replica < proof[j].Replica })
-	r.stableProof = proof
+	// Stability is counted like a commit: on the channels' word for who
+	// voted. The votes are kept; provenStable checks their signatures if a
+	// view change ever has to show them.
+	r.stable, r.stableProof = make(map[types.NodeID]*Checkpoint, r.n), nil
+	for _, cp := range proof {
+		r.stable[cp.Replica] = cp
+	}
 	for s := range r.entries {
 		if s <= seq {
 			delete(r.entries, s)
@@ -682,11 +843,14 @@ func (r *Replica) onCatchupRequest(from types.NodeID, m *CatchupRequest) {
 	const maxCerts = 16
 	var certs []*Certificate
 	for s := m.FromSeq; s <= r.committedUpTo && len(certs) < maxCerts; s++ {
-		if c := r.certLog[s]; c != nil {
-			certs = append(certs, c)
-		} else {
+		c, known := r.Prove(s)
+		if c == nil {
+			if known {
+				r.unprovable() // the reply is cut here; the requester asks someone else
+			}
 			break
 		}
+		certs = append(certs, c)
 	}
 	if len(certs) > 0 {
 		r.env.Suite().ChargeMAC()
@@ -716,8 +880,8 @@ func (r *Replica) AdoptCertificate(cert *Certificate) {
 	}
 	e.view, e.digest, e.batch = cert.View, cert.Digest, cert.Batch
 	e.hasPrePrepare, e.prepared, e.sentCommit, e.committed = true, true, true, true
-	e.cert = cert
-	r.certLog[cert.Seq] = cert
+	e.dec = &decided{cert: cert, proven: true} // every signature verified just above
+	r.certLog[cert.Seq] = e.dec
 	r.advanceCommitted()
 }
 
@@ -741,7 +905,7 @@ func (r *Replica) FastForward(seq, view uint64, hist types.Digest) {
 	}
 	if r.lowWater < seq {
 		r.lowWater = seq
-		r.stableProof = nil
+		r.stable, r.stableProof = nil, nil
 	}
 	r.history = map[uint64]types.Digest{seq: hist}
 	for s := range r.entries {

@@ -6,19 +6,21 @@ import (
 	"resilientdb/internal/types"
 )
 
-// PreVerify performs the state-independent cryptographic checks of a PBFT
-// message: the commit-signature verification and the preprepare batch/digest
-// binding, exactly the predicates the apply path would evaluate. It touches
+// PreVerify performs the state-independent checks of a PBFT message: the
+// preprepare batch/digest binding and the rule that a commit vote names its
+// sender, exactly the predicates the apply path would evaluate. It touches
 // no replica state, so the fabric's verify pool calls it concurrently from
 // many goroutines (suite must honor crypto.Suite's concurrency contract).
 //
 // The mapping is decision-equivalent to the inline path: VerdictReject is
 // returned only for messages the state machine would unconditionally discard,
 // and VerdictVerified messages may skip exactly the checks performed here.
-// Prepare signatures are deliberately not checked — they are verified lazily,
-// only when used inside a view-change proof, as in the paper's configuration.
-// View-change and new-view messages verify inline on the worker (rare path,
-// and their validation is entangled with quorum state).
+// No vote signature is checked on receipt, here or inline: prepare, commit
+// and checkpoint votes are counted on their channel's authentication and
+// their signatures verified only where a proof built from them is shown
+// (Replica.Prove, buildViewChange). View-change and new-view messages verify
+// inline on the worker (rare path, and their validation is entangled with
+// quorum state).
 func PreVerify(suite *crypto.Suite, from types.NodeID, msg types.Message) proto.Verdict {
 	switch m := msg.(type) {
 	case *PrePrepare:
@@ -30,10 +32,7 @@ func PreVerify(suite *crypto.Suite, from types.NodeID, msg types.Message) proto.
 		if m.Replica != from {
 			return proto.VerdictReject
 		}
-		if !suite.Verify(m.Replica, CommitPayload(m.View, m.Seq, m.Digest), m.Sig) {
-			return proto.VerdictReject
-		}
-		return proto.VerdictVerified
+		return proto.VerdictPass
 	default:
 		return proto.VerdictPass
 	}

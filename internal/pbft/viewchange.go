@@ -46,6 +46,15 @@ func (r *Replica) ForceViewChange() {
 	}
 }
 
+// buildViewChange assembles this replica's campaign for view v. Everything
+// it shows — the stable checkpoint's votes, each prepared claim's prepare
+// votes or commit certificate — was counted on channel authentication when
+// it arrived, and validateViewChange at the receivers discards the whole
+// message if one signature in it is bad. So the proofs are chosen here: n−f
+// signatures that verify, out of all the votes retained. Where the retained
+// votes fall short the claim still goes out with what verified (dropping it
+// could hide a batch that committed elsewhere); receivers will not count
+// this campaign, and the shortfall is reported.
 func (r *Replica) buildViewChange(v uint64) *ViewChange {
 	var prepared []*PreparedProof
 	seqs := make([]uint64, 0, len(r.entries))
@@ -60,21 +69,13 @@ func (r *Replica) buildViewChange(v uint64) *ViewChange {
 		}
 		p := &PreparedProof{View: e.view, Seq: s, Digest: e.digest, Batch: e.batch}
 		if e.committed {
-			p.Cert = e.cert
-		} else {
-			set := e.prepares[e.key()]
-			signers := make([]types.NodeID, 0, len(set))
-			for id := range set {
-				signers = append(signers, id)
-			}
-			sort.Slice(signers, func(i, j int) bool { return signers[i] < signers[j] })
-			if len(signers) > r.quorum() {
-				signers = signers[:r.quorum()]
-			}
-			p.PrepareSigners = signers
-			p.PrepareSigs = make([][]byte, len(signers))
-			for i, id := range signers {
-				p.PrepareSigs[i] = set[id]
+			p.Cert, _ = r.Prove(s)
+		}
+		if p.Cert == nil {
+			var ok bool
+			p.PrepareSigners, p.PrepareSigs, ok = r.provenVotes(e.prepares[e.key()], PreparePayload(e.view, s, e.digest))
+			if !ok {
+				r.unprovable()
 			}
 		}
 		prepared = append(prepared, p)
@@ -83,11 +84,40 @@ func (r *Replica) buildViewChange(v uint64) *ViewChange {
 		NewView:     v,
 		Replica:     r.env.ID(),
 		StableSeq:   r.lowWater,
-		StableProof: r.stableProof,
+		StableProof: r.provenStable(),
 		Prepared:    prepared,
 	}
 	vc.Sig = r.env.Suite().Sign(ViewChangePayload(vc))
 	return vc
+}
+
+// provenStable returns n−f checkpoint votes for lowWater whose signatures
+// verify, chosen from every matching vote retained (stabilize's quorum and
+// any that arrived since). The choice is made once; later campaigns reuse it.
+func (r *Replica) provenStable() []*Checkpoint {
+	if r.stableProof != nil || r.stable == nil {
+		return r.stableProof
+	}
+	sigs := make(map[types.NodeID][]byte, len(r.stable))
+	for id, cp := range r.stable {
+		sigs[id] = cp.Sig
+	}
+	signers, _, ok := r.provenVotes(sigs, checkpointPayload(r.lowWater, r.history[r.lowWater]))
+	proof := make([]*Checkpoint, len(signers))
+	for i, id := range signers {
+		proof[i] = r.stable[id]
+	}
+	if !ok {
+		for id, sig := range sigs {
+			if sig == nil {
+				delete(r.stable, id) // found bad: not worth checking again
+			}
+		}
+		r.unprovable()
+		return proof // short; a later vote may complete it for the next campaign
+	}
+	r.stable, r.stableProof = nil, proof
+	return proof
 }
 
 // storeViewChange records a campaign, keeping at most one pending campaign
@@ -152,7 +182,8 @@ func (r *Replica) onViewChange(from types.NodeID, m *ViewChange) {
 }
 
 // validateViewChange checks the signatures and proofs inside a view-change
-// message (prepare signatures are verified here, lazily).
+// message. It is strict — one bad signature discards the message — which is
+// why buildViewChange proves what it shows.
 func (r *Replica) validateViewChange(vc *ViewChange) bool {
 	if vc.StableSeq > 0 {
 		if len(vc.StableProof) < r.quorum() {

@@ -107,7 +107,11 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "rpc: bad height parameter", http.StatusBadRequest)
 		return
 	}
-	blk := s.node.BlockAt(h)
+	blk, err := s.node.ShowBlock(h, s.ReadTimeout)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	if blk == nil {
 		http.Error(w, "rpc: no such block (beyond head, or pruned)", http.StatusNotFound)
 		return

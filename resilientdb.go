@@ -52,6 +52,12 @@ type SnapshotStats = metrics.SnapshotStats
 // (the Rounds field of Stats).
 type RoundStats = metrics.RoundStats
 
+// CryptoStats counts digital-signature work — ed25519 operations run, votes
+// found badly signed when a proof was assembled, shows declined for want of a
+// proof (the Crypto field of Stats; divide by executed rounds for the cost of
+// a round).
+type CryptoStats = metrics.CryptoStats
+
 // Options configures a fabric deployment.
 type Options struct {
 	// Clusters is the number of regions (z ≥ 1).
@@ -152,8 +158,8 @@ type Options struct {
 	// Adversary, when non-empty, compromises one hosted replica with the
 	// named scripted attack from the byzantine harness (internal/byzantine;
 	// see byzantine.ScriptByName for the names: "equivocate",
-	// "forge-shares", "vc-spam", "tamper-catchup", "tamper-snapshots",
-	// "suppress"). In-process
+	// "forge-shares", "forge-votes", "vc-spam", "tamper-catchup",
+	// "tamper-snapshots", "suppress"). In-process
 	// deployments compromise replica (0,0); multi-process deployments
 	// compromise the first locally hosted replica. The script is armed from
 	// startup. The deployment must tolerate it — f ≥ 1 per cluster — and
@@ -403,8 +409,8 @@ func (db *DB) Topology() (clusters, perCluster, f int) {
 
 // Stats returns a snapshot of the deployment's message-loss counters (full
 // queues, codec failures, verify-stage rejections) with the admission,
-// checkpoint/GC and round-filling accounting alongside. Safe to call while
-// the deployment is running.
+// checkpoint/GC, round-filling and signature accounting alongside. Safe to
+// call while the deployment is running.
 func (db *DB) Stats() metrics.DropStats { return db.fab.Stats() }
 
 // RPCAddr returns the bound address of this process's RPC front door, or ""
