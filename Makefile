@@ -41,12 +41,14 @@ fuzz:
 
 # Seeded fault-injection scenario suite, race-instrumented: the crash/
 # partition/restart scenarios, the bounded-history scenarios (a fresh
-# replica joining a GC'd 100k-block chain via verified snapshot transfer)
-# plus the Byzantine suite (equivocating primary, forged certificate
-# shares, forged votes from a backup and from a primary, view-change spam,
-# tampered catch-up, starved catch-up peer, tampered snapshot server) over
-# the full seed matrix — `make check` runs the same scenarios on their first
-# seed, and the per-round signature budget test — and the harness's
+# replica joining a GC'd 100k-block chain via verified snapshot transfer),
+# a certificate receiver down for the whole run, plus the Byzantine suite
+# (equivocating primary, forged certificate shares, forged forwards inside
+# a cluster, forged votes from a backup and from a primary, view-change
+# spam, tampered catch-up, starved catch-up peer, tampered snapshot server),
+# all over the full seed matrix — `make check` runs the same scenarios on
+# their first seed, and the per-round signature budget and share-vouching
+# tests of internal/core — and the harness's
 # own teeth test (a >f coalition must demonstrably break the safety
 # checks). Replay one failure byte-for-byte with CHAOS_SEED=<seed> make
 # chaos. See README "Failure model & recovery".
@@ -79,8 +81,11 @@ bench-wan:
 # Alternated parent-vs-change benchmark runs (what a perf claim rests on):
 # archives PARENT, runs benchmark/run.sh from it and from this tree N times
 # each on workload W with the order flipped every pair, prints q1/median/q3
-# per metric and the pairs won. ARGS goes to the benchmark on both sides
-# (ARGS='-trace 1' for the per-layer table). See scripts/ab.sh.
+# per metric and the pairs won. W=all runs the four workloads in turn, one
+# table each, and still exits non-zero if any run failed the gate. ARGS goes
+# to the benchmark on both sides (ARGS='-trace 1' for the per-layer table).
+# See scripts/ab.sh.
 #   make ab PARENT=HEAD~1 W=mem-sat N=10
+#   make ab PARENT=HEAD~1 W=all N=10
 ab:
 	bash scripts/ab.sh $(PARENT) $(W) $(N) $(ARGS)

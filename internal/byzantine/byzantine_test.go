@@ -144,6 +144,53 @@ func TestForgedSharesAllFailVerification(t *testing.T) {
 	}
 }
 
+// TestForgedForwardsKeyedOnLocalRecipients: the Local variant leaves what the
+// replica sends to other clusters alone and replaces each copy it forwards
+// inside its own cluster by two forgeries — one of the same round, whose bytes
+// (core.ShareKey) differ from the genuine copy's so it can never be counted
+// with it, and one relabelled to the next round, well-formed enough to be held
+// (Seq == Round). Neither verifies.
+func TestForgedForwardsKeyedOnLocalRecipients(t *testing.T) {
+	w := newWorld()
+	fleet := byzantine.NewFleet(7)
+	adv := fleet.Adversary(w.topo, crypto.Fast, w.topo.ReplicaID(0, 1), &byzantine.ShareForger{Local: true})
+	adv.Arm()
+
+	b := types.Batch{Client: types.ClientIDBase, Seq: 3, Txns: []types.Transaction{{Key: 1, Value: 2}}}
+	cert := w.cert(1, 3, b)
+	share := &core.GlobalShare{Cluster: 1, Round: 3, Cert: cert}
+	members := w.topo.ClusterMembers(1)
+	genuine, _ := core.ShareKey(share)
+
+	if _, ok := adv.Rewrite(w.topo.ReplicaID(1, 1), share); ok {
+		t.Fatal("forward-forger touched cross-cluster traffic")
+	}
+	for i := 0; i < 4; i++ {
+		ds, ok := adv.Rewrite(w.topo.ReplicaID(0, 2), share)
+		if !ok || len(ds) != 2 {
+			t.Fatalf("variant %d: intercepted=%v deliveries=%d, want 2", i, ok, len(ds))
+		}
+		for j, d := range ds {
+			forged := d.Msg.(*core.GlobalShare)
+			if forged.Round != share.Round+uint64(j) || forged.Cert.Seq != forged.Round {
+				t.Fatalf("variant %d/%d: round %d seq %d", i, j, forged.Round, forged.Cert.Seq)
+			}
+			if key, _ := core.ShareKey(forged); key == genuine {
+				t.Fatalf("variant %d/%d: forgery has the genuine copy's key", i, j)
+			}
+			if forged.Cert.Verify(w.suites[0], members, w.quorum()) && forged.Cert.Digest == forged.Cert.Batch.Digest() {
+				t.Fatalf("variant %d/%d: forged certificate verifies", i, j)
+			}
+		}
+	}
+	if !cert.Verify(w.suites[0], members, w.quorum()) || share.Round != 3 {
+		t.Fatal("forgery mutated the shared original")
+	}
+	if st := adv.Stats(); st.Tampered != 4 || st.Injected != 4 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 func TestEquivocatingPrimaryCoalition(t *testing.T) {
 	w := newWorld()
 	fleet := byzantine.NewFleet(7)

@@ -24,7 +24,9 @@ import (
 //     what the harness's teeth tests use to prove the invariant checks can
 //     fail.
 //   - ShareForger: garbled commit certificates sent cross-cluster (GeoBFT's
-//     global sharing step), forcing the remote view-change path.
+//     global sharing step), forcing the remote view-change path; or, keyed on
+//     local recipients, garbled forwards inside the forger's own cluster,
+//     where copies are counted rather than verified one by one.
 //   - VoteForger: prepare, commit and checkpoint votes with valid routing and
 //     garbage signatures — the attack on counting votes by channel
 //     authentication and verifying signatures only where a proof is shown.
@@ -159,18 +161,38 @@ func (DoubleVoter) Rewrite(a *Adversary, to types.NodeID, msg types.Message) ([]
 // depose the forger through the remote view-change protocol. Local traffic
 // is untouched, so the forger's own cluster keeps committing: the attack is
 // only visible globally, exactly the failure mode Figure 7 exists for.
+//
+// With Local set the script attacks the other leg of sharing instead: the
+// copies of another cluster's certificate the compromised replica forwards to
+// members of its own cluster, which count forwards instead of verifying each
+// copy. Every forward is garbled, so it races the honest receiver's genuine
+// copy of the same round; and with each goes a forgery relabelled to the next
+// round, which arrives alone, ahead of any genuine copy. A lone sender is
+// below the f+1 matching forwards acceptance takes: no forgery may ever be
+// accepted, each one a member ends up verifying for itself must be rejected
+// and counted, and every round must still execute on the genuine copy, at
+// worst one grace late.
 type ShareForger struct {
+	// Local selects the forwards inside the replica's own cluster (see the
+	// type comment); unset, the shares it sends to other clusters.
+	Local bool
+
 	mu    sync.Mutex
 	count int
 }
 
 // Name implements Script.
-func (s *ShareForger) Name() string { return "share-forger" }
+func (s *ShareForger) Name() string {
+	if s.Local {
+		return "forward-forger"
+	}
+	return "share-forger"
+}
 
 // Rewrite implements Script.
 func (s *ShareForger) Rewrite(a *Adversary, to types.NodeID, msg types.Message) ([]transport.Delivery, bool) {
 	gs, ok := msg.(*core.GlobalShare)
-	if !ok || gs.Cert == nil || a.topo.ClusterOf(to) == a.Cluster() || to.IsClient() {
+	if !ok || gs.Cert == nil || to.IsClient() || (a.topo.ClusterOf(to) == a.Cluster()) != s.Local {
 		return nil, false
 	}
 	s.mu.Lock()
@@ -178,7 +200,15 @@ func (s *ShareForger) Rewrite(a *Adversary, to types.NodeID, msg types.Message) 
 	s.count++
 	s.mu.Unlock()
 	a.tampered.Add(1)
-	return []transport.Delivery{{To: to, Msg: forgeShare(gs, n)}}, true
+	out := []transport.Delivery{{To: to, Msg: forgeShare(gs, n)}}
+	if s.Local {
+		a.injected.Add(1)
+		ahead := forgeShare(gs, 2) // a signature short: fails before any ed25519 runs
+		ahead.Round++
+		ahead.Cert.Seq++
+		out = append(out, transport.Delivery{To: to, Msg: ahead})
+	}
+	return out, true
 }
 
 // forgeShare builds the n-th deterministic forgery of a certificate share.

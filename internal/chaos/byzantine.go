@@ -23,6 +23,7 @@ func ByzantineScenarios() []Scenario {
 	return []Scenario{
 		equivocatingPrimary(),
 		forgedShares(),
+		forgedForward(),
 		forgedVotes(),
 		forgedVotesPrimary(),
 		viewChangeSpam(),
@@ -177,6 +178,82 @@ func forgedShares() Scenario {
 			}
 			if got := e.VerifyRejects(); got <= pre {
 				return fmt.Errorf("chaos: forged shares vanished uncounted (verify-rejects %d → %d)", pre, got)
+			}
+			return e.AssertPrefixes()
+		},
+	}
+}
+
+// forgedForward hands a cluster-0 backup to the forward forger on a
+// disk-backed deployment. The backup is one of the f+1 receivers of cluster
+// 1's certificate in half the rounds; every copy it then forwards to its own
+// cluster is garbled and races the honest receiver's genuine copy, and a
+// forgery for the next round goes with it, ahead of any genuine copy. Its
+// peers count forwards instead of verifying each copy, so this is the attack
+// on that rule: a lone liar must never be believed. No forgery may be
+// accepted, stored or passed on — Run's audit checks every certificate an
+// honest replica sends, AssertCertificates every one it keeps, and a backup
+// restarted from its disk re-verifies its whole prefix without a rejection.
+// Each forgery a peer ends up verifying is rejected and counted, commits
+// continue (a round the forger should have forwarded costs its peers one
+// grace), and no view moves.
+func forgedForward() Scenario {
+	return Scenario{
+		Name:        "byz-forged-forward",
+		Description: "a backup forwards garbled copies of another cluster's certificates inside its own cluster: never accepted on its lone word, rejected and counted where verified, commits continue",
+		Clusters:    2, Replicas: 4,
+		Disk:      true,
+		Byzantine: []Role{{Cluster: 0, Index: 1, Script: &byzantine.ShareForger{Local: true}}},
+		Run: func(e *Env) error {
+			l0 := e.StartLoad(0)
+			l1 := e.StartLoad(1)
+			if err := e.WaitHeight(0, 2, warmup, 60*time.Second); err != nil {
+				return err
+			}
+			pre := e.VerifyRejects()
+			e.Arm(0, 1)
+			// Liveness for both clusters over several turns of the rotation.
+			if err := e.WaitCommitted(l0, l0.Committed()+8, 90*time.Second); err != nil {
+				return err
+			}
+			if err := e.WaitCommitted(l1, l1.Committed()+8, 90*time.Second); err != nil {
+				return err
+			}
+			e.StopLoads()
+			if err := e.WaitQuiet(500*time.Millisecond, 90*time.Second); err != nil {
+				return err
+			}
+			rejected := e.VerifyRejects()
+			// (0,3) held forged and genuine copies side by side in half the
+			// rounds. What it wrote to disk comes back alone: the whole prefix
+			// re-verified at boot (one bad certificate fails the import whole),
+			// not a block fetched.
+			h := e.Height(0, 3)
+			e.Crash(0, 3)
+			if err := e.Restart(0, 3, true); err != nil {
+				return err
+			}
+			if err := e.WaitHeight(0, 3, h, 30*time.Second); err != nil {
+				return fmt.Errorf("chaos: disk bootstrap did not restore the prefix: %w", err)
+			}
+			if got := e.Fab.Replica(e.ReplicaID(0, 3)).CatchUpBlocks(); got != 0 {
+				return fmt.Errorf("chaos: the restarted replica fetched %d blocks over the network; its disk held them all", got)
+			}
+			if err := e.WaitConverged(90 * time.Second); err != nil {
+				return err
+			}
+			e.StopAll()
+			if st := e.Adversary(0, 1).Stats(); st.Tampered == 0 || st.Injected == 0 {
+				return fmt.Errorf("chaos: the forward forger never forged: %+v", st)
+			}
+			if rejected <= pre {
+				return fmt.Errorf("chaos: forged forwards vanished uncounted (verify-rejects %d → %d)", pre, rejected)
+			}
+			if v := e.View(0, 2); v != 0 {
+				return fmt.Errorf("chaos: a forging backup moved cluster 0 to view %d", v)
+			}
+			if err := e.AssertCertificates(); err != nil {
+				return err
 			}
 			return e.AssertPrefixes()
 		},

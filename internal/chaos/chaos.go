@@ -231,7 +231,7 @@ func (a *certAudit) err() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.bad > 0 {
-		return fmt.Errorf("chaos: %d unproven certificates left honest replicas; first: %s", a.bad, a.first)
+		return fmt.Errorf("chaos: %d certificates of honest replicas do not verify; first: %s", a.bad, a.first)
 	}
 	return nil
 }
@@ -548,6 +548,30 @@ func (e *Env) AssertPrefixes() error {
 		return fmt.Errorf("chaos: %w", err)
 	}
 	return nil
+}
+
+// AssertCertificates checks what honest replicas keep, the way Run's audit
+// checks what they send: every block of every honest ledger must carry a
+// commit certificate that verifies against its origin cluster's membership —
+// n−f valid signatures, whoever checked them when the block was executed.
+// Only meaningful after StopAll.
+func (e *Env) AssertCertificates() error {
+	audit := newCertAudit(e.Topo)
+	for _, id := range e.Topo.AllReplicas() {
+		if e.byz[id] != nil {
+			continue
+		}
+		l := e.Fab.Replica(id).Ledger()
+		for h := l.Base() + 1; h <= l.Height(); h++ {
+			b := l.Block(h)
+			cert, _ := b.Cert.(*pbft.Certificate)
+			if cert == nil {
+				return fmt.Errorf("chaos: %v keeps block %d without a certificate", id, h)
+			}
+			audit.check(id, b.Cluster, cert, fmt.Sprintf("keeps, in block %d,", h))
+		}
+	}
+	return audit.err()
 }
 
 // View returns a replica's local PBFT view. Only meaningful after StopAll

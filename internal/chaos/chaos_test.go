@@ -16,9 +16,9 @@ import (
 // tests with the full seed matrix (CHAOS_MATRIX=full).
 const chaosSeed = 20260728
 
-// byzSeedMatrix is the fixed seed matrix for the Byzantine scenarios: every
-// seed must pass byte-for-byte reproducibly. Plain `go test` runs the first
-// seed; `make chaos` (CHAOS_MATRIX=full) runs all of them.
+// byzSeedMatrix is the fixed seed matrix of both suites: every seed must pass
+// byte-for-byte reproducibly. Plain `go test` runs the first seed; `make
+// chaos` (CHAOS_MATRIX=full) runs all of them.
 var byzSeedMatrix = []int64{20260728, 987654321}
 
 // seeds resolves the seed list for a run: CHAOS_SEED pins a single seed (the
@@ -42,27 +42,14 @@ func TestChaosScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time fault-injection suite")
 	}
-	seed := seeds(t)[0]
-	for _, s := range chaos.Scenarios() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			if err := chaos.Run(s, seed, t.Logf); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	runMatrix(t, chaos.Scenarios)
 }
 
-// TestByzantineScenarios runs the scripted-malice suite over the seed
-// matrix: equivocating primary, forged certificate shares, view-change spam,
-// and tampered catch-up, each asserting honest-prefix safety, post-attack
-// liveness, and forged-message accounting.
-func TestByzantineScenarios(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time fault-injection suite")
-	}
+// runMatrix runs every scenario of a suite on every seed of the run (see
+// seeds). Each seed gets the suite built afresh: attack scripts keep counters.
+func runMatrix(t *testing.T, suite func() []chaos.Scenario) {
 	for _, seed := range seeds(t) {
-		for _, s := range chaos.ByzantineScenarios() {
+		for _, s := range suite() {
 			s, seed := s, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", s.Name, seed), func(t *testing.T) {
 				if err := chaos.Run(s, seed, t.Logf); err != nil {
@@ -71,6 +58,18 @@ func TestByzantineScenarios(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestByzantineScenarios runs the scripted-malice suite over the seed
+// matrix: equivocating primary, forged certificate shares and forwards,
+// forged votes, view-change spam, tampered catch-up and snapshots, each
+// asserting honest-prefix safety, post-attack liveness, and forged-message
+// accounting.
+func TestByzantineScenarios(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time fault-injection suite")
+	}
+	runMatrix(t, chaos.ByzantineScenarios)
 }
 
 // TestByzantineHarnessTeeth proves the invariant checks can fail: a

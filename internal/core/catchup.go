@@ -424,8 +424,8 @@ func (r *Replica) localHistory(seq uint64) types.Digest {
 // replica may send: from the in-flight round state, or — for executed rounds
 // — from the ledger, which retains the full chain, so a lagging peer's DRvc
 // can be answered for any executed round. Another cluster's certificate was
-// verified when it arrived; our own is proven first (provenOwn), and nil is
-// returned when it cannot be.
+// verified, or vouched for by f+1 members (vouch.go), when it was accepted;
+// our own is proven first (provenOwn), and nil is returned when it cannot be.
 func (r *Replica) certAt(rnd uint64, cluster types.ClusterID) *pbft.Certificate {
 	var held *pbft.Certificate
 	if rd := r.rounds[rnd]; rd != nil && rd.certs[cluster] != nil {

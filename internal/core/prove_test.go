@@ -19,13 +19,15 @@ func (n *manualNet) ops(id types.NodeID) (signs, verifies uint64) {
 
 // TestSignatureBudgetPerRound pins the exact number of signature operations
 // a fault-free round costs each replica at z=2, n=4 (f=1, quorum 3): every
-// replica signs its prepare and its commit and verifies the n−f signatures
-// of the other cluster's certificate; the primary, which forwards its own
-// cluster's certificate, additionally verifies the quorum−1 peer votes in it.
-// A backup verifies no vote at all. One checkpoint signature per interval
-// comes on top. (The harness delivers client requests the way the simulator
-// does, without a client signature, so none is counted here; in the fabric
-// each replica that admits a request verifies it once.)
+// replica signs its prepare and its commit; the other cluster's certificate
+// is verified (n−f signatures) by the f+1 replicas it was sent to, who rotate
+// with the round, and accepted by the rest on their f+1 forwards — so over a
+// multiple of n rounds each replica verifies (f+1)/n of them; the primary,
+// which forwards its own cluster's certificate, additionally verifies the
+// quorum−1 peer votes in it. A backup verifies no vote at all. One checkpoint
+// signature per interval comes on top. (The harness delivers client requests
+// the way the simulator does, without a client signature, so none is counted
+// here; in the fabric each replica that admits a request verifies it once.)
 func TestSignatureBudgetPerRound(t *testing.T) {
 	const z, n, f, rounds, interval = 2, 4, 1, 12, 6
 	const quorum = n - f
@@ -40,7 +42,8 @@ func TestSignatureBudgetPerRound(t *testing.T) {
 	for _, id := range net.topo.AllReplicas() {
 		r := net.reps[id]
 		signs, verifies := net.ops(id)
-		wantVerifies := uint64(rounds * (z - 1) * quorum)
+		const received = rounds * (f + 1) / n // rounds in which the replica was sent the certificate
+		wantVerifies := uint64((z - 1) * received * quorum)
 		role := "backup"
 		if r.IsPrimary() {
 			role = "primary"
@@ -54,6 +57,9 @@ func TestSignatureBudgetPerRound(t *testing.T) {
 		}
 		if bad, unprovable := r.ProofStats(); bad != 0 || unprovable != 0 {
 			t.Errorf("%s %v: fault-free run counted %d bad vote signatures, %d unprovable", role, id, bad, unprovable)
+		}
+		if vouched, self := r.ShareStats(); vouched != (z-1)*(rounds-received) || self != 0 {
+			t.Errorf("%s %v: %d certificates accepted on forwards, %d self-verified; want %d, 0", role, id, vouched, self, (z-1)*(rounds-received))
 		}
 	}
 }
@@ -119,9 +125,10 @@ func (n *manualNet) auditShares(skip types.NodeID) {
 // on and (0,1)'s vote is the spare. Rounds commit and execute regardless; the primary drops and
 // counts the bad vote when it proves the certificate, holds the share until
 // the spare vote arrives, and what it then sends verifies. No backup verifies
-// a vote, and no receiver in the other cluster rejects anything. A backup
-// asked for its blocks before the entries are collected proves them from the
-// retained votes.
+// a vote — its verifies are the remote certificates it was a receiver of, two
+// rounds in four — and no receiver in the other cluster rejects anything. A
+// backup asked for its blocks before the entries are collected proves them
+// from the retained votes.
 func TestForgedVotesFromBackup(t *testing.T) {
 	rejects := map[types.NodeID]int{}
 	cfg := Config{}
@@ -153,8 +160,8 @@ func TestForgedVotesFromBackup(t *testing.T) {
 		t.Errorf("replica %v rejected %d messages; nothing honest may be rejected", id, n)
 	}
 	for _, id := range []types.NodeID{net.topo.ReplicaID(0, 1), net.topo.ReplicaID(0, 3)} {
-		if _, verifies := net.ops(id); verifies != rounds*3 {
-			t.Errorf("backup %v ran %d verifies, want only the remote certificates' %d", id, verifies, rounds*3)
+		if _, verifies := net.ops(id); verifies != rounds/2*3 {
+			t.Errorf("backup %v ran %d verifies, want only %d for the remote certificates it was sent", id, verifies, rounds/2*3)
 		}
 	}
 
@@ -221,7 +228,7 @@ func TestUnprovableBlockIsNotServed(t *testing.T) {
 		t.Error("ShowBlock handed out the unprovable block")
 	}
 	if blk := net.reps[backup].ShowBlock(2); blk == nil {
-		t.Error("ShowBlock refused the other cluster's block, which was verified on receipt")
+		t.Error("ShowBlock refused the other cluster's block, which was verified or vouched for on receipt")
 	}
 }
 

@@ -38,7 +38,8 @@ type Config struct {
 	PipelineDepth int
 	// Fanout is the number of replicas per remote cluster the primary sends
 	// certificates to; 0 selects the paper's f+1. Setting it to n is the
-	// all-to-cluster ablation.
+	// all-to-cluster ablation (every replica then receives, and verifies, its
+	// own copy; acceptance on forwards still takes f+1 of them).
 	Fanout int
 	// ClientCluster maps a client to its home cluster (clients are informed
 	// only by their local cluster, Section 2.4). Nil assigns client i to
@@ -171,6 +172,12 @@ type Replica struct {
 	clientExecAt time.Duration // when a client batch of this cluster last executed
 	graceTimer   proto.Timer   // armed while open rounds wait for client batches; nil otherwise
 
+	// other clusters' certificates forwarded by local members, short of f+1
+	// matching forwards (see vouch.go)
+	vouching   map[shareSlot]*pendingShare
+	vouchQueue []*pendingShare // first-seen order, which is deadline order
+	vouchTimer proto.Timer     // armed for the queue's head; nil when nothing is pending
+
 	// remote failure detection (initiation role)
 	detTimers  []proto.Timer // per cluster, armed for the blocking round
 	detRound   []uint64      // round each timer supervises
@@ -197,6 +204,8 @@ type Replica struct {
 	graceFilled   atomic.Uint64
 	badVoteSigs   atomic.Uint64 // votes of this cluster dropped from a proof: signature bad
 	unprovable    atomic.Uint64 // shows declined for want of n−f valid signatures
+	vouched       atomic.Uint64 // forwarded certificates accepted on f+1 matching forwards
+	selfVerified  atomic.Uint64 // forwarded certificates this replica verified itself
 
 	// snapshot stats (atomic, same contract)
 	snapRound      atomic.Uint64
@@ -215,6 +224,7 @@ func NewReplica(cfg Config) *Replica {
 		myCluster:    int(c.Topo.ClusterOf(c.Self)),
 		members:      c.Topo.ClusterMembers(int(c.Topo.ClusterOf(c.Self))),
 		rounds:       make(map[uint64]*round),
+		vouching:     make(map[shareSlot]*pendingShare),
 		detTimers:    make([]proto.Timer, z),
 		detRound:     make([]uint64, z),
 		detBackoff:   make([]uint, z),
@@ -372,6 +382,14 @@ func (r *Replica) ProofStats() (badVoteSigs, unprovable uint64) {
 	return r.badVoteSigs.Load(), r.unprovable.Load()
 }
 
+// ShareStats returns how many certificates forwarded by members of this
+// replica's cluster it accepted on f+1 matching forwards, without a signature
+// check, and how many it verified itself because the forwards fell short (see
+// metrics.CryptoStats). Safe to call while the replica is running.
+func (r *Replica) ShareStats() (vouched, selfVerified uint64) {
+	return r.vouched.Load(), r.selfVerified.Load()
+}
+
 // --- client admission and pipelining ---------------------------------------
 
 // signedBatch couples a buffered batch with the signature that authenticated
@@ -413,13 +431,18 @@ func (r *Replica) feedPrimary() {
 	if !r.IsPrimary() {
 		return
 	}
-	depth := uint64(r.cfg.PipelineDepth)
-	if r.cfg.PipelineDepth < 0 {
-		depth = 1
-	}
-	for len(r.pending) > 0 && r.assignedRounds() < r.executedRound.Load()+depth {
+	for len(r.pending) > 0 && r.assignedRounds() < r.executedRound.Load()+r.pipelineDepth() {
 		r.proposePending()
 	}
+}
+
+// pipelineDepth is how many rounds past the last executed one a primary
+// assigns — the window an honest share falls in.
+func (r *Replica) pipelineDepth() uint64 {
+	if r.cfg.PipelineDepth < 0 {
+		return 1
+	}
+	return uint64(r.cfg.PipelineDepth)
 }
 
 // proposePending hands the oldest pending client batch to PBFT.
@@ -465,6 +488,14 @@ func (r *Replica) proposeNoOps(target uint64) {
 // depends on the local commit time, not on the deployment's WAN delays, and
 // an idle cluster never pays it.
 const noopGrace = 3 * time.Millisecond
+
+// shareGrace is how long a replica holds another cluster's certificate that
+// a member of its own cluster forwarded, waiting for f+1 matching forwards,
+// before it verifies the copy itself (see vouch.go). It out-waits the skew
+// between the f+1 receivers of a share — each verifies n−f signatures before
+// forwarding — and is paid only when a receiver is faulty or slow. A constant
+// for the reason noopGrace is: it covers local processing, not WAN delay.
+const shareGrace = 3 * time.Millisecond
 
 // hasClientLoad is the pacing rule's test: a client batch of this cluster is
 // assigned or committed but not yet executed (its client is about to be
@@ -545,7 +576,8 @@ func (r *Replica) onLocalProven(seq uint64, cert *pbft.Certificate) {
 // provenOwn returns this cluster's certificate for rnd in the form it may be
 // shown to anyone who cannot rely on our channels: n−f commit signatures this
 // replica has verified itself. Other clusters' certificates need no such
-// step, they were verified when they arrived. held is the certificate the
+// step: each was verified, or vouched for by f+1 members of this cluster one
+// of which verified it (vouch.go), before it was accepted. held is the certificate the
 // caller has for the round (from the round state or the ledger); it is used
 // only when the local PBFT no longer remembers the round and then has to
 // verify whole. nil means not provable, or not yet.
@@ -593,34 +625,44 @@ func (r *Replica) ShowBlock(h uint64) *ledger.Block {
 }
 
 // shareRound performs the global phase of Figure 5: send the certificate to
-// Fanout (= f+1) replicas of every other cluster.
+// Fanout (= f+1) replicas of every other cluster. The receivers rotate with
+// the round — local indices (seq+i) mod n, i < Fanout — because a receiver
+// pays the n−f signature checks the rest of its cluster is spared (vouch.go):
+// fixed at indices 0…f, the cost would sit on the same replicas every round,
+// the primary among them.
 func (r *Replica) shareRound(seq uint64, cert *pbft.Certificate) {
 	if seq > r.sharedTo {
 		r.sharedTo = seq
 	}
 	msg := &GlobalShare{Cluster: types.ClusterID(r.myCluster), Round: seq, Cert: cert}
+	n := r.cfg.Topo.PerCluster
 	for c := 0; c < r.cfg.Topo.Clusters; c++ {
 		if c == r.myCluster {
 			continue
 		}
-		for i := 0; i < r.cfg.Fanout && i < r.cfg.Topo.PerCluster; i++ {
+		for i := 0; i < r.cfg.Fanout && i < n; i++ {
 			r.env.Suite().ChargeMAC()
-			r.env.Send(r.cfg.Topo.ReplicaID(c, i), msg)
+			r.env.Send(r.cfg.Topo.ReplicaID(c, int((seq+uint64(i))%uint64(n))), msg)
 		}
 	}
 }
 
 // --- global sharing, receive side -------------------------------------------
 
-// onGlobalShare applies a forwarded certificate. pre marks shares whose
-// certificate already passed PreVerify.
+// onGlobalShare applies another cluster's certificate. One that arrives from
+// outside the replica's cluster is verified here (pre marks those whose
+// certificate already passed PreVerify) and broadcast to the cluster, the
+// local phase of Figure 5. One that a member of the cluster forwarded is not
+// verified on arrival: it is held until f+1 members have forwarded the same
+// bytes (vouch.go).
 func (r *Replica) onGlobalShare(from types.NodeID, m *GlobalShare, pre bool) {
 	c := int(m.Cluster)
 	if c < 0 || c >= r.cfg.Topo.Clusters || c == r.myCluster {
 		r.noteReject() // malformed origin: PreVerify rejects these too
 		return
 	}
-	if m.Round <= r.executedRound.Load() {
+	executed := r.executedRound.Load()
+	if m.Round <= executed {
 		return // stale: already executed
 	}
 	if rd := r.rounds[m.Round]; rd != nil && rd.certs[c] != nil {
@@ -630,35 +672,57 @@ func (r *Replica) onGlobalShare(from types.NodeID, m *GlobalShare, pre bool) {
 		r.noteReject()
 		return
 	}
-	// Verify the forwarded certificate against the origin cluster's
-	// membership: n−f valid commit signatures (Proposition 2.5, Agreement).
-	if !pre {
-		members := r.cfg.Topo.ClusterMembers(c)
-		if !m.Cert.Verify(r.env.Suite(), members, r.quorum()) {
-			r.noteReject() // forged or garbled certificate
-			return
+	forwarded := r.isLocalPeer(from)
+	if forwarded && m.Round <= executed+r.pipelineDepth() {
+		r.vouch(from, m)
+		return
+	}
+	// Verify the certificate against the origin cluster's membership: n−f
+	// valid commit signatures (Proposition 2.5, Agreement). A forwarded copy
+	// lands here only when its round lies beyond the pipeline window, further
+	// ahead of this replica's execution than an honest primary runs: the
+	// replica is far behind, and the verified certificate is the evidence
+	// that starts its catch-up.
+	if !pre && !r.verifyShare(m) {
+		r.noteReject() // forged or garbled certificate
+		return
+	}
+	if forwarded {
+		r.selfVerified.Add(1)
+	}
+	r.acceptShare(m)
+	if forwarded {
+		return // only what arrived from outside is broadcast
+	}
+	for _, peer := range r.members {
+		if peer != r.cfg.Self {
+			r.env.Suite().ChargeMAC()
+			r.env.Send(peer, m)
 		}
 	}
-	r.setCert(m.Cluster, m.Round, m.Cert)
+}
 
-	// Local phase of Figure 5: a replica that received the message from the
-	// origin cluster broadcasts it to its own cluster.
-	if int(r.cfg.Topo.ClusterOf(from)) != r.myCluster || from.IsClient() {
-		for _, peer := range r.members {
-			if peer != r.cfg.Self {
-				r.env.Suite().ChargeMAC()
-				r.env.Send(peer, m)
-			}
-		}
-	}
+// verifyShare runs the n−f signature checks of a share's certificate.
+func (r *Replica) verifyShare(m *GlobalShare) bool {
+	return m.Cert.Verify(r.env.Suite(), r.cfg.Topo.ClusterMembers(int(m.Cluster)), r.quorum())
+}
+
+// acceptShare installs a certificate of another cluster that this replica
+// verified or that f+1 members of its cluster vouched for, and acts on the
+// evidence it is. Nothing short of this point — no held, unverified copy —
+// counts as evidence of a round.
+func (r *Replica) acceptShare(m *GlobalShare) {
+	r.settle(shareSlot{m.Cluster, m.Round})
+	r.setCert(m.Cluster, m.Round, m.Cert)
 
 	// Evidence of round m.Round lets the primary fill the rounds it lacks
 	// client load for (Section 2.5) — at once when idle, after a grace when
 	// client batches are in flight.
 	r.paceNoOps()
 
-	// A fresh certificate from c resets its failure-detection back-off.
-	r.detBackoff[c] = 0
+	// A fresh certificate from the cluster resets its failure-detection
+	// back-off.
+	r.detBackoff[m.Cluster] = 0
 	r.rearmDetection()
 
 	// A certified round beyond the next executable one is evidence we may be

@@ -8,12 +8,13 @@ import (
 )
 
 // PreVerify performs the state-independent cryptographic checks of an
-// inbound GeoBFT message: GlobalShare certificate verification (n−f ed25519
-// signatures against the origin cluster's membership — the most expensive
-// check in the system), Rvc signatures, and, via pbft.PreVerify, the local
-// PBFT checks. It reads only construction-time immutable state (topology,
-// membership, quorum size), never the replica's mutable protocol state, so
-// the fabric's verify pool calls it concurrently with the worker from many
+// inbound GeoBFT message: certificate verification of a GlobalShare that
+// arrived from another cluster (n−f ed25519 signatures against the origin
+// cluster's membership — the most expensive check in the system), Rvc
+// signatures, and, via pbft.PreVerify, the local PBFT checks. It reads only
+// construction-time immutable state (topology, membership, quorum size) and
+// the atomic executed round, never the replica's other protocol state, so the
+// fabric's verify pool calls it concurrently with the worker from many
 // goroutines.
 //
 // Verdicts are decision-equivalent to the inline path: a rejected message is
@@ -42,6 +43,12 @@ func (r *Replica) PreVerify(suite *crypto.Suite, from types.NodeID, msg types.Me
 		}
 		if m.Cert == nil || m.Cert.Seq != m.Round {
 			return proto.VerdictReject
+		}
+		// Nothing to check here for a round already executed (the worker
+		// drops it as stale) or for a copy a member of this cluster forwarded
+		// (the worker counts it as a forward, see vouch.go).
+		if m.Round <= r.executedRound.Load() || r.isLocalPeer(from) {
+			return proto.VerdictPass
 		}
 		if !m.Cert.Verify(suite, r.cfg.Topo.ClusterMembers(c), r.quorum()) {
 			return proto.VerdictReject
@@ -105,33 +112,4 @@ func (r *Replica) PreVerify(suite *crypto.Suite, from types.NodeID, msg types.Me
 	default:
 		return pbft.PreVerify(suite, from, msg)
 	}
-}
-
-// ShareKey returns a deduplication key for a GlobalShare's verification
-// outcome: two shares with equal keys are cryptographically identical (same
-// origin cluster, same certificate content including signer set, same batch
-// bytes), so a verdict for one is valid for the other. The fabric's verify
-// stage uses it to verify each certificate once even though the two-phase
-// sharing protocol delivers up to f+1 copies per replica.
-func ShareKey(m *GlobalShare) (ShareDedupKey, bool) {
-	if m.Cert == nil {
-		return ShareDedupKey{}, false
-	}
-	return ShareDedupKey{
-		Cluster: m.Cluster,
-		Round:   m.Round,
-		Cert:    m.Cert.CertDigest(),
-		Batch:   m.Cert.Batch.Digest(),
-	}, true
-}
-
-// ShareDedupKey identifies one verified certificate share (see ShareKey).
-// Round is part of the key even though CertDigest covers Cert.Seq: the
-// claimed round lives outside the certificate, and PreVerify's Seq == Round
-// check must not be satisfiable by a cached verdict for a different round.
-type ShareDedupKey struct {
-	Cluster types.ClusterID
-	Round   uint64
-	Cert    types.Digest
-	Batch   types.Digest
 }

@@ -1,0 +1,205 @@
+package core
+
+import (
+	"time"
+
+	"resilientdb/internal/types"
+)
+
+// Vouching: who checks another cluster's certificate.
+//
+// The origin primary sends a certificate to f+1 replicas of each other
+// cluster (shareRound). Those receivers verify its n−f signatures and
+// broadcast it to their cluster; nobody else ever broadcasts one. A replica
+// that gets the certificate from a member of its own cluster therefore does
+// not verify it on arrival. It records the sender as a voucher for exactly
+// those bytes (ShareKey) and accepts the certificate, without a signature
+// check, once f+1 distinct members have forwarded the same bytes: with at most
+// f faulty members one of them is honest, and an honest member sends only what
+// it holds accepted — which it verified itself or, answering a DRvc for a
+// round it accepted here, took from f+1 members that held it accepted before
+// it did; followed back, every such chain starts at a member that verified.
+// Forwards rest on the same thing votes do: the authenticated channel names
+// the sender (crypto.FrameMAC over TCP; transport.Mem is one address space).
+//
+// A copy still short of f+1 vouchers one shareGrace after the first forward
+// for its round arrived is verified by the holder itself — a faulty or slow
+// receiver costs the rest of its cluster that one wait and the n−f checks,
+// per round, and the rounds in flight wait side by side, not in turn. What is
+// accepted this way is not broadcast either.
+
+// ShareDedupKey identifies the bytes of one certificate share (see ShareKey).
+// Round is part of the key even though CertDigest covers Cert.Seq: the
+// claimed round lives outside the certificate.
+type ShareDedupKey struct {
+	Cluster types.ClusterID
+	Round   uint64
+	Cert    types.Digest
+	Batch   types.Digest
+}
+
+// ShareKey returns the key two forwards of a GlobalShare must agree on to
+// count as forwards of the same share: equal keys mean the same origin
+// cluster and round, the same certificate content — signer set and signature
+// bytes included — and the same batch bytes, so what one holder verified is
+// what the other holds. ok is false for a share without a certificate.
+func ShareKey(m *GlobalShare) (key ShareDedupKey, ok bool) {
+	if m.Cert == nil {
+		return ShareDedupKey{}, false
+	}
+	return ShareDedupKey{
+		Cluster: m.Cluster,
+		Round:   m.Round,
+		Cert:    m.Cert.CertDigest(),
+		Batch:   m.Cert.Batch.Digest(),
+	}, true
+}
+
+// shareSlot names the one certificate a cluster owes a round.
+type shareSlot struct {
+	cluster types.ClusterID
+	round   uint64
+}
+
+// candidate is one distinct copy forwarded for a slot: the first message that
+// carried these bytes, and who has forwarded them.
+type candidate struct {
+	key      ShareDedupKey
+	share    *GlobalShare
+	vouchers []types.NodeID
+}
+
+// pendingShare holds the forwards for one slot until one copy has f+1
+// vouchers, the slot's certificate arrives some other way, or the grace that
+// started with the first forward runs out. A member's first forward for the
+// slot is the only one kept, so a slot holds at most one candidate per member.
+type pendingShare struct {
+	slot  shareSlot
+	seen  time.Duration // when the first forward arrived
+	cands []candidate   // arrival order
+}
+
+// isLocalPeer reports whether id can vouch: another replica of this cluster.
+// It reads only construction-time state (PreVerify calls it from the pool).
+func (r *Replica) isLocalPeer(id types.NodeID) bool {
+	if id == r.cfg.Self || id.IsClient() {
+		return false
+	}
+	for _, m := range r.members {
+		if m == id {
+			return true
+		}
+	}
+	return false
+}
+
+// vouch records from, the authenticated sender, as a voucher for the bytes of
+// m, and accepts m's certificate once f+1 members have forwarded those bytes.
+// The caller has checked that the slot is open: a remote cluster's round
+// inside the pipeline window, no certificate set.
+func (r *Replica) vouch(from types.NodeID, m *GlobalShare) {
+	key, _ := ShareKey(m)
+	slot := shareSlot{m.Cluster, m.Round}
+	p := r.vouching[slot]
+	if p == nil {
+		p = &pendingShare{slot: slot, seen: r.env.Now()}
+		r.vouching[slot] = p
+		r.vouchQueue = append(r.vouchQueue, p)
+		r.armVouchTimer()
+	}
+	match := -1
+	for i := range p.cands {
+		for _, v := range p.cands[i].vouchers {
+			if v == from {
+				return // one forward per member and slot
+			}
+		}
+		if p.cands[i].key == key {
+			match = i
+		}
+	}
+	if match < 0 {
+		p.cands = append(p.cands, candidate{key: key, share: m})
+		match = len(p.cands) - 1
+	}
+	c := &p.cands[match]
+	c.vouchers = append(c.vouchers, from)
+	if len(c.vouchers) > r.cfg.Topo.F() {
+		r.vouched.Add(1)
+		r.acceptShare(c.share)
+	}
+}
+
+// settle closes a slot: what is held for it no longer counts and its grace no
+// longer matters. The queue entry is skipped when it reaches the head.
+func (r *Replica) settle(slot shareSlot) {
+	if r.vouching[slot] != nil {
+		delete(r.vouching, slot)
+		r.armVouchTimer()
+	}
+}
+
+// settled reports whether p no longer waits (see settle).
+func (r *Replica) settled(p *pendingShare) bool { return r.vouching[p.slot] != p }
+
+// popVouchQueue removes the queue's head.
+func (r *Replica) popVouchQueue() {
+	r.vouchQueue[0] = nil
+	r.vouchQueue = r.vouchQueue[1:]
+}
+
+// armVouchTimer keeps one timer armed, for the oldest open slot, and none
+// when nothing is held. Slots enter the queue as their first forward arrives,
+// so the head's grace always runs out first.
+func (r *Replica) armVouchTimer() {
+	for len(r.vouchQueue) > 0 && r.settled(r.vouchQueue[0]) {
+		r.popVouchQueue()
+	}
+	switch {
+	case len(r.vouchQueue) == 0:
+		if r.vouchTimer != nil {
+			r.vouchTimer.Stop()
+			r.vouchTimer = nil
+		}
+	case r.vouchTimer == nil:
+		wait := r.vouchQueue[0].seen + shareGrace - r.env.Now()
+		r.vouchTimer = r.env.SetTimer(max(wait, 0), r.onShareGrace)
+	}
+}
+
+// onShareGrace runs when the oldest open slot has waited one grace: every
+// slot that old is decided by this replica's own verification, its copies
+// taken in the order they arrived. The first that verifies is accepted; one
+// that does not is a forgery by the member that forwarded it, rejected and
+// counted like any bad share. A slot left without a certificate starts over,
+// with a new grace, at the next forward.
+func (r *Replica) onShareGrace() {
+	r.vouchTimer = nil
+	now := r.env.Now()
+	var due []*pendingShare
+	for len(r.vouchQueue) > 0 {
+		p := r.vouchQueue[0]
+		if !r.settled(p) {
+			if p.seen+shareGrace > now {
+				break
+			}
+			delete(r.vouching, p.slot)
+			due = append(due, p)
+		}
+		r.popVouchQueue()
+	}
+	r.armVouchTimer()
+	for _, p := range due {
+		if p.slot.round <= r.executedRound.Load() {
+			continue // executed meanwhile (catch-up)
+		}
+		for _, c := range p.cands {
+			if r.verifyShare(c.share) {
+				r.selfVerified.Add(1)
+				r.acceptShare(c.share)
+				break
+			}
+			r.noteReject()
+		}
+	}
+}

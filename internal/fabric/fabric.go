@@ -542,7 +542,6 @@ type Node struct {
 	outQ    chan transport.Envelope
 	batchQ  chan types.Transaction
 
-	seen  shareCache // verified-certificate dedup (verify pool only)
 	pool  *mempool.Pool
 	drops metrics.Drops
 
@@ -859,7 +858,7 @@ func (n *Node) startVerifyPipeline() {
 			for {
 				select {
 				case j := <-n.verifyQ:
-					j.verdict = n.preVerify(j.from, j.msg)
+					j.verdict = n.replica.PreVerify(n.env.suite, j.from, j.msg)
 					j.done <- struct{}{}
 				case <-n.quit:
 					return
@@ -909,26 +908,6 @@ func (n *Node) startVerifyPipeline() {
 			}
 		}
 	}()
-}
-
-// preVerify runs the concurrent checks for one message, with a dedup cache
-// for certificate shares: the two-phase sharing protocol delivers up to f+1
-// copies of each certificate per replica, and verifying n−f ed25519
-// signatures per copy would waste most of the pool's CPU.
-func (n *Node) preVerify(from types.NodeID, msg types.Message) proto.Verdict {
-	if gs, ok := msg.(*core.GlobalShare); ok {
-		if key, keyed := core.ShareKey(gs); keyed {
-			if n.seen.has(key) {
-				return proto.VerdictVerified
-			}
-			v := n.replica.PreVerify(n.env.suite, from, msg)
-			if v == proto.VerdictVerified {
-				n.seen.add(key)
-			}
-			return v
-		}
-	}
-	return n.replica.PreVerify(n.env.suite, from, msg)
 }
 
 // shedRequest runs the unauthenticated admission fast path (mempool.Precheck)
@@ -1002,6 +981,7 @@ func (n *Node) CryptoStats() metrics.CryptoStats {
 	var s metrics.CryptoStats
 	s.Signs, s.Verifies = n.env.suite.Ops()
 	s.BadVoteSigs, s.Unprovable = n.replica.ProofStats()
+	s.SharesVouched, s.SharesSelfVerified = n.replica.ShareStats()
 	return s
 }
 
@@ -1035,39 +1015,6 @@ func (n *Node) SnapshotStats() metrics.SnapshotStats {
 		}
 	}
 	return s
-}
-
-// shareCache is a bounded set of verified certificate-share keys shared by
-// the verify pool's goroutines. Two generations rotate out old entries so
-// memory stays bounded without per-entry bookkeeping; a miss on a previously
-// verified share only costs a redundant (correct) re-verification.
-type shareCache struct {
-	mu        sync.Mutex
-	cur, prev map[core.ShareDedupKey]struct{}
-}
-
-const shareCacheGen = 4096
-
-func (c *shareCache) has(k core.ShareDedupKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.cur[k]; ok {
-		return true
-	}
-	_, ok := c.prev[k]
-	return ok
-}
-
-func (c *shareCache) add(k core.ShareDedupKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cur == nil {
-		c.cur = make(map[core.ShareDedupKey]struct{}, shareCacheGen)
-	}
-	c.cur[k] = struct{}{}
-	if len(c.cur) >= shareCacheGen {
-		c.prev, c.cur = c.cur, make(map[core.ShareDedupKey]struct{}, shareCacheGen)
-	}
 }
 
 // stop halts the pipeline and returns once every goroutine of the node has

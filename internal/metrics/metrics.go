@@ -184,6 +184,16 @@ type CryptoStats struct {
 	// response cut short, a proven read or snapshot refused, a view-change
 	// claim sent short. The asker goes to another replica.
 	Unprovable uint64 `json:"unprovable"`
+	// SharesVouched counts other clusters' certificates this replica
+	// accepted without a signature check because f+1 members of its own
+	// cluster forwarded identical bytes. SharesSelfVerified counts forwarded
+	// certificates it verified itself instead: the forwards were still short
+	// of f+1 one grace after the first (a receiver is down, slow or lying),
+	// or the round lay beyond the pipeline window. Self-verified over vouched
+	// is the fallback fraction; certificates a replica received from the
+	// origin cluster and verified on arrival are in neither.
+	SharesVouched      uint64 `json:"shares_vouched"`
+	SharesSelfVerified uint64 `json:"shares_self_verified"`
 }
 
 // Add accumulates o into s.
@@ -192,6 +202,8 @@ func (s *CryptoStats) Add(o CryptoStats) {
 	s.Signs += o.Signs
 	s.BadVoteSigs += o.BadVoteSigs
 	s.Unprovable += o.Unprovable
+	s.SharesVouched += o.SharesVouched
+	s.SharesSelfVerified += o.SharesSelfVerified
 }
 
 // SnapshotStats counts checkpoint-snapshot and ledger-GC activity at one

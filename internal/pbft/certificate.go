@@ -62,11 +62,12 @@ func (c *Certificate) Verify(suite *crypto.Suite, members []types.NodeID, quorum
 }
 
 // CertDigest returns a digest committing to the certificate (used by ledger
-// blocks and the verify pool's share-dedup key). It must not assume the
-// certificate is well-formed: wire-decoded certificates can carry mismatched
-// signer/signature counts (they fail Verify, but CertDigest may run first —
-// e.g. while computing a dedup key), so a missing signature hashes as empty
-// instead of panicking.
+// blocks and by core.ShareKey, on which forwarded copies of a share are
+// matched). It must not assume the certificate is well-formed: wire-decoded
+// certificates can carry mismatched signer/signature counts (they fail
+// Verify, but CertDigest may run first — a forwarded copy is keyed before
+// anyone verifies it), so a missing signature hashes as empty instead of
+// panicking.
 func (c *Certificate) CertDigest() types.Digest {
 	enc := types.NewEncoder(128 + 16*len(c.Signers))
 	enc.String("pbft/CERT")

@@ -111,8 +111,8 @@ func TestCertDigestCommitsToSignerSet(t *testing.T) {
 
 // TestCertDigestMalformed pins the panic-free contract: a wire-decoded
 // certificate can claim more signers than it carries signatures (it fails
-// Verify, but CertDigest may run first, e.g. for the verify pool's dedup
-// key), and CertDigest must survive it.
+// Verify, but CertDigest may run first: core keys a forwarded share before
+// anyone verifies it), and CertDigest must survive it.
 func TestCertDigestMalformed(t *testing.T) {
 	c := &Certificate{
 		Seq:     3,

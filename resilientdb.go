@@ -54,8 +54,10 @@ type RoundStats = metrics.RoundStats
 
 // CryptoStats counts digital-signature work — ed25519 operations run, votes
 // found badly signed when a proof was assembled, shows declined for want of a
-// proof (the Crypto field of Stats; divide by executed rounds for the cost of
-// a round).
+// proof, and how other clusters' certificates forwarded inside a cluster were
+// accepted: on f+1 matching forwards with no check, or verified by the holder
+// after a grace (the Crypto field of Stats; divide by executed rounds for the
+// cost of a round).
 type CryptoStats = metrics.CryptoStats
 
 // Options configures a fabric deployment.
