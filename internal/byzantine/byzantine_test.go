@@ -121,7 +121,7 @@ func TestForgedSharesAllFailVerification(t *testing.T) {
 	}
 
 	remote := w.topo.ReplicaID(0, 1)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		ds, ok := adv.Rewrite(remote, share)
 		if !ok || len(ds) != 1 {
 			t.Fatalf("variant %d: intercepted=%v deliveries=%d", i, ok, len(ds))
@@ -139,17 +139,18 @@ func TestForgedSharesAllFailVerification(t *testing.T) {
 	if !cert.Verify(w.suites[0], members, w.quorum()) {
 		t.Fatal("forgery mutated the shared original certificate")
 	}
-	if st := adv.Stats(); st.Tampered != 4 {
+	if st := adv.Stats(); st.Tampered != 5 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 // TestForgedForwardsKeyedOnLocalRecipients: the Local variant leaves what the
 // replica sends to other clusters alone and replaces each copy it forwards
-// inside its own cluster by two forgeries — one of the same round, whose bytes
-// (core.ShareKey) differ from the genuine copy's so it can never be counted
-// with it, and one relabelled to the next round, well-formed enough to be held
-// (Seq == Round). Neither verifies.
+// inside its own cluster by two forgeries — one of the same round, which can
+// never be counted with the genuine copy: its key (core.ShareKey) differs, or
+// it has none (the padded variant, every genuine byte plus a signature, which
+// an honest replica rejects unkeyed) — and one relabelled to the next round,
+// well formed (Seq == Round, a key) so that it is held. Neither verifies.
 func TestForgedForwardsKeyedOnLocalRecipients(t *testing.T) {
 	w := newWorld()
 	fleet := byzantine.NewFleet(7)
@@ -165,7 +166,8 @@ func TestForgedForwardsKeyedOnLocalRecipients(t *testing.T) {
 	if _, ok := adv.Rewrite(w.topo.ReplicaID(1, 1), share); ok {
 		t.Fatal("forward-forger touched cross-cluster traffic")
 	}
-	for i := 0; i < 4; i++ {
+	unkeyed := 0
+	for i := 0; i < 5; i++ {
 		ds, ok := adv.Rewrite(w.topo.ReplicaID(0, 2), share)
 		if !ok || len(ds) != 2 {
 			t.Fatalf("variant %d: intercepted=%v deliveries=%d, want 2", i, ok, len(ds))
@@ -175,8 +177,15 @@ func TestForgedForwardsKeyedOnLocalRecipients(t *testing.T) {
 			if forged.Round != share.Round+uint64(j) || forged.Cert.Seq != forged.Round {
 				t.Fatalf("variant %d/%d: round %d seq %d", i, j, forged.Round, forged.Cert.Seq)
 			}
-			if key, _ := core.ShareKey(forged); key == genuine {
+			key, ok := core.ShareKey(forged)
+			if key == genuine {
 				t.Fatalf("variant %d/%d: forgery has the genuine copy's key", i, j)
+			}
+			if !ok && j == 1 {
+				t.Fatalf("variant %d: the next-round forgery has no key and would not be held", i)
+			}
+			if !ok {
+				unkeyed++
 			}
 			if forged.Cert.Verify(w.suites[0], members, w.quorum()) && forged.Cert.Digest == forged.Cert.Batch.Digest() {
 				t.Fatalf("variant %d/%d: forged certificate verifies", i, j)
@@ -186,7 +195,10 @@ func TestForgedForwardsKeyedOnLocalRecipients(t *testing.T) {
 	if !cert.Verify(w.suites[0], members, w.quorum()) || share.Round != 3 {
 		t.Fatal("forgery mutated the shared original")
 	}
-	if st := adv.Stats(); st.Tampered != 4 || st.Injected != 4 {
+	if unkeyed != 2 {
+		t.Errorf("%d same-round forgeries without a key, want 2 (a signature short, a signature too many)", unkeyed)
+	}
+	if st := adv.Stats(); st.Tampered != 5 || st.Injected != 5 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -40,7 +40,7 @@ func CorpusMessages() []types.Message {
 	var out []types.Message
 	gs := &core.GlobalShare{Cluster: blocks[2].Cluster, Round: blocks[2].Round,
 		Cert: blocks[2].Cert.(*pbft.Certificate)}
-	for n := 0; n < 4; n++ {
+	for n := 0; n < 5; n++ {
 		out = append(out, forgeShare(gs, n))
 	}
 	resp := &core.CatchUpResp{Blocks: blocks, Height: src.Height()}

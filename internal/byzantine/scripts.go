@@ -166,7 +166,9 @@ func (DoubleVoter) Rewrite(a *Adversary, to types.NodeID, msg types.Message) ([]
 // copies of another cluster's certificate the compromised replica forwards to
 // members of its own cluster, which count forwards instead of verifying each
 // copy. Every forward is garbled, so it races the honest receiver's genuine
-// copy of the same round; and with each goes a forgery relabelled to the next
+// copy of the same round — one variant is the genuine certificate with a
+// signature appended, which must not pass for the genuine copy where forwards
+// are matched; and with each goes a forgery relabelled to the next
 // round, which arrives alone, ahead of any genuine copy. A lone sender is
 // below the f+1 matching forwards acceptance takes: no forgery may ever be
 // accepted, each one a member ends up verifying for itself must be rejected
@@ -203,7 +205,7 @@ func (s *ShareForger) Rewrite(a *Adversary, to types.NodeID, msg types.Message) 
 	out := []transport.Delivery{{To: to, Msg: forgeShare(gs, n)}}
 	if s.Local {
 		a.injected.Add(1)
-		ahead := forgeShare(gs, 2) // a signature short: fails before any ed25519 runs
+		ahead := forgeShare(gs, 0) // well formed, so it is held; fails at the first signature
 		ahead.Round++
 		ahead.Cert.Seq++
 		out = append(out, transport.Delivery{To: to, Msg: ahead})
@@ -226,7 +228,7 @@ func forgeShare(gs *core.GlobalShare, n int) *core.GlobalShare {
 	for i, sig := range src.Sigs {
 		cert.Sigs[i] = append([]byte(nil), sig...)
 	}
-	switch n % 4 {
+	switch n % 5 {
 	case 0: // corrupt one commit signature
 		if len(cert.Sigs) > 0 && len(cert.Sigs[0]) > 0 {
 			cert.Sigs[0][0] ^= 0xff
@@ -249,6 +251,10 @@ func forgeShare(gs *core.GlobalShare, n int) *core.GlobalShare {
 			tampered.Txns = []types.Transaction{{Key: 1, Value: 0xbad}}
 		}
 		cert.Batch = tampered
+	case 4: // append a signature: every genuine byte, and one signature too many
+		if len(cert.Sigs) > 0 {
+			cert.Sigs = append(cert.Sigs, append([]byte(nil), cert.Sigs[0]...))
+		}
 	}
 	return &core.GlobalShare{Cluster: gs.Cluster, Round: gs.Round, Cert: cert}
 }

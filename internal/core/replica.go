@@ -174,9 +174,8 @@ type Replica struct {
 
 	// other clusters' certificates forwarded by local members, short of f+1
 	// matching forwards (see vouch.go)
-	vouching   map[shareSlot]*pendingShare
-	vouchQueue []*pendingShare // first-seen order, which is deadline order
-	vouchTimer proto.Timer     // armed for the queue's head; nil when nothing is pending
+	held       []*pendingShare // open slots in first-seen order, which is deadline order
+	vouchTimer proto.Timer     // armed while a slot is open; nil otherwise
 
 	// remote failure detection (initiation role)
 	detTimers  []proto.Timer // per cluster, armed for the blocking round
@@ -224,7 +223,6 @@ func NewReplica(cfg Config) *Replica {
 		myCluster:    int(c.Topo.ClusterOf(c.Self)),
 		members:      c.Topo.ClusterMembers(int(c.Topo.ClusterOf(c.Self))),
 		rounds:       make(map[uint64]*round),
-		vouching:     make(map[shareSlot]*pendingShare),
 		detTimers:    make([]proto.Timer, z),
 		detRound:     make([]uint64, z),
 		detBackoff:   make([]uint, z),
@@ -668,8 +666,8 @@ func (r *Replica) onGlobalShare(from types.NodeID, m *GlobalShare, pre bool) {
 	if rd := r.rounds[m.Round]; rd != nil && rd.certs[c] != nil {
 		return // duplicate
 	}
-	if m.Cert == nil || m.Cert.Seq != m.Round {
-		r.noteReject()
+	if !wellFormed(m) {
+		r.noteReject() // PreVerify rejects these too
 		return
 	}
 	forwarded := r.isLocalPeer(from)

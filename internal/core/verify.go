@@ -41,7 +41,7 @@ func (r *Replica) PreVerify(suite *crypto.Suite, from types.NodeID, msg types.Me
 		if c < 0 || c >= r.cfg.Topo.Clusters || c == r.myCluster {
 			return proto.VerdictReject
 		}
-		if m.Cert == nil || m.Cert.Seq != m.Round {
+		if !wellFormed(m) {
 			return proto.VerdictReject
 		}
 		// Nothing to check here for a round already executed (the worker

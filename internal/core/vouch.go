@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"resilientdb/internal/types"
@@ -38,13 +39,27 @@ type ShareDedupKey struct {
 	Batch   types.Digest
 }
 
+// wellFormed reports whether m has the shape of what it claims to be: a
+// certificate for the claimed round with one signature per signer. A share
+// that has not is rejected before it is keyed, held or verified (the wire
+// decoder reads the two lists independently, so one can arrive). The count
+// matters to vouching: CertDigest hashes one signature per signer, so only
+// for a well-formed certificate does it cover every byte — a genuine
+// certificate with a signature appended would otherwise share the genuine
+// copy's key and be accepted on the genuine copy's vouchers.
+func wellFormed(m *GlobalShare) bool {
+	return m.Cert != nil && m.Cert.Seq == m.Round && len(m.Cert.Signers) == len(m.Cert.Sigs)
+}
+
 // ShareKey returns the key two forwards of a GlobalShare must agree on to
 // count as forwards of the same share: equal keys mean the same origin
 // cluster and round, the same certificate content — signer set and signature
 // bytes included — and the same batch bytes, so what one holder verified is
-// what the other holds. ok is false for a share without a certificate.
+// what the other holds. ok is false for a share the key would not cover byte
+// for byte: one without a certificate, or whose certificate has signers and
+// signatures in unequal number (see wellFormed).
 func ShareKey(m *GlobalShare) (key ShareDedupKey, ok bool) {
-	if m.Cert == nil {
+	if m.Cert == nil || len(m.Cert.Signers) != len(m.Cert.Sigs) {
 		return ShareDedupKey{}, false
 	}
 	return ShareDedupKey{
@@ -73,6 +88,9 @@ type candidate struct {
 // vouchers, the slot's certificate arrives some other way, or the grace that
 // started with the first forward runs out. A member's first forward for the
 // slot is the only one kept, so a slot holds at most one candidate per member.
+// Open slots sit in Replica.held in the order their first forward arrived,
+// which is the order their graces run out; there are at most pipeline window
+// × (clusters − 1) of them, so a slot is found by walking the slice.
 type pendingShare struct {
 	slot  shareSlot
 	seen  time.Duration // when the first forward arrived
@@ -93,18 +111,29 @@ func (r *Replica) isLocalPeer(id types.NodeID) bool {
 	return false
 }
 
+// heldAt returns the index of slot in r.held, or -1.
+func (r *Replica) heldAt(slot shareSlot) int {
+	for i, p := range r.held {
+		if p.slot == slot {
+			return i
+		}
+	}
+	return -1
+}
+
 // vouch records from, the authenticated sender, as a voucher for the bytes of
 // m, and accepts m's certificate once f+1 members have forwarded those bytes.
-// The caller has checked that the slot is open: a remote cluster's round
-// inside the pipeline window, no certificate set.
+// The caller has checked that m is well formed and the slot open: a remote
+// cluster's round inside the pipeline window, no certificate set.
 func (r *Replica) vouch(from types.NodeID, m *GlobalShare) {
 	key, _ := ShareKey(m)
 	slot := shareSlot{m.Cluster, m.Round}
-	p := r.vouching[slot]
-	if p == nil {
+	var p *pendingShare
+	if i := r.heldAt(slot); i >= 0 {
+		p = r.held[i]
+	} else {
 		p = &pendingShare{slot: slot, seen: r.env.Now()}
-		r.vouching[slot] = p
-		r.vouchQueue = append(r.vouchQueue, p)
+		r.held = append(r.held, p)
 		r.armVouchTimer()
 	}
 	match := -1
@@ -131,38 +160,26 @@ func (r *Replica) vouch(from types.NodeID, m *GlobalShare) {
 }
 
 // settle closes a slot: what is held for it no longer counts and its grace no
-// longer matters. The queue entry is skipped when it reaches the head.
+// longer matters.
 func (r *Replica) settle(slot shareSlot) {
-	if r.vouching[slot] != nil {
-		delete(r.vouching, slot)
+	if i := r.heldAt(slot); i >= 0 {
+		r.held = slices.Delete(r.held, i, i+1)
 		r.armVouchTimer()
 	}
 }
 
-// settled reports whether p no longer waits (see settle).
-func (r *Replica) settled(p *pendingShare) bool { return r.vouching[p.slot] != p }
-
-// popVouchQueue removes the queue's head.
-func (r *Replica) popVouchQueue() {
-	r.vouchQueue[0] = nil
-	r.vouchQueue = r.vouchQueue[1:]
-}
-
-// armVouchTimer keeps one timer armed, for the oldest open slot, and none
-// when nothing is held. Slots enter the queue as their first forward arrives,
-// so the head's grace always runs out first.
+// armVouchTimer keeps one timer armed while a slot is open and none when
+// nothing is held. It is set for the oldest open slot; when that one settles
+// first the timer fires early, finds nothing due and is set again.
 func (r *Replica) armVouchTimer() {
-	for len(r.vouchQueue) > 0 && r.settled(r.vouchQueue[0]) {
-		r.popVouchQueue()
-	}
 	switch {
-	case len(r.vouchQueue) == 0:
+	case len(r.held) == 0:
 		if r.vouchTimer != nil {
 			r.vouchTimer.Stop()
 			r.vouchTimer = nil
 		}
 	case r.vouchTimer == nil:
-		wait := r.vouchQueue[0].seen + shareGrace - r.env.Now()
+		wait := r.held[0].seen + shareGrace - r.env.Now()
 		r.vouchTimer = r.env.SetTimer(max(wait, 0), r.onShareGrace)
 	}
 }
@@ -176,18 +193,12 @@ func (r *Replica) armVouchTimer() {
 func (r *Replica) onShareGrace() {
 	r.vouchTimer = nil
 	now := r.env.Now()
-	var due []*pendingShare
-	for len(r.vouchQueue) > 0 {
-		p := r.vouchQueue[0]
-		if !r.settled(p) {
-			if p.seen+shareGrace > now {
-				break
-			}
-			delete(r.vouching, p.slot)
-			due = append(due, p)
-		}
-		r.popVouchQueue()
+	n := 0
+	for n < len(r.held) && r.held[n].seen+shareGrace <= now {
+		n++
 	}
+	due := slices.Clone(r.held[:n])
+	r.held = slices.Delete(r.held, 0, n)
 	r.armVouchTimer()
 	for _, p := range due {
 		if p.slot.round <= r.executedRound.Load() {

@@ -452,3 +452,111 @@ func TestShareBeyondWindowIsVerifiedOnArrival(t *testing.T) {
 		t.Errorf("%d vouched, %d self-verified, %d forwards, catch-up supervised=%v; want 0, 1, 0, true", vouched, self, forwards, r.catchupTimer != nil)
 	}
 }
+
+// padded returns a copy of a share with one more signature than it has
+// signers: every byte the genuine certificate has, plus a trailing one. It
+// fails Verify on the count alone.
+func padded(gs *GlobalShare) *GlobalShare {
+	cert := *gs.Cert
+	cert.Sigs = append(append([][]byte(nil), gs.Cert.Sigs...), gs.Cert.Sigs[0])
+	return &GlobalShare{Cluster: gs.Cluster, Round: gs.Round, Cert: &cert}
+}
+
+// TestPaddedForwardCannotRideOnGenuineVouchers: a faulty member forwards the
+// genuine certificate with a signature appended — first, since it skips the
+// checks an honest receiver runs. Were that copy keyed like the genuine one,
+// the honest receiver's forward would complete f+1 vouchers for it and a
+// certificate that fails Verify would be kept. It is not held at all: a share
+// with unequal signer and signature counts is rejected and counted on arrival,
+// and the round executes on two members' genuine copies, whose certificate —
+// the one the ledger keeps — verifies.
+func TestPaddedForwardCannotRideOnGenuineVouchers(t *testing.T) {
+	net := newManualNet(t, 2, 4, Config{})
+	rejects := net.countRejects()
+	victim := net.topo.ReplicaID(1, 3)
+	good := starve(t, net, victim)
+	r := net.reps[victim]
+
+	if _, ok := ShareKey(padded(good)); ok {
+		t.Error("ShareKey keyed a certificate it does not cover byte for byte")
+	}
+	net.deliver(net.topo.ReplicaID(1, 1), victim, padded(good))
+	if rejects[victim] != 1 || len(r.held) != 0 {
+		t.Fatalf("padded copy: %d rejects, %d slots held; want 1, 0", rejects[victim], len(r.held))
+	}
+	net.deliver(net.topo.ReplicaID(1, 2), victim, good)
+	if r.ExecutedRound() != 0 {
+		t.Fatal("the padded copy counted as a voucher for the genuine one")
+	}
+	net.deliver(net.topo.ReplicaID(1, 0), victim, good)
+	if r.ExecutedRound() != 1 {
+		t.Fatal("two members forwarded the genuine copy and the round did not execute")
+	}
+	if vouched, self := r.ShareStats(); vouched != 1 || self != 0 {
+		t.Errorf("%d vouched, %d self-verified; want 1, 0", vouched, self)
+	}
+	cert, _ := r.Ledger().Block(1).Cert.(*pbft.Certificate)
+	if cert != good.Cert || !cert.Verify(r.env.Suite(), net.topo.ClusterMembers(0), 3) {
+		t.Error("the block of cluster 0 does not carry the genuine, verifying certificate")
+	}
+}
+
+// TestLaggingReplicaServedByVouchOnlyHolders: an honest replica re-sends what
+// it holds accepted, not only what it verified — a DRvc is answered from the
+// round state or the ledger (certAt). Here a replica that missed round 1
+// altogether asks for it, and the only answers that reach it come from the
+// three members that themselves accepted the round on forwards, without a
+// signature check. Their copies are vouchers like any other: f+1 of them and
+// the round executes, no verify run and no grace waited, and the certificate
+// kept verifies — it is byte for byte the one the receivers verified, because
+// the key those holders matched it on covers every byte (n = 7, f = 2: the
+// smallest cluster with f+1 such holders beside the one that lags).
+func TestLaggingReplicaServedByVouchOnlyHolders(t *testing.T) {
+	const n, timeout = 7, 100 * time.Millisecond
+	net := newManualNet(t, 2, n, Config{RemoteTimeout: timeout})
+	victim := net.topo.ReplicaID(1, 6)
+	good := starve(t, net, victim)
+	r := net.reps[victim]
+
+	// Round 1 went to local indices 1, 2 and 3; the others counted forwards.
+	verified := func(id types.NodeID) bool { idx := net.topo.LocalIndex(id); return 1 <= idx && idx <= 3 }
+	for _, id := range net.topo.ClusterMembers(1) {
+		vouched, self := net.reps[id].ShareStats()
+		want := uint64(1)
+		if verified(id) {
+			want = 0
+		}
+		if id != victim && (vouched != want || self != 0) {
+			t.Fatalf("setup: replica %v: %d vouched, %d self-verified; want %d, 0", id, vouched, self, want)
+		}
+	}
+	answers := 0
+	net.hold = func(m manualMsg) bool {
+		_, isShare := m.msg.(*GlobalShare)
+		return isShare && m.to == victim && verified(m.from)
+	}
+	net.sent = func(m manualMsg) {
+		if _, isShare := m.msg.(*GlobalShare); isShare && m.to == victim {
+			answers++
+		}
+	}
+	_, before := net.ops(victim)
+	net.advance(timeout - time.Nanosecond)
+	if r.ExecutedRound() != 0 || answers != 0 {
+		t.Fatalf("before the detection timeout: executed round %d, %d answers", r.ExecutedRound(), answers)
+	}
+	net.advance(time.Nanosecond) // the victim's DRvc goes out and is answered
+	if r.ExecutedRound() != 1 || answers != 3 {
+		t.Fatalf("executed round %d on %d answers from members that never verified; want 1 on 3", r.ExecutedRound(), answers)
+	}
+	if _, after := net.ops(victim); after != before {
+		t.Errorf("the lagging replica ran %d verifies", after-before)
+	}
+	if vouched, self := r.ShareStats(); vouched != 1 || self != 0 || net.vouchTimers() != 0 {
+		t.Errorf("%d vouched, %d self-verified, %d share-grace timers armed; want 1, 0, 0", vouched, self, net.vouchTimers())
+	}
+	cert, _ := r.Ledger().Block(1).Cert.(*pbft.Certificate)
+	if cert != good.Cert || !cert.Verify(r.env.Suite(), net.topo.ClusterMembers(0), n-2) {
+		t.Error("the block of cluster 0 does not carry the genuine, verifying certificate")
+	}
+}

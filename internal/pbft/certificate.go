@@ -67,7 +67,10 @@ func (c *Certificate) Verify(suite *crypto.Suite, members []types.NodeID, quorum
 // certificates can carry mismatched signer/signature counts (they fail
 // Verify, but CertDigest may run first — a forwarded copy is keyed before
 // anyone verifies it), so a missing signature hashes as empty instead of
-// panicking.
+// panicking. It hashes one signature per signer: it commits to every byte of a
+// certificate whose two lists are equally long, and not to signatures beyond
+// the last signer — which is why core.ShareKey keys no certificate that has
+// any.
 func (c *Certificate) CertDigest() types.Digest {
 	enc := types.NewEncoder(128 + 16*len(c.Signers))
 	enc.String("pbft/CERT")
