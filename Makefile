@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt fuzz bench bench-wan chaos docs-check ab
+.PHONY: check build test race vet fmt fuzz chaos docs-check benchmark ab
 
 check: vet race
 
@@ -55,28 +55,12 @@ fuzz:
 chaos:
 	CHAOS_MATRIX=full $(GO) test -race -v -count=1 -run 'TestChaosScenarios|TestByzantine|TestRunEnforcesFaultBound' ./internal/chaos/
 
-# Performance suite: fabric macro-benchmark (Real crypto, Mem + TCP loopback,
-# serial vs verify pool, plus the 10k-client admission-saturation shape),
-# the snapshot-bootstrap column (verify+install cost of joining from a
-# checkpoint across state sizes) and codec micro-benchmarks; writes
-# BENCH_PR7.json with txn/s, allocs/op, drop counts and the peak mempool
-# length. See README "Performance" for how to read the numbers (especially
-# on 1-core hosts). Durability micro-benchmarks (ledger append under each
-# fsync policy, disk bootstrap) live in ./internal/ledger/disk:
-#   go test -run '^$' -bench . ./internal/ledger/disk/
-bench:
-	$(GO) run ./cmd/fabricbench -out BENCH_PR7.json
-
-# WAN benchmark: a geo-emulated deployment — one authenticated TCP transport
-# per replica and per client, with Table 1 (Google Cloud) latency shaped
-# between cluster regions — measuring per-region client commit latency, the
-# injected cross-cluster RTT matrix certificate sharing pays, and throughput
-# versus uniformly injected RTT; writes BENCH_WAN.json. See README
-# "Operations" for the workflow (and the 1-core caveat when reading absolute
-# numbers).
-bench-wan:
-	$(GO) run ./cmd/wanbench -clusters 3 -replicas 4 -duration 3s \
-		-sweep 0ms,50ms,100ms,200ms -out BENCH_WAN.json
+# The repository benchmark (benchmark/, BENCHMARK.json): one run of the real
+# fabric through the correctness gate; the last stdout line is the result
+# JSON. ARGS goes to benchmark/run.sh, e.g.
+#   make benchmark ARGS='-workload mem-sat -seed 1'
+benchmark:
+	bash benchmark/run.sh $(ARGS)
 
 # Alternated parent-vs-change benchmark runs (what a perf claim rests on):
 # archives PARENT, runs benchmark/run.sh from it and from this tree N times

@@ -1,12 +1,13 @@
-// Benchmarks regenerating every table and figure of the ResilientDB paper's
-// evaluation (Section 4). Each benchmark drives the calibrated WAN
-// simulator through internal/bench and prints the same rows the paper
-// reports; run them all with
+// Benchmarks modelling the tables and figures of the ResilientDB paper's
+// evaluation (Section 4) for GeoBFT and PBFT. Each benchmark drives the
+// calibrated WAN simulator through internal/bench and prints the same rows
+// the paper reports; run them all with
 //
 //	go test -bench=. -benchmem
 //
-// The numbers are also reproducible via cmd/resbench, and the measured
-// shapes are discussed against the paper in EXPERIMENTS.md.
+// The numbers are also reproducible via cmd/resbench. They are model
+// outputs, not measurements; README.md, "What the reproduction shows", says
+// what they do and do not show.
 package resilientdb
 
 import (
@@ -107,7 +108,7 @@ func BenchmarkFigure13BatchSize(b *testing.B) {
 	}
 }
 
-// Ablations (DESIGN.md Section 4.4): design choices the paper calls out.
+// Ablations: design choices the paper calls out (Sections 2.5 and 4.4).
 
 // BenchmarkAblationFanout compares GeoBFT's f+1 inter-cluster fanout with a
 // naive send-to-everyone variant: same decisions, strictly more global

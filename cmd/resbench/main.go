@@ -1,15 +1,16 @@
-// Command resbench regenerates the tables and figures of the ResilientDB
-// paper's evaluation on the calibrated WAN simulator.
+// Command resbench models the tables and figures of the ResilientDB paper's
+// evaluation for GeoBFT and PBFT on the calibrated WAN simulator.
 //
 // Usage:
 //
-//	resbench -experiment all|table1|table2|fig10|fig11|fig12a|fig12b|fig12c|fig13 [-seed N] [-protocols geobft,pbft,...]
+//	resbench -experiment all|table1|table2|fig10|fig11|fig12a|fig12b|fig12c|fig13 [-seed N] [-protocols geobft,pbft]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,8 +26,13 @@ func main() {
 	protocols := bench.AllProtocols
 	if *protoList != "" {
 		protocols = nil
-		for _, p := range strings.Split(*protoList, ",") {
-			protocols = append(protocols, bench.Protocol(strings.TrimSpace(p)))
+		for _, name := range strings.Split(*protoList, ",") {
+			p := bench.Protocol(strings.TrimSpace(name))
+			if !slices.Contains(bench.AllProtocols, p) {
+				fmt.Fprintf(os.Stderr, "resbench: unknown protocol %q (valid: %v)\n", p, bench.AllProtocols)
+				os.Exit(2)
+			}
+			protocols = append(protocols, p)
 		}
 	}
 

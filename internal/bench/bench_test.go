@@ -54,16 +54,6 @@ func TestGeoBFTBeatsPBFTAtScale(t *testing.T) {
 	}
 }
 
-func TestZyzzyvaCollapsesUnderFailure(t *testing.T) {
-	ok := Run(Scenario{Protocol: Zyzzyva, Clusters: 2, PerCluster: 4,
-		Warmup: time.Second, Measure: 2 * time.Second})
-	fail := Run(Scenario{Protocol: Zyzzyva, Clusters: 2, PerCluster: 4,
-		CrashBackups: 1, Warmup: time.Second, Measure: 2 * time.Second})
-	if fail.Throughput > ok.Throughput/4 {
-		t.Errorf("Zyzzyva under failure %.0f vs %.0f: expected collapse", fail.Throughput, ok.Throughput)
-	}
-}
-
 func TestFanoutAblationTrafficGrows(t *testing.T) {
 	opt := Run(tiny(GeoBFT))
 	all := Run(Scenario{Protocol: GeoBFT, Clusters: 2, PerCluster: 4,

@@ -4,23 +4,22 @@ import (
 	"time"
 
 	"resilientdb/internal/metrics"
+	"resilientdb/internal/pbft"
 	"resilientdb/internal/proto"
 	"resilientdb/internal/simnet"
 	"resilientdb/internal/types"
 	"resilientdb/internal/ycsb"
 )
 
-// quorumClient is the closed-loop load generator shared by the PBFT, GeoBFT,
-// HotStuff and Steward benchmarks (Zyzzyva has its own client protocol). It
-// keeps `window` batches outstanding, completes a batch on quorum matching
-// replies, rebroadcasts on timeout, and reports completions to the
-// collector.
+// quorumClient is the closed-loop load generator of the PBFT and GeoBFT
+// benchmarks. It keeps `window` batches outstanding, completes a batch on
+// quorum matching replies, rebroadcasts on timeout, and reports completions
+// to the collector.
 type quorumClient struct {
-	targets      []types.NodeID // submissions rotate across these
+	target       types.NodeID
 	retryTargets []types.NodeID
 	quorum       int
 	acceptFrom   func(types.NodeID) bool // nil: accept from anyone
-	makeReq      func(types.Batch) types.Message
 	window       int
 	batchSize    int
 	retryAfter   time.Duration
@@ -63,10 +62,10 @@ func (c *quorumClient) submit() {
 	c.env.Suite().ChargeSign()
 	if c.broadcast {
 		for _, m := range c.retryTargets {
-			c.env.Send(m, c.makeReq(b))
+			c.env.Send(m, &pbft.Request{Batch: b})
 		}
 	} else {
-		c.env.Send(c.targets[int(seq)%len(c.targets)], c.makeReq(b))
+		c.env.Send(c.target, &pbft.Request{Batch: b})
 	}
 	c.armRetry(seq)
 }
@@ -82,7 +81,7 @@ func (c *quorumClient) armRetry(seq uint64) {
 		// replicas route to whoever currently leads.
 		c.broadcast = true
 		for _, m := range c.retryTargets {
-			c.env.Send(m, c.makeReq(p.batch))
+			c.env.Send(m, &pbft.Request{Batch: p.batch})
 		}
 		c.armRetry(seq)
 	})

@@ -13,7 +13,8 @@ import (
 // Experiment drivers: one per table/figure of the paper's evaluation.
 // Each returns machine-readable results and can print the rows the paper
 // reports. Absolute numbers are simulator-scale; the shapes (orderings,
-// factors, crossovers) are the reproduction target — see EXPERIMENTS.md.
+// factors, crossovers) are the reproduction target — see README.md, "What
+// the reproduction shows".
 
 // ---------------------------------------------------------------- Table 1
 
@@ -101,7 +102,6 @@ func Table1() []Table1Row {
 			mbit := 0.0
 			if got == nBulk && last > first {
 				bytes := float64(nBulk-1) * (1 << 20) // rate between first and last arrival
-				mbit = bytes * 8 / last.Seconds() / 1e6
 				mbit = bytes * 8 / (last - first).Seconds() / 1e6
 			}
 			rows = append(rows, Table1Row{
@@ -137,20 +137,16 @@ type Table2Row struct {
 	GlobalPerDec  float64
 	FormulaLocal  string
 	FormulaGlobal string
-	Decentralized string
+	Centralized   string
 }
 
 // Table2 measures normal-case message complexity per consensus decision at
 // z=4 clusters of n=7 replicas (f=2), averaged over a steady-state run.
 func Table2() []Table2Row {
 	z, n := 4, 7
-	f := (n - 1) / 3
 	formulas := map[Protocol][3]string{
-		GeoBFT:   {"O(2zn^2)", "O(fz^2)", "no"},
-		PBFT:     {"O(2(zn)^2)", "", "yes"},
-		Zyzzyva:  {"O(zn)", "", "yes"},
-		HotStuff: {"O(8(zn))", "", "partly"},
-		Steward:  {"O(2zn^2)", "O(z^2)", "yes"},
+		GeoBFT: {"O(2zn^2)", "O(fz^2)", "no"},
+		PBFT:   {"O(2(zn)^2)", "", "yes"},
 	}
 	var rows []Table2Row
 	for _, p := range AllProtocols {
@@ -166,10 +162,9 @@ func Table2() []Table2Row {
 		fm := formulas[p]
 		rows = append(rows, Table2Row{
 			Protocol: p, LocalPerDec: local, GlobalPerDec: global,
-			FormulaLocal: fm[0], FormulaGlobal: fm[1], Decentralized: fm[2],
+			FormulaLocal: fm[0], FormulaGlobal: fm[1], Centralized: fm[2],
 		})
 	}
-	_ = f
 	return rows
 }
 
@@ -179,14 +174,8 @@ func PrintTable2(w io.Writer, rows []Table2Row) {
 	fmt.Fprintf(w, "%-10s %14s %14s %14s %12s %14s\n",
 		"protocol", "local/dec", "global/dec", "formula-local", "formula-glob", "centralized")
 	for _, r := range rows {
-		central := "yes"
-		if r.Decentralized == "no" {
-			central = "no"
-		} else if r.Decentralized == "partly" {
-			central = "partly"
-		}
 		fmt.Fprintf(w, "%-10s %14.1f %14.1f %14s %12s %14s\n",
-			r.Protocol, r.LocalPerDec, r.GlobalPerDec, r.FormulaLocal, r.FormulaGlobal, central)
+			r.Protocol, r.LocalPerDec, r.GlobalPerDec, r.FormulaLocal, r.FormulaGlobal, r.Centralized)
 	}
 }
 

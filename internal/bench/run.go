@@ -7,14 +7,10 @@ import (
 	"resilientdb/internal/config"
 	"resilientdb/internal/core"
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/hotstuff"
 	"resilientdb/internal/metrics"
 	"resilientdb/internal/pbft"
 	"resilientdb/internal/simnet"
-	"resilientdb/internal/steward"
 	"resilientdb/internal/types"
-	"resilientdb/internal/ycsb"
-	"resilientdb/internal/zyzzyva"
 )
 
 // BenchCosts is the CPU cost model used by all experiments. It reflects the
@@ -68,7 +64,7 @@ func Run(s Scenario) Result {
 
 	// Primary crash after the configured number of executed transactions
 	// (paper Section 4.3: 900), detected by polling a surviving replica.
-	if s.CrashPrimary && b.watchExec != nil {
+	if s.CrashPrimary {
 		var poll func()
 		crashed := false
 		poll = func() {
@@ -134,13 +130,12 @@ func build(s Scenario, topo config.Topology, net *simnet.Network, collector *met
 		for i := 0; i < s.ClientNodes; i++ {
 			cluster := i % s.Clusters
 			cl := &quorumClient{
-				targets:      []types.NodeID{topo.ReplicaID(cluster, 0)},
+				target:       topo.ReplicaID(cluster, 0),
 				retryTargets: topo.ClusterMembers(cluster),
 				quorum:       topo.F() + 1,
 				acceptFrom: func(from types.NodeID) bool {
 					return int(topo.ClusterOf(from)) == cluster
 				},
-				makeReq:   func(b types.Batch) types.Message { return &pbft.Request{Batch: b} },
 				window:    perWindow,
 				batchSize: s.BatchSize,
 				collector: collector,
@@ -173,10 +168,9 @@ func build(s Scenario, topo config.Topology, net *simnet.Network, collector *met
 		for i := 0; i < s.ClientNodes; i++ {
 			cluster := i % s.Clusters
 			cl := &quorumClient{
-				targets:      []types.NodeID{members[0]}, // primary in Oregon (Section 4)
+				target:       members[0], // primary in Oregon (Section 4)
 				retryTargets: members,
 				quorum:       f + 1,
-				makeReq:      func(b types.Batch) types.Message { return &pbft.Request{Batch: b} },
 				window:       perWindow,
 				batchSize:    s.BatchSize,
 				collector:    collector,
@@ -189,105 +183,6 @@ func build(s Scenario, topo config.Topology, net *simnet.Network, collector *met
 			primary:   members[0],
 			watchExec: func() uint64 { return watch.Store().Applied() },
 		}
-
-	case Zyzzyva:
-		members := topo.AllReplicas()
-		f := (len(members) - 1) / 3
-		for c := 0; c < s.Clusters; c++ {
-			for i := 0; i < s.PerCluster; i++ {
-				id := topo.ReplicaID(c, i)
-				rep := zyzzyva.NewReplica(zyzzyva.Config{
-					Members: members, Self: id, F: f, Records: s.Records,
-				})
-				net.AddNode(id, c, rep)
-			}
-		}
-		for i := 0; i < s.ClientNodes; i++ {
-			cluster := i % s.Clusters
-			wl := ycsb.NewWorkload(s.Records, ycsb.DefaultTheta, int64(i)*104729)
-			var seq uint64
-			id := config.ClientID(i)
-			cl := &zyzzyva.Client{
-				Members: members, F: f, Window: perWindow,
-				SpecTimeout: s.ZyzzyvaSpecGrace,
-				NextBatch: func() (types.Batch, bool) {
-					seq++
-					return wl.MakeBatch(id, seq, s.BatchSize), true
-				},
-			}
-			env := net // capture for closure below
-			_ = env
-			cl.OnComplete = func(_ uint64, submitted time.Duration, txns int) {
-				collector.RecordCompletion(net.Now(), submitted, txns)
-			}
-			net.AddNode(id, cluster, cl)
-		}
-		return built{primary: members[0]} // primary crash unsupported (paper)
-
-	case HotStuff:
-		members := topo.AllReplicas()
-		f := (len(members) - 1) / 3
-		for c := 0; c < s.Clusters; c++ {
-			for i := 0; i < s.PerCluster; i++ {
-				id := topo.ReplicaID(c, i)
-				rep := hotstuff.NewReplica(hotstuff.Config{
-					Members: members, Self: id, F: f, Records: s.Records,
-					PipelinePerChain: 4,
-				})
-				net.AddNode(id, c, rep)
-			}
-		}
-		// Clients target live leaders round-robin (every replica leads).
-		var live []types.NodeID
-		for c := 0; c < s.Clusters; c++ {
-			for i := 0; i < s.PerCluster-s.CrashBackups; i++ {
-				live = append(live, topo.ReplicaID(c, i))
-			}
-		}
-		for i := 0; i < s.ClientNodes; i++ {
-			cluster := i % s.Clusters
-			cl := &quorumClient{
-				targets:      live, // every replica leads; spread the load
-				retryTargets: []types.NodeID{live[(i+1)%len(live)]},
-				quorum:       f + 1,
-				makeReq:      func(b types.Batch) types.Message { return &hotstuff.Request{Batch: b} },
-				window:       perWindow,
-				batchSize:    s.BatchSize,
-				collector:    collector,
-				records:      s.Records,
-			}
-			net.AddNode(config.ClientID(i), cluster, cl)
-		}
-		return built{primary: members[0]}
-
-	case Steward:
-		reps := make(map[types.NodeID]*steward.Replica)
-		for c := 0; c < s.Clusters; c++ {
-			for i := 0; i < s.PerCluster; i++ {
-				id := topo.ReplicaID(c, i)
-				rep := steward.NewReplica(steward.Config{Topo: topo, Self: id, Records: s.Records})
-				reps[id] = rep
-				net.AddNode(id, c, rep)
-			}
-		}
-		for i := 0; i < s.ClientNodes; i++ {
-			cluster := i % s.Clusters
-			cl := &quorumClient{
-				targets:      []types.NodeID{topo.ReplicaID(cluster, 0)},
-				retryTargets: topo.ClusterMembers(cluster),
-				quorum:       topo.F() + 1,
-				acceptFrom: func(from types.NodeID) bool {
-					return int(topo.ClusterOf(from)) == cluster
-				},
-				makeReq:   func(b types.Batch) types.Message { return &steward.Request{Batch: b} },
-				window:    perWindow,
-				batchSize: s.BatchSize,
-				collector: collector,
-				records:   s.Records,
-			}
-			net.AddNode(config.ClientID(i), cluster, cl)
-		}
-		return built{primary: topo.ReplicaID(0, 0)}
 	}
 	panic(fmt.Sprintf("bench: unknown protocol %q", s.Protocol))
 }

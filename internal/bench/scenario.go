@@ -1,5 +1,6 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the ResilientDB paper's evaluation (Section 4). A Scenario
+// Package bench is the experiment harness that models the tables and figures
+// of the ResilientDB paper's evaluation (Section 4) for GeoBFT and PBFT on the
+// simulator; its outputs are model outputs, not measurements. A Scenario
 // describes a deployment — protocol, topology, workload, batch size,
 // failures — and Run wires it into the discrete-event WAN simulator
 // calibrated against Table 1, drives it with closed-loop clients, and
@@ -17,23 +18,20 @@ import (
 	"time"
 
 	"resilientdb/internal/metrics"
-	"resilientdb/internal/types"
 )
 
 // Protocol names a consensus protocol under evaluation.
 type Protocol string
 
-// The five protocols of the paper's evaluation.
+// The two protocols of the paper's evaluation that this harness runs. The
+// paper's other three (Zyzzyva, HotStuff, Steward) are not reproduced.
 const (
-	GeoBFT   Protocol = "geobft"
-	PBFT     Protocol = "pbft"
-	Zyzzyva  Protocol = "zyzzyva"
-	HotStuff Protocol = "hotstuff"
-	Steward  Protocol = "steward"
+	GeoBFT Protocol = "geobft"
+	PBFT   Protocol = "pbft"
 )
 
 // AllProtocols lists the protocols in the paper's plotting order.
-var AllProtocols = []Protocol{GeoBFT, PBFT, Zyzzyva, HotStuff, Steward}
+var AllProtocols = []Protocol{GeoBFT, PBFT}
 
 // Scenario is one experiment configuration.
 type Scenario struct {
@@ -52,8 +50,8 @@ type Scenario struct {
 	// working set; the paper's 600k only affects memory, not behaviour).
 	Records int
 
-	Warmup  time.Duration // zero → 2 s
-	Measure time.Duration // zero → 6 s
+	Warmup  time.Duration // zero → 1 s
+	Measure time.Duration // zero → 3 s
 	Seed    int64
 
 	// CheckpointTxns is the checkpoint interval in transactions (paper:
@@ -61,10 +59,9 @@ type Scenario struct {
 	CheckpointTxns int
 
 	// Failure injection.
-	CrashBackups     int  // backups crashed per cluster at t=0
-	CrashPrimary     bool // crash the Oregon primary mid-run
-	CrashAfterTxns   int  // ... after this many executed txns (paper: 900)
-	ZyzzyvaSpecGrace time.Duration
+	CrashBackups   int  // backups crashed per cluster at t=0
+	CrashPrimary   bool // crash the Oregon primary mid-run
+	CrashAfterTxns int  // ... after this many executed txns (paper: 900)
 
 	// Ablations.
 	Fanout          int  // GeoBFT inter-cluster fanout; 0 → f+1
@@ -96,9 +93,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.CrashAfterTxns == 0 {
 		s.CrashAfterTxns = 900
 	}
-	if s.ZyzzyvaSpecGrace == 0 {
-		s.ZyzzyvaSpecGrace = time.Second
-	}
 	if s.Seed == 0 {
 		s.Seed = 42
 	}
@@ -114,6 +108,3 @@ type Result struct {
 	Batches    int64
 	Events     int64
 }
-
-// TxnID is a convenience alias used by experiment drivers.
-type TxnID = types.NodeID

@@ -36,8 +36,6 @@ func (e *worldEnv) ID() types.NodeID                                { return e.i
 func (e *worldEnv) Now() time.Duration                              { return e.now }
 func (e *worldEnv) Send(to types.NodeID, m types.Message)           {}
 func (e *worldEnv) SetTimer(d time.Duration, fn func()) proto.Timer { return stubTimer{} }
-func (e *worldEnv) Defer(fn func())                                 { fn() }
-func (e *worldEnv) Charge(time.Duration)                            {}
 func (e *worldEnv) Suite() *crypto.Suite                            { return e.suite }
 func (e *worldEnv) Rand() *rand.Rand                                { return e.rng }
 

@@ -31,14 +31,13 @@ type manualTimer struct {
 func (t *manualTimer) Stop() { t.stopped = true }
 
 type manualNet struct {
-	t        *testing.T
-	topo     config.Topology
-	now      time.Duration
-	reps     map[types.NodeID]*Replica
-	clients  map[types.NodeID]*manualClient
-	queue    []manualMsg
-	deferred []func()
-	timers   []*manualTimer
+	t       *testing.T
+	topo    config.Topology
+	now     time.Duration
+	reps    map[types.NodeID]*Replica
+	clients map[types.NodeID]*manualClient
+	queue   []manualMsg
+	timers  []*manualTimer
 	// hold, if set, parks matching messages until release.
 	hold func(m manualMsg) bool
 	held []manualMsg
@@ -59,8 +58,6 @@ type manualEnv struct {
 
 func (e *manualEnv) ID() types.NodeID     { return e.id }
 func (e *manualEnv) Now() time.Duration   { return e.net.now }
-func (e *manualEnv) Defer(fn func())      { e.net.deferred = append(e.net.deferred, fn) }
-func (e *manualEnv) Charge(time.Duration) {}
 func (e *manualEnv) Suite() *crypto.Suite { return e.suite }
 func (e *manualEnv) Rand() *rand.Rand     { return e.rng }
 func (e *manualEnv) Send(to types.NodeID, m types.Message) {
@@ -148,11 +145,6 @@ func (n *manualNet) drain() {
 			r.Receive(m.from, m.msg)
 		} else if c := n.clients[m.to]; c != nil {
 			c.onReply(m.from, m.msg.(*proto.Reply))
-		}
-		for len(n.deferred) > 0 {
-			fn := n.deferred[0]
-			n.deferred = n.deferred[1:]
-			fn()
 		}
 	}
 }

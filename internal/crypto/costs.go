@@ -3,9 +3,9 @@ package crypto
 import "time"
 
 // Costs models the CPU time of each cryptographic operation. The network
-// simulator charges these to a node's virtual CPU so that compute-bound
-// protocols (the paper calls out Steward and HotStuff) saturate exactly
-// where the paper reports.
+// simulator charges these to a node's virtual CPU so that a compute-bound
+// node (a PBFT primary verifying every request) saturates on the same
+// signature work as in the paper.
 //
 // The defaults are calibrated to single-core timings of the primitives the
 // paper uses (Crypto++ ED25519 on 8-core Skylake): ~25 µs per sign, ~65 µs

@@ -1,4 +1,4 @@
-package fabricbench
+package fabric_test
 
 import (
 	"fmt"

@@ -1103,13 +1103,6 @@ func (r *realTimer) Stop() {
 	r.t.Stop()
 }
 
-// Defer implements proto.Env.
-func (e *nodeEnv) Defer(fn func()) { e.node.post(fn) }
-
-// Charge implements proto.Env (real time: CPU is charged by actually
-// spending it).
-func (e *nodeEnv) Charge(time.Duration) {}
-
 // Suite implements proto.Env.
 func (e *nodeEnv) Suite() *crypto.Suite { return e.suite }
 

@@ -31,8 +31,6 @@ func (e *byzEnv) ID() types.NodeID                                { return e.id 
 func (e *byzEnv) Now() time.Duration                              { return 0 }
 func (e *byzEnv) Send(to types.NodeID, m types.Message)           {}
 func (e *byzEnv) SetTimer(d time.Duration, fn func()) proto.Timer { return noTimer{} }
-func (e *byzEnv) Defer(fn func())                                 { fn() }
-func (e *byzEnv) Charge(time.Duration)                            {}
 func (e *byzEnv) Suite() *crypto.Suite                            { return e.suite }
 func (e *byzEnv) Rand() *rand.Rand                                { return e.rng }
 

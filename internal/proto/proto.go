@@ -23,7 +23,7 @@ type Timer interface {
 }
 
 // Env is a node's execution environment: identity, clock, messaging,
-// timers, CPU accounting and cryptography.
+// timers and cryptography.
 type Env interface {
 	// ID returns this node's identifier.
 	ID() types.NodeID
@@ -33,10 +33,6 @@ type Env interface {
 	Send(to types.NodeID, m types.Message)
 	// SetTimer schedules fn after d; the returned timer can be stopped.
 	SetTimer(d time.Duration, fn func()) Timer
-	// Defer schedules fn to run immediately after the current event.
-	Defer(fn func())
-	// Charge bills CPU time to this node.
-	Charge(d time.Duration)
 	// Suite returns this node's cryptographic suite.
 	Suite() *crypto.Suite
 	// Rand returns this node's deterministic randomness source.

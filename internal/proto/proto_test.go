@@ -64,8 +64,6 @@ func TestWrapSimSatisfiesEnv(t *testing.T) {
 		}
 		tm := e.SetTimer(10*time.Millisecond, func() { fired = true })
 		_ = tm
-		e.Defer(func() {})
-		e.Charge(time.Microsecond)
 		if e.Suite() == nil || e.Rand() == nil {
 			t.Error("suite or rand nil")
 		}

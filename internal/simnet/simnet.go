@@ -13,8 +13,8 @@
 //     primary broadcasting large batches to sixty geo-distributed replicas
 //     therefore saturates exactly as in the paper (Section 4.4).
 //   - CPU accounting. A node handles one event at a time; signature and MAC
-//     costs delay its subsequent sends and receives, reproducing the compute
-//     bottlenecks the paper attributes to Steward and HotStuff.
+//     costs delay its subsequent sends and receives, so a node saturates on
+//     the signature work the paper's cost model assigns it.
 //   - Determinism. All randomness derives from a seed; runs are
 //     reproducible bit for bit.
 package simnet
@@ -364,9 +364,6 @@ type Env struct {
 // ID returns the node's identifier.
 func (e *Env) ID() types.NodeID { return e.node.id }
 
-// Region returns the node's region index.
-func (e *Env) Region() int { return e.node.region }
-
 // Now returns the node-local virtual time, including CPU time already
 // charged during the current event.
 func (e *Env) Now() time.Duration { return e.net.now + e.charged }
@@ -420,7 +417,3 @@ func (e *Env) SetTimer(d time.Duration, fn func()) *Timer {
 	})
 	return t
 }
-
-// Defer schedules fn to run on this node as soon as possible after the
-// current event (used to break deep recursion in protocol pipelines).
-func (e *Env) Defer(fn func()) { e.net.schedule(e.Now(), e.node.id, fn) }

@@ -1,21 +1,49 @@
-package fabricbench
+package types_test
 
 import (
 	"testing"
 
 	"resilientdb/internal/core"
 	"resilientdb/internal/pbft"
+	"resilientdb/internal/proto"
 	"resilientdb/internal/types"
 )
 
-// BenchmarkCodec runs the shared wire-codec micro-benchmark matrix (see
-// codec.go) — pooled vs unpooled encoding and decoding for the paper-sized
-// message shapes. Run with -benchmem; cmd/fabricbench records the same cases
-// into the committed bench JSON (BENCH_PR6.json).
-func BenchmarkCodec(b *testing.B) {
-	for _, c := range CodecCases() {
-		b.Run(c.Name, c.Fn)
+// Hot-path message shapes sized like the paper's batch-100 messages.
+
+func sampleBatch(n int) types.Batch {
+	txns := make([]types.Transaction, n)
+	for i := range txns {
+		txns[i] = types.Transaction{Key: uint64(i), Value: uint64(i * 7)}
 	}
+	return types.Batch{Client: types.ClientIDBase + 3, Seq: 42, Txns: txns}
+}
+
+// samplePrePrepare builds a batch-100 proposal (the paper's 5.4 kB message).
+func samplePrePrepare() *pbft.PrePrepare {
+	b := sampleBatch(100)
+	return &pbft.PrePrepare{View: 2, Seq: 77, Digest: b.Digest(), Batch: b}
+}
+
+// sampleGlobalShare builds a certificate share with a batch-100 request and
+// a 3-signer commit certificate (the paper's 6.4 kB message).
+func sampleGlobalShare() *core.GlobalShare {
+	b := sampleBatch(100)
+	sig := make([]byte, 64)
+	for i := range sig {
+		sig[i] = byte(i)
+	}
+	cert := &pbft.Certificate{
+		View: 1, Seq: 9, Digest: b.Digest(), Batch: b,
+		Signers: []types.NodeID{0, 1, 2},
+		Sigs:    [][]byte{sig, sig, sig},
+	}
+	return &core.GlobalShare{Cluster: 1, Round: 9, Cert: cert}
+}
+
+func sampleReply() *proto.Reply {
+	return &proto.Reply{Client: types.ClientIDBase, ClientSeq: 8, Replica: 3,
+		TxnCount: 100, Result: types.Hash([]byte("result"))}
 }
 
 // TestDecodeDigestCached pins the decode-time digest cache: DecodeBatch
@@ -29,10 +57,10 @@ func TestDecodeDigestCached(t *testing.T) {
 		msg    types.Message
 		digest func(types.Message) types.Digest
 	}{
-		{"preprepare", SamplePrePrepare(), func(m types.Message) types.Digest {
+		{"preprepare", samplePrePrepare(), func(m types.Message) types.Digest {
 			return m.(*pbft.PrePrepare).Batch.Digest()
 		}},
-		{"globalshare", SampleGlobalShare(), func(m types.Message) types.Digest {
+		{"globalshare", sampleGlobalShare(), func(m types.Message) types.Digest {
 			return m.(*core.GlobalShare).Cert.Batch.Digest()
 		}},
 	} {
@@ -76,40 +104,34 @@ func TestDecodeDigestCached(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeAndDigest measures the wire-decode + digest path the verify
-// pool pays per certificate share (run with -benchmem; the digest itself
-// must contribute zero allocations).
-func BenchmarkDecodeAndDigest(b *testing.B) {
-	enc, err := types.EncodeMessage(SampleGlobalShare())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, err := types.DecodeMessage(enc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = m.(*core.GlobalShare).Cert.Batch.Digest()
-	}
-}
-
 // TestPooledEncodeAllocatesLess pins the point of the encoder pool: encoding
 // through GetEncoder/Release allocates strictly less than NewEncoder-backed
 // EncodeMessage for every hot-path message shape.
 func TestPooledEncodeAllocatesLess(t *testing.T) {
+	encodePooled := func(m types.Message) {
+		enc := types.GetEncoder()
+		defer enc.Release()
+		if err := types.AppendMessage(enc, m); err != nil {
+			panic(err)
+		}
+	}
+	encodeUnpooled := func(m types.Message) {
+		if _, err := types.EncodeMessage(m); err != nil {
+			panic(err)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		msg  types.Message
 	}{
-		{"preprepare", SamplePrePrepare()},
-		{"globalshare", SampleGlobalShare()},
-		{"reply", SampleReply()},
+		{"preprepare", samplePrePrepare()},
+		{"globalshare", sampleGlobalShare()},
+		{"reply", sampleReply()},
 	} {
 		// Warm the pool so the steady state is measured.
-		EncodePooled(tc.msg)
-		pooled := testing.AllocsPerRun(200, func() { EncodePooled(tc.msg) })
-		unpooled := testing.AllocsPerRun(200, func() { EncodeUnpooled(tc.msg) })
+		encodePooled(tc.msg)
+		pooled := testing.AllocsPerRun(200, func() { encodePooled(tc.msg) })
+		unpooled := testing.AllocsPerRun(200, func() { encodeUnpooled(tc.msg) })
 		if pooled >= unpooled {
 			t.Errorf("%s: pooled encode allocates %.1f/op, unpooled %.1f/op; want pooled < unpooled",
 				tc.name, pooled, unpooled)

@@ -1,6 +1,6 @@
 //go:build !race
 
-package fabricbench
+package types_test
 
 // raceEnabled reports whether the race detector is active. sync.Pool
 // deliberately drops items at random under -race, so allocation-count

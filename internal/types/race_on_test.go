@@ -1,0 +1,6 @@
+//go:build race
+
+package types_test
+
+// raceEnabled reports whether the race detector is active (see race_off_test.go).
+const raceEnabled = true

@@ -2,7 +2,7 @@
 // interfaces, and canonical binary encoding shared by every protocol and
 // substrate in this repository.
 //
-// All consensus protocols (GeoBFT, PBFT, Zyzzyva, HotStuff, Steward) exchange
+// The consensus protocols (GeoBFT and PBFT) exchange
 // values implementing Message. Wire sizes are modelled explicitly (see
 // WireSize) so the network simulator can charge realistic latency and
 // bandwidth costs; the constants are calibrated to the message sizes reported

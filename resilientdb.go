@@ -10,10 +10,10 @@
 //     transaction batches and wait for f+1 matching confirmations from
 //     their local cluster; every replica maintains the append-only ledger.
 //
-//   - Simulate runs an experiment on the deterministic discrete-event WAN
-//     simulator calibrated against the paper's Table 1 measurements. All
-//     of the paper's tables and figures are regenerated this way (package
-//     internal/bench, cmd/resbench, and the benchmarks in bench_test.go).
+//   - Simulate runs a GeoBFT or PBFT experiment on the deterministic
+//     discrete-event WAN simulator calibrated against the paper's Table 1
+//     measurements (package internal/bench, cmd/resbench, and the benchmarks
+//     in bench_test.go). Its numbers are model outputs, not measurements.
 package resilientdb
 
 import (
@@ -449,13 +449,10 @@ func (c *Client) Close() { c.inner.Close() }
 // Protocol names a consensus protocol available to Simulate.
 type Protocol = bench.Protocol
 
-// The protocols of the paper's evaluation.
+// The protocols Simulate runs: GeoBFT and the PBFT baseline.
 const (
-	GeoBFT   = bench.GeoBFT
-	PBFT     = bench.PBFT
-	Zyzzyva  = bench.Zyzzyva
-	HotStuff = bench.HotStuff
-	Steward  = bench.Steward
+	GeoBFT = bench.GeoBFT
+	PBFT   = bench.PBFT
 )
 
 // Experiment configures a simulation run; see bench.Scenario for all knobs.
