@@ -119,7 +119,13 @@ func TestVerifyPoolDeterminism(t *testing.T) {
 			}
 
 			// Across configurations: the executed table contents are exactly
-			// the submitted workload.
+			// the submitted workload — every write applied once, every key a
+			// new row beside the preloaded ones, each holding its value.
+			const total = clients * totalPerClient
+			if s := ref.Store(); s.Applied() != total || s.Len() != 256+total {
+				t.Fatalf("workers=%d: %d writes applied, %d rows; want %d and %d",
+					workers, s.Applied(), s.Len(), total, 256+total)
+			}
 			for ci := 0; ci < clients; ci++ {
 				for i := 0; i < totalPerClient; i++ {
 					got, ok := ref.Store().Get(workloadKey(ci, i))
