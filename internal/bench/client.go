@@ -35,7 +35,7 @@ type quorumClient struct {
 }
 
 type pendingEntry struct {
-	batch     types.Batch
+	req       *pbft.Request
 	submitted time.Duration
 	acks      map[types.NodeID]bool
 }
@@ -56,16 +56,16 @@ func (c *quorumClient) submit() {
 	c.nextSeq++
 	seq := c.nextSeq
 	b := c.wl.MakeBatch(c.env.ID(), seq, c.batchSize)
+	req := &pbft.Request{Batch: b, Sig: c.env.Suite().Sign(pbft.RequestPayload(&b))}
 	c.pending[seq] = &pendingEntry{
-		batch: b, submitted: c.env.Now(), acks: make(map[types.NodeID]bool),
+		req: req, submitted: c.env.Now(), acks: make(map[types.NodeID]bool),
 	}
-	c.env.Suite().ChargeSign()
 	if c.broadcast {
 		for _, m := range c.retryTargets {
-			c.env.Send(m, &pbft.Request{Batch: b})
+			c.env.Send(m, req)
 		}
 	} else {
-		c.env.Send(c.target, &pbft.Request{Batch: b})
+		c.env.Send(c.target, req)
 	}
 	c.armRetry(seq)
 }
@@ -81,7 +81,7 @@ func (c *quorumClient) armRetry(seq uint64) {
 		// replicas route to whoever currently leads.
 		c.broadcast = true
 		for _, m := range c.retryTargets {
-			c.env.Send(m, &pbft.Request{Batch: p.batch})
+			c.env.Send(m, p.req)
 		}
 		c.armRetry(seq)
 	})
@@ -103,7 +103,7 @@ func (c *quorumClient) Receive(from types.NodeID, msg types.Message) {
 	p.acks[from] = true
 	if len(p.acks) >= c.quorum {
 		delete(c.pending, rep.ClientSeq)
-		c.collector.RecordCompletion(c.env.Now(), p.submitted, p.batch.Len())
+		c.collector.RecordCompletion(c.env.Now(), p.submitted, p.req.Batch.Len())
 		c.submit()
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"resilientdb/internal/ledger"
@@ -34,13 +33,6 @@ const catchupStashMax = 8
 // catchupMaxBackoff caps the no-progress retry back-off at
 // catchupInterval·2^catchupMaxBackoff.
 const catchupMaxBackoff = 6
-
-// cuRange is one stashed catch-up range. pre marks ranges whose certificates
-// already passed the verify pool, so import skips re-verification.
-type cuRange struct {
-	blocks []*ledger.Block
-	pre    bool
-}
 
 // catchupInterval paces the gap-supervision timer.
 func (r *Replica) catchupInterval() time.Duration {
@@ -192,12 +184,9 @@ func (r *Replica) onCatchUpReq(from types.NodeID, m *CatchUpReq) {
 	r.env.Send(from, &CatchUpResp{Blocks: blocks, Height: r.ledger.Height(), Base: r.ledger.Base()})
 }
 
-// onCatchUpResp applies a verified block range. pre marks responses whose
-// certificates already passed the verify pool.
-func (r *Replica) onCatchUpResp(from types.NodeID, m *CatchUpResp, pre bool) {
-	if from.IsClient() {
-		return
-	}
+// onCatchUpResp applies a replica's block range, every block of which
+// PreVerify checked.
+func (r *Replica) onCatchUpResp(m *CatchUpResp) {
 	if m.Base > r.ledger.Height() {
 		// The peer garbage-collected past our whole chain: no block range can
 		// ever connect to our head — bootstrap from a verified snapshot.
@@ -205,10 +194,10 @@ func (r *Replica) onCatchUpResp(from types.NodeID, m *CatchUpResp, pre bool) {
 		return
 	}
 	blocks := trimToRoundBoundary(m.Blocks, r.cfg.Topo.Clusters)
-	if len(blocks) == 0 || blocks[0] == nil {
+	if len(blocks) == 0 {
 		return
 	}
-	r.stashRange(blocks, pre)
+	r.stashRange(blocks)
 	r.drainStash()
 	if m.Height > r.ledger.Height() && r.sync == nil {
 		// The peer holds more: pull the next range immediately instead of
@@ -221,16 +210,16 @@ func (r *Replica) onCatchUpResp(from types.NodeID, m *CatchUpResp, pre bool) {
 // stashRange parks a received range for ordered application: parallel
 // staggered fetches legitimately return out of order, so a range starting
 // past our next height waits until the gap below it fills.
-func (r *Replica) stashRange(blocks []*ledger.Block, pre bool) {
+func (r *Replica) stashRange(blocks []*ledger.Block) {
 	first := blocks[0].Height
 	if r.cuStash == nil {
-		r.cuStash = make(map[uint64]cuRange)
+		r.cuStash = make(map[uint64][]*ledger.Block)
 	}
 	if _, ok := r.cuStash[first]; !ok && len(r.cuStash) >= catchupStashMax {
 		return // full: drop, the next tick re-pulls
 	}
-	if old, ok := r.cuStash[first]; !ok || len(blocks) > len(old.blocks) {
-		r.cuStash[first] = cuRange{blocks: blocks, pre: pre}
+	if old, ok := r.cuStash[first]; !ok || len(blocks) > len(old) {
+		r.cuStash[first] = blocks
 	}
 }
 
@@ -241,7 +230,7 @@ func (r *Replica) drainStash() {
 		applied := false
 		for first, rng := range r.cuStash {
 			h := r.ledger.Height()
-			last := first + uint64(len(rng.blocks)) - 1
+			last := first + uint64(len(rng)) - 1
 			if last <= h {
 				delete(r.cuStash, first)
 				continue // wholly delivered by another range
@@ -251,9 +240,10 @@ func (r *Replica) drainStash() {
 			}
 			delete(r.cuStash, first)
 			// Skip the prefix another range already delivered.
-			if err := r.applyImportedBlocks(rng.blocks[h+1-first:], true, rng.pre); err != nil {
-				// Malformed or forged range: the ledger is untouched and the
-				// next tick retries another peer. Counted — a tampered
+			if err := r.applyImportedBlocks(rng[h+1-first:], true); err != nil {
+				// A range that does not extend the chain (its certificates
+				// verified, its linkage did not): the ledger is untouched and
+				// the next tick retries another peer. Counted — a tampered
 				// catch-up response must land in the drop statistics.
 				r.noteReject()
 			} else {
@@ -270,10 +260,17 @@ func (r *Replica) drainStash() {
 // replica, modelling a crash-with-disk restart (as opposed to an amnesia
 // restart, which starts empty and recovers over the network). The persisted
 // copy is treated as untrusted, exactly like a peer's: every certificate is
-// re-verified and the hash chain re-derived. It must run on the replica's
-// event loop, after InitEnv and before any message is processed.
+// re-verified (verifyBlock, as PreVerify checks a peer's range) and the hash
+// chain re-derived. It must run on the replica's event loop, after InitEnv
+// and before any message is processed.
 func (r *Replica) Bootstrap(blocks []*ledger.Block) error {
-	return r.applyImportedBlocks(trimToRoundBoundary(blocks, r.cfg.Topo.Clusters), false, false)
+	blocks = trimToRoundBoundary(blocks, r.cfg.Topo.Clusters)
+	for _, b := range blocks {
+		if err := r.verifyBlock(r.env.Suite(), b); err != nil {
+			return err
+		}
+	}
+	return r.applyImportedBlocks(blocks, false)
 }
 
 // trimToRoundBoundary cuts a block range back to the last complete round:
@@ -290,24 +287,17 @@ func trimToRoundBoundary(blocks []*ledger.Block, z int) []*ledger.Block {
 	return blocks
 }
 
-// applyImportedBlocks verifies and executes a certified block range: ledger
-// import (atomic, certificate re-verification inside), store replay,
-// execution bookkeeping, and the local-PBFT fast-forward. notify controls
-// the OnExecute upcall: network catch-up fires it (the replica is executing
-// these batches for the first time), a disk bootstrap does not (it already
-// observed them before the crash). pre marks ranges whose certificates were
-// already verified by the parallel verify pool, so import checks only the
-// cheap layout invariants — the expensive n−f signature checks ran off the
-// worker thread.
-func (r *Replica) applyImportedBlocks(blocks []*ledger.Block, notify, pre bool) error {
+// applyImportedBlocks executes a block range whose every block verifyBlock
+// accepted: ledger import (atomic; it checks the hash-chain linkage), store
+// replay, execution bookkeeping, and the local-PBFT fast-forward. notify
+// controls the OnExecute upcall: network catch-up fires it (the replica is
+// executing these batches for the first time), a disk bootstrap does not (it
+// already observed them before the crash).
+func (r *Replica) applyImportedBlocks(blocks []*ledger.Block, notify bool) error {
 	if len(blocks) == 0 {
 		return nil
 	}
-	verify := r.verifyImportedBlock
-	if pre {
-		verify = r.verifyImportedLayout
-	}
-	if err := r.ledger.Import(blocks, verify); err != nil {
+	if err := r.ledger.Import(blocks, nil); err != nil {
 		return err
 	}
 	if notify {
@@ -362,51 +352,6 @@ func (r *Replica) applyImportedBlocks(blocks []*ledger.Block, notify, pre bool) 
 	r.feedPrimary()
 	r.rearmDetection()
 	r.tryExecute() // live rounds beyond the imported range may now be complete
-	return nil
-}
-
-// verifyImportedBlock re-verifies one catch-up block before the ledger
-// accepts it: GeoBFT's layout invariants (round and cluster follow from the
-// height) and the commit certificate against the origin cluster's membership
-// — the same Proposition 2.5 check applied to live GlobalShares.
-func (r *Replica) verifyImportedBlock(b *ledger.Block) error {
-	if err := r.verifyImportedLayout(b); err != nil {
-		return err
-	}
-	cert := b.Cert.(*pbft.Certificate) // layout check guaranteed the type
-	if !cert.Verify(r.env.Suite(), r.cfg.Topo.ClusterMembers(int(b.Cluster)), r.quorum()) {
-		return fmt.Errorf("geobft: certificate verification failed at height %d", b.Height)
-	}
-	return nil
-}
-
-// verifyImportedLayout checks everything about an imported block except the
-// certificate signatures: cluster range, height↔round↔cluster alignment, and
-// the certificate's binding to the block. It reads only construction-time
-// immutable state, so the verify pool calls it concurrently (PreVerify on
-// CatchUpResp), and the worker re-runs it alone for pool-verified ranges.
-func (r *Replica) verifyImportedLayout(b *ledger.Block) error {
-	z := uint64(r.cfg.Topo.Clusters)
-	c := int(b.Cluster)
-	if c < 0 || c >= int(z) {
-		return fmt.Errorf("geobft: cluster %d out of range", c)
-	}
-	if want := (b.Height-1)/z + 1; b.Round != want {
-		return fmt.Errorf("geobft: height %d carries round %d, want %d", b.Height, b.Round, want)
-	}
-	if want := int((b.Height - 1) % z); c != want {
-		return fmt.Errorf("geobft: height %d carries cluster %d, want %d", b.Height, c, want)
-	}
-	cert, ok := b.Cert.(*pbft.Certificate)
-	if !ok || cert == nil {
-		return fmt.Errorf("geobft: block %d has no commit certificate", b.Height)
-	}
-	if cert.Seq != b.Round {
-		return fmt.Errorf("geobft: certificate seq %d != round %d", cert.Seq, b.Round)
-	}
-	if cert.Digest != b.BatchDigest {
-		return fmt.Errorf("geobft: certificate digest mismatch at height %d", b.Height)
-	}
 	return nil
 }
 

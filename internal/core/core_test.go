@@ -30,7 +30,7 @@ type geoClient struct {
 	nextSeq   uint64
 	acks      map[uint64]map[types.NodeID]bool
 	done      map[uint64]bool
-	batches   map[uint64]types.Batch
+	reqs      map[uint64]*pbft.Request
 	completed int
 }
 
@@ -39,7 +39,7 @@ func (c *geoClient) Init(env *simnet.Env) {
 	c.wl = ycsb.NewWorkload(10_000, ycsb.DefaultTheta, int64(env.ID()))
 	c.acks = make(map[uint64]map[types.NodeID]bool)
 	c.done = make(map[uint64]bool)
-	c.batches = make(map[uint64]types.Batch)
+	c.reqs = make(map[uint64]*pbft.Request)
 	for i := 0; i < c.window && int(c.nextSeq) < c.total; i++ {
 		c.submit()
 	}
@@ -49,9 +49,9 @@ func (c *geoClient) submit() {
 	c.nextSeq++
 	seq := c.nextSeq
 	b := c.wl.MakeBatch(c.env.ID(), seq, c.batchSize)
-	c.batches[seq] = b
-	c.env.Suite().ChargeSign()
-	c.env.Send(c.topo.ReplicaID(c.cluster, 0), &pbft.Request{Batch: b})
+	req := &pbft.Request{Batch: b, Sig: c.env.Suite().Sign(pbft.RequestPayload(&b))}
+	c.reqs[seq] = req
+	c.env.Send(c.topo.ReplicaID(c.cluster, 0), req)
 	c.armRetry(seq)
 }
 
@@ -60,9 +60,8 @@ func (c *geoClient) armRetry(seq uint64) {
 		if c.done[seq] {
 			return
 		}
-		b := c.batches[seq]
 		for _, m := range c.topo.ClusterMembers(c.cluster) {
-			c.env.Send(m, &pbft.Request{Batch: b})
+			c.env.Send(m, c.reqs[seq])
 		}
 		c.armRetry(seq)
 	})
@@ -84,7 +83,7 @@ func (c *geoClient) Receive(from types.NodeID, msg types.Message) {
 	set[from] = true
 	if len(set) >= c.f+1 {
 		c.done[rep.ClientSeq] = true
-		delete(c.batches, rep.ClientSeq)
+		delete(c.reqs, rep.ClientSeq)
 		c.completed++
 		if int(c.nextSeq) < c.total {
 			c.submit()

@@ -33,6 +33,7 @@ func (t *manualTimer) Stop() { t.stopped = true }
 type manualNet struct {
 	t       *testing.T
 	topo    config.Topology
+	dir     *crypto.Directory
 	now     time.Duration
 	reps    map[types.NodeID]*Replica
 	clients map[types.NodeID]*manualClient
@@ -77,6 +78,7 @@ type manualClient struct {
 	cluster int
 	think   time.Duration
 	total   int // requests to submit; 0 = submit only when the test says so
+	suite   *crypto.Suite
 	seq     uint64
 	acks    map[types.NodeID]bool
 	done    int
@@ -86,7 +88,8 @@ func (c *manualClient) submit() {
 	c.seq++
 	c.acks = map[types.NodeID]bool{}
 	b := types.Batch{Client: c.id, Seq: c.seq, Txns: []types.Transaction{{Key: uint64(c.id), Value: c.seq}}}
-	c.net.queue = append(c.net.queue, manualMsg{c.id, c.net.topo.ReplicaID(c.cluster, 0), &pbft.Request{Batch: b}})
+	req := &pbft.Request{Batch: b, Sig: c.suite.Sign(pbft.RequestPayload(&b))}
+	c.net.queue = append(c.net.queue, manualMsg{c.id, c.net.topo.ReplicaID(c.cluster, 0), req})
 }
 
 func (c *manualClient) onReply(from types.NodeID, rep *proto.Reply) {
@@ -106,8 +109,8 @@ func (c *manualClient) onReply(from types.NodeID, rep *proto.Reply) {
 func newManualNet(t *testing.T, z, n int, cfg Config) *manualNet {
 	t.Helper()
 	topo := config.NewTopology(z, n)
-	net := &manualNet{t: t, topo: topo, reps: map[types.NodeID]*Replica{}, clients: map[types.NodeID]*manualClient{}}
 	dir := crypto.NewDirectory(crypto.Fast, topo.AllReplicas())
+	net := &manualNet{t: t, topo: topo, dir: dir, reps: map[types.NodeID]*Replica{}, clients: map[types.NodeID]*manualClient{}}
 	for _, id := range topo.AllReplicas() {
 		c := cfg
 		c.Topo, c.Self, c.Records = topo, id, 100
@@ -121,7 +124,9 @@ func newManualNet(t *testing.T, z, n int, cfg Config) *manualNet {
 
 // client adds identity idx (home cluster idx mod z).
 func (n *manualNet) client(idx int, think time.Duration, total int) *manualClient {
-	c := &manualClient{net: n, id: config.ClientID(idx), cluster: idx % n.topo.Clusters, think: think, total: total}
+	id := config.ClientID(idx)
+	c := &manualClient{net: n, id: id, cluster: idx % n.topo.Clusters, think: think, total: total,
+		suite: crypto.NewSuite(n.dir, id, crypto.FreeCosts(), nil)}
 	n.clients[c.id] = c
 	return c
 }

@@ -25,9 +25,9 @@ func (n *manualNet) ops(id types.NodeID) (signs, verifies uint64) {
 // multiple of n rounds each replica verifies (f+1)/n of them; the primary,
 // which forwards its own cluster's certificate, additionally verifies the
 // quorum−1 peer votes in it. A backup verifies no vote at all. One checkpoint
-// signature per interval comes on top. (The harness delivers client requests
-// the way the simulator does, without a client signature, so none is counted
-// here; in the fabric each replica that admits a request verifies it once.)
+// signature per interval comes on top. The harness's clients sign their
+// requests and send them to their cluster's primary, which verifies each one
+// it admits exactly once, as it does in the fabric: one more verify per round.
 func TestSignatureBudgetPerRound(t *testing.T) {
 	const z, n, f, rounds, interval = 2, 4, 1, 12, 6
 	const quorum = n - f
@@ -47,7 +47,7 @@ func TestSignatureBudgetPerRound(t *testing.T) {
 		role := "backup"
 		if r.IsPrimary() {
 			role = "primary"
-			wantVerifies += rounds * (quorum - 1)
+			wantVerifies += rounds*(quorum-1) + rounds // + one client request per round
 		}
 		if verifies != wantVerifies {
 			t.Errorf("%s %v: %d verifies in %d rounds (%.2f per round), want %d", role, id, verifies, rounds, float64(verifies)/rounds, wantVerifies)

@@ -145,16 +145,16 @@ type Replica struct {
 
 	// ledger catch-up (see catchup.go)
 	catchupTimer   proto.Timer
-	behindSeq      uint64             // highest local seq f+1 peers provably checkpointed
-	evidencedRound uint64             // highest round seen certified by any cluster
-	histRound      uint64             // clusterHistories fold position (incremental cache)
-	hist           []types.Digest     // per-cluster history digests through histRound
-	cuOrder        []types.NodeID     // rotating catch-up peer order (local first)
-	cuNext         int                // rotation cursor
-	cuFails        uint               // consecutive no-progress ticks (back-off exponent)
-	cuLastHeight   uint64             // height at the last tick (progress detection)
-	cuArmedRound   uint64             // executed round when the timer was armed (stall detection)
-	cuStash        map[uint64]cuRange // out-of-order verified ranges, by first height
+	behindSeq      uint64                     // highest local seq f+1 peers provably checkpointed
+	evidencedRound uint64                     // highest round seen certified by any cluster
+	histRound      uint64                     // clusterHistories fold position (incremental cache)
+	hist           []types.Digest             // per-cluster history digests through histRound
+	cuOrder        []types.NodeID             // rotating catch-up peer order (local first)
+	cuNext         int                        // rotation cursor
+	cuFails        uint                       // consecutive no-progress ticks (back-off exponent)
+	cuLastHeight   uint64                     // height at the last tick (progress detection)
+	cuArmedRound   uint64                     // executed round when the timer was armed (stall detection)
+	cuStash        map[uint64][]*ledger.Block // out-of-order verified ranges, by first height
 
 	// checkpoint snapshots & state transfer (see snapshot.go)
 	snapPending map[uint64]*pendingSnap // captured, awaiting checkpoint stability
@@ -279,55 +279,51 @@ func (r *Replica) noteReject() {
 	}
 }
 
-// Receive implements simnet.Handler: it dispatches global GeoBFT messages
-// and hands everything else to the local PBFT instance. All cryptographic
-// checks run inline.
+// Receive implements simnet.Handler: PreVerify on the replica's own suite,
+// then ReceiveVerified. A rejected message is counted (Config.OnVerifyReject)
+// and dropped.
 func (r *Replica) Receive(from types.NodeID, msg types.Message) {
-	r.receive(from, msg, false)
+	if r.PreVerify(r.env.Suite(), from, msg) == proto.VerdictReject {
+		r.noteReject()
+		return
+	}
+	r.ReceiveVerified(from, msg)
 }
 
-// ReceiveVerified dispatches a message whose state-independent cryptographic
-// checks already passed PreVerify (the fabric's verify pool): the apply path
-// skips re-verification but keeps every stateful guard, so every protocol
-// decision is identical to Receive's.
+// ReceiveVerified applies a message that PreVerify did not reject: it
+// dispatches global GeoBFT messages and hands everything else to the local
+// PBFT instance. Every stateful guard runs here; no check PreVerify made runs
+// again.
 func (r *Replica) ReceiveVerified(from types.NodeID, msg types.Message) {
-	r.receive(from, msg, true)
-}
-
-func (r *Replica) receive(from types.NodeID, msg types.Message, pre bool) {
 	switch m := msg.(type) {
 	case *pbft.Request:
 		if from.IsClient() {
 			r.submitClient(m.Batch, m.Sig)
 			return
 		}
-		r.local.HandleMessage(from, msg)
+		r.local.HandleVerified(from, msg)
 	case *GlobalShare:
 		r.env.Suite().ChargeVerifyMAC()
-		r.onGlobalShare(from, m, pre)
+		r.onGlobalShare(from, m)
 	case *DRvc:
 		r.env.Suite().ChargeVerifyMAC()
 		r.onDRvc(from, m)
 	case *Rvc:
-		r.onRvc(from, m, pre)
+		r.onRvc(m)
 	case *CatchUpReq:
 		r.env.Suite().ChargeVerifyMAC()
 		r.onCatchUpReq(from, m)
 	case *CatchUpResp:
 		r.env.Suite().ChargeVerifyMAC()
-		r.onCatchUpResp(from, m, pre)
+		r.onCatchUpResp(m)
 	case *SnapshotReq:
 		r.env.Suite().ChargeVerifyMAC()
 		r.onSnapshotReq(from, m)
 	case *SnapshotResp:
 		r.env.Suite().ChargeVerifyMAC()
-		r.onSnapshotResp(from, m, pre)
+		r.onSnapshotResp(from, m)
 	default:
-		if pre {
-			r.local.HandleVerified(from, msg)
-		} else {
-			r.local.HandleMessage(from, msg)
-		}
+		r.local.HandleVerified(from, msg)
 	}
 }
 
@@ -403,17 +399,17 @@ type signedBatch struct {
 // same admission path as a client request.
 func (r *Replica) SubmitBatch(b types.Batch, sig []byte) { r.submitClient(b, sig) }
 
-// submitClient admits a client batch. The primary feeds PBFT subject to the
-// pipeline bound; backups forward to the primary via PBFT's supervision
-// mechanism (which also arms the anti-censorship timer).
+// submitClient admits a client batch whose signature PreVerify checked, or
+// one this node originated. The primary feeds PBFT subject to the pipeline
+// bound; backups forward to the primary via PBFT's supervision mechanism
+// (which also arms the anti-censorship timer).
 func (r *Replica) submitClient(b types.Batch, sig []byte) {
 	if r.IsPrimary() {
-		r.env.Suite().ChargeVerify()
 		r.pending = append(r.pending, signedBatch{b, sig})
 		r.feedPrimary()
 		return
 	}
-	r.local.SubmitLocal(b, sig, false)
+	r.local.SubmitLocal(b, sig, true)
 }
 
 // assignedRounds is the highest round the primary has admitted to PBFT
@@ -647,51 +643,41 @@ func (r *Replica) shareRound(seq uint64, cert *pbft.Certificate) {
 
 // --- global sharing, receive side -------------------------------------------
 
-// onGlobalShare applies another cluster's certificate. One that arrives from
-// outside the replica's cluster is verified here (pre marks those whose
-// certificate already passed PreVerify) and broadcast to the cluster, the
+// onGlobalShare applies another cluster's certificate, well formed and from
+// another cluster (PreVerify). One that arrives from outside the replica's
+// cluster was verified by PreVerify and is broadcast to the cluster, the
 // local phase of Figure 5. One that a member of the cluster forwarded is not
 // verified on arrival: it is held until f+1 members have forwarded the same
 // bytes (vouch.go).
-func (r *Replica) onGlobalShare(from types.NodeID, m *GlobalShare, pre bool) {
-	c := int(m.Cluster)
-	if c < 0 || c >= r.cfg.Topo.Clusters || c == r.myCluster {
-		r.noteReject() // malformed origin: PreVerify rejects these too
-		return
-	}
+func (r *Replica) onGlobalShare(from types.NodeID, m *GlobalShare) {
 	executed := r.executedRound.Load()
 	if m.Round <= executed {
 		return // stale: already executed
 	}
-	if rd := r.rounds[m.Round]; rd != nil && rd.certs[c] != nil {
+	if rd := r.rounds[m.Round]; rd != nil && rd.certs[m.Cluster] != nil {
 		return // duplicate
 	}
-	if !wellFormed(m) {
-		r.noteReject() // PreVerify rejects these too
-		return
-	}
-	forwarded := r.isLocalPeer(from)
-	if forwarded && m.Round <= executed+r.pipelineDepth() {
-		r.vouch(from, m)
-		return
-	}
-	// Verify the certificate against the origin cluster's membership: n−f
-	// valid commit signatures (Proposition 2.5, Agreement). A forwarded copy
-	// lands here only when its round lies beyond the pipeline window, further
-	// ahead of this replica's execution than an honest primary runs: the
-	// replica is far behind, and the verified certificate is the evidence
-	// that starts its catch-up.
-	if !pre && !r.verifyShare(m) {
-		r.noteReject() // forged or garbled certificate
-		return
-	}
-	if forwarded {
+	if r.isLocalPeer(from) {
+		if m.Round <= executed+r.pipelineDepth() {
+			r.vouch(from, m)
+			return
+		}
+		// Verify the certificate against the origin cluster's membership:
+		// n−f valid commit signatures (Proposition 2.5, Agreement). A
+		// forwarded copy lands here only when its round lies beyond the
+		// pipeline window, further ahead of this replica's execution than an
+		// honest primary runs: the replica is far behind, and the verified
+		// certificate is the evidence that starts its catch-up. It is not
+		// broadcast: only what arrived from outside is.
+		if !r.verifyShare(m) {
+			r.noteReject() // forged or garbled certificate
+			return
+		}
 		r.selfVerified.Add(1)
+		r.acceptShare(m)
+		return
 	}
 	r.acceptShare(m)
-	if forwarded {
-		return // only what arrived from outside is broadcast
-	}
 	for _, peer := range r.members {
 		if peer != r.cfg.Self {
 			r.env.Suite().ChargeMAC()
@@ -1004,21 +990,9 @@ func (r *Replica) detectFailureAt(k drvcKey) {
 
 // --- remote view-change, response role (Figure 7 lines 14–17) ---------------
 
-// onRvc applies a remote view-change request. pre marks requests whose
-// signature already passed PreVerify.
-func (r *Replica) onRvc(from types.NodeID, m *Rvc, pre bool) {
-	if int(m.Target) != r.myCluster || m.Replica != from && int(r.cfg.Topo.ClusterOf(from)) != r.myCluster {
-		r.noteReject() // mis-routed or relayed by an outsider
-		return
-	}
-	if !pre && !r.env.Suite().Verify(m.Replica, RvcPayload(m), m.Sig) {
-		r.noteReject() // forged remote view-change signature
-		return
-	}
-	if int(r.cfg.Topo.ClusterOf(m.Replica)) != int(m.From) || int(m.From) == r.myCluster {
-		r.noteReject() // claimed origin does not match the signer's cluster
-		return
-	}
+// onRvc applies a remote view-change request for this cluster, signed by a
+// replica of the cluster it claims to come from (PreVerify).
+func (r *Replica) onRvc(m *Rvc) {
 	k := rvcKey{from: m.From, round: m.Round, v: m.V}
 
 	// Line 14–15: forward a well-formed external request to all local

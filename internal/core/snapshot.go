@@ -309,14 +309,10 @@ func (r *Replica) cancelSnapshotSync() {
 	r.sync = nil
 }
 
-// onSnapshotResp routes one piece of snapshot material. pre marks manifests
-// whose signature and certificate already passed PreVerify on the pool.
-func (r *Replica) onSnapshotResp(from types.NodeID, m *SnapshotResp, pre bool) {
-	if from.IsClient() {
-		return
-	}
+// onSnapshotResp routes one piece of snapshot material from a replica.
+func (r *Replica) onSnapshotResp(from types.NodeID, m *SnapshotResp) {
 	if m.Manifest != nil && m.Chunk < 0 {
-		r.onSnapshotManifest(from, m.Manifest, pre)
+		r.onSnapshotManifest(from, m.Manifest)
 		return
 	}
 	if r.sync != nil {
@@ -327,24 +323,11 @@ func (r *Replica) onSnapshotResp(from types.NodeID, m *SnapshotResp, pre bool) {
 // onSnapshotManifest records one replica's endorsement of a snapshot key and
 // enters the chunk phase once f+1 replicas of a single cluster endorse the
 // same key — under the ≤f-faults-per-cluster assumption at least one of them
-// is honest, so the content addresses can be trusted.
-func (r *Replica) onSnapshotManifest(from types.NodeID, man *snapshot.Manifest, pre bool) {
-	if man.Replica != from {
-		r.noteSnapReject() // relayed endorsement: only self-endorsed manifests count
-		return
-	}
-	if !pre {
-		// Verified (and forgeries counted) whatever state the transfer is in
-		// — quorum already formed, or the whole transfer finished by the time
-		// a slow server's answer lands: whether a tampered manifest arrives
-		// before or after the honest ones is a scheduling accident, and
-		// rejection accounting must not depend on it (the pool path verifies
-		// every manifest before the worker sees it, for the same reason).
-		if err := man.Verify(r.cfg.Topo, r.env.Suite()); err != nil {
-			r.noteSnapReject() // forged signature, bad certificate, or malformed
-			return
-		}
-	}
+// is honest, so the content addresses can be trusted. The manifest is the
+// sender's own and verified (PreVerify), whatever state the transfer is in:
+// whether a tampered manifest arrives before or after the honest ones is a
+// scheduling accident, and rejection accounting must not depend on it.
+func (r *Replica) onSnapshotManifest(from types.NodeID, man *snapshot.Manifest) {
 	s := r.sync
 	if s == nil {
 		return // no transfer in progress: unsolicited, or ours just finished

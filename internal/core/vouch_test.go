@@ -115,7 +115,7 @@ func TestOneForwardFallsBackAfterOneGrace(t *testing.T) {
 	for _, id := range skipped {
 		_, verifies := net.ops(id)
 		if net.reps[id].IsPrimary() {
-			verifies -= 2 // its proof of its own cluster's certificate
+			verifies -= 2 + 1 // its proof of its own cluster's certificate, its client's request
 		}
 		if verifies != 3 {
 			t.Errorf("replica %v ran %d verifies on the held copy, want n−f = 3", id, verifies)

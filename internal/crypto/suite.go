@@ -191,10 +191,6 @@ func (s *Suite) ChargeHash(n int) {
 	}
 }
 
-// ChargeSign charges the cost of producing one signature without computing
-// it.
-func (s *Suite) ChargeSign() { s.bill(s.costs.Sign) }
-
 // ChargeVerify charges the cost of verifying one signature without
 // verifying it (used where simulated peers are known-honest but the CPU
 // cost must still be modelled).

@@ -71,9 +71,8 @@ func TestChargingAccumulates(t *testing.T) {
 	}
 	a.ChargeMAC()
 	a.ChargeVerifyMAC()
-	a.ChargeSign()
 	a.ChargeVerify()
-	want := 2*costs.Sign + 2*costs.Verify + costs.MAC + costs.VerifyMAC
+	want := costs.Sign + 2*costs.Verify + costs.MAC + costs.VerifyMAC
 	if billed != want {
 		t.Fatalf("billed %v, want %v", billed, want)
 	}

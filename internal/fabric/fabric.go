@@ -5,13 +5,15 @@
 //	input → verify pool → (batching) → worker → output
 //
 // stages: the input goroutine receives messages from the transport and fans
-// them out to a pool of verify goroutines that perform every
-// state-independent cryptographic check (PBFT commit signatures, preprepare
-// digests, GeoBFT certificate and Rvc signatures) concurrently; a sequencer
-// re-establishes arrival order — preserving per-sender FIFO — before handing
-// verified messages to the worker, which owns the deterministic GeoBFT state
-// machine (local replication, certification, ordering and execution) and
-// skips re-verification; the batching stage (primaries only) groups client
+// them out to a pool of verify goroutines that run every state-independent
+// check (core.Replica.PreVerify: client request signatures, remote
+// certificates, Rvc signatures, catch-up ranges, snapshot manifests,
+// preprepare digests) concurrently; a sequencer re-establishes arrival order
+// — preserving per-sender FIFO — before handing what passed to the worker,
+// which owns the deterministic GeoBFT state machine (local replication,
+// certification, ordering and execution) and runs no check twice
+// (ReceiveVerified). Without the pool the same PreVerify runs inline (see
+// Config.VerifyWorkers); the batching stage (primaries only) groups client
 // transactions into consensus batches; and output goroutines drain the send
 // queue to the transport. Timers are real (time.AfterFunc) and re-enter the
 // worker queue, so the protocol cores stay single-threaded and identical to
@@ -55,8 +57,11 @@ type Config struct {
 	Mode crypto.Mode
 	// OnExecute, if set, observes every executed batch at every replica.
 	OnExecute func(replica types.NodeID, round uint64, cluster types.ClusterID, batch types.Batch)
-	// LocalTimeout / RemoteTimeout mirror core.Config.
-	LocalTimeout  time.Duration
+	// LocalTimeout is the local PBFT view-change timeout (core.Config);
+	// 0 selects 2 s.
+	LocalTimeout time.Duration
+	// RemoteTimeout is the base remote-cluster failure-detection timeout
+	// (core.Config); 0 selects 3 s.
 	RemoteTimeout time.Duration
 	// Latency, if set, injects one-way delays between nodes (emulating a
 	// geo-distributed deployment in-process). Ignored when Transport is
@@ -121,8 +126,9 @@ type Config struct {
 	// deployment hosting more nodes than cores — the shapes where the pool's
 	// queueing overhead measurably regressed throughput) the stage is
 	// disabled for that deployment. A negative value disables the stage
-	// explicitly, verifying everything inline on the worker (the serial
-	// baseline); a positive value forces that per-node pool size.
+	// explicitly: the same checks run inline, client requests on the input
+	// goroutines and everything else on the worker (serial); a positive value
+	// forces that per-node pool size.
 	VerifyWorkers int
 }
 
@@ -559,7 +565,6 @@ type Node struct {
 	// snapshot/GC accounting (atomic: Stats reads them while the node runs)
 	segsReclaimed  atomic.Uint64 // disk segments GC'd below checkpoints
 	bytesReclaimed atomic.Uint64 // their total size
-	snapRejects    atomic.Uint64 // SnapshotResps rejected by the verify pool
 
 	// detached marks the node unregistered from the transport (guarded by
 	// the owning Fabric's mu; see StopNode/StartNode).
@@ -714,12 +719,12 @@ func (n *Node) start(boot func(r *core.Replica)) {
 	if n.verifyQ != nil {
 		n.startVerifyPipeline()
 	} else {
-		// Serial baseline: input threads receive and enqueue directly; all
-		// cryptographic checks run on the worker (two threads, as the seed
-		// pipeline had) — except client requests, whose signature check and
-		// mempool admission happen right here on the input thread: admission
-		// is not worker state (the pool has its own lock), and shedding
-		// duplicates before the worker is the point of the layer.
+		// Serial: input threads receive and enqueue directly (two threads, as
+		// the seed pipeline had), and PreVerify runs inline — on the worker,
+		// inside Receive, except for client requests, whose signature check
+		// and mempool admission happen right here on the input thread:
+		// admission is not worker state (the pool has its own lock), and
+		// shedding duplicates before the worker is the point of the layer.
 		for i := 0; i < 2; i++ {
 			n.wg.Add(1)
 			go func() {
@@ -730,22 +735,14 @@ func (n *Node) start(boot func(r *core.Replica)) {
 						if !ok {
 							return
 						}
-						e := env
-						if req, isReq := e.Msg.(*pbft.Request); isReq {
-							if n.shedRequest(req) {
-								continue
+						from, msg := env.From, env.Msg
+						if req, isReq := msg.(*pbft.Request); isReq {
+							if !n.shedRequest(req) {
+								n.deliver(from, msg, n.replica.PreVerify(n.env.suite, from, msg))
 							}
-							if n.replica.PreVerify(n.env.suite, e.From, req) == proto.VerdictReject {
-								n.drops.VerifyReject.Add(1)
-								continue
-							}
-							if !n.admitRequest(req) {
-								continue
-							}
-							n.post(func() { n.replica.ReceiveVerified(e.From, e.Msg) })
 							continue
 						}
-						n.post(func() { n.replica.Receive(e.From, e.Msg) })
+						n.post(func() { n.replica.Receive(from, msg) })
 					case <-n.quit:
 						return
 					}
@@ -882,32 +879,30 @@ func (n *Node) startVerifyPipeline() {
 				from, msg, verdict := j.from, j.msg, j.verdict
 				j.msg = nil
 				verifyJobPool.Put(j)
-				switch verdict {
-				case proto.VerdictReject:
-					n.drops.VerifyReject.Add(1)
-					if _, isSnap := msg.(*core.SnapshotResp); isSnap {
-						// Tampered snapshot material the pool rejected never
-						// reaches the replica's own counter; account it here
-						// so Stats.Snapshots.Rejected sees every rejection.
-						n.snapRejects.Add(1)
-					}
-				case proto.VerdictVerified:
-					// Authenticated client requests pass the admission layer
-					// before reaching the worker; running it here, on the
-					// single sequencer goroutine, keeps admission order
-					// identical to delivery order.
-					if req, isReq := msg.(*pbft.Request); isReq && !n.admitRequest(req) {
-						continue
-					}
-					n.post(func() { n.replica.ReceiveVerified(from, msg) })
-				default:
-					n.post(func() { n.replica.Receive(from, msg) })
-				}
+				// Delivered from this one goroutine, so admission order is
+				// delivery order.
+				n.deliver(from, msg, verdict)
 			case <-n.quit:
 				return
 			}
 		}
 	}()
+}
+
+// deliver is the one step from PreVerify's verdict to the worker, shared by
+// the serial input threads (client requests) and the verify pool's
+// sequencer (everything): a rejected message is counted and dropped, an
+// authenticated client request passes the admission layer, and the rest is
+// applied by ReceiveVerified.
+func (n *Node) deliver(from types.NodeID, msg types.Message, verdict proto.Verdict) {
+	if verdict == proto.VerdictReject {
+		n.drops.VerifyReject.Add(1)
+		return
+	}
+	if req, isReq := msg.(*pbft.Request); isReq && !n.admitRequest(req) {
+		return
+	}
+	n.post(func() { n.replica.ReceiveVerified(from, msg) })
 }
 
 // shedRequest runs the unauthenticated admission fast path (mempool.Precheck)
@@ -986,16 +981,16 @@ func (n *Node) CryptoStats() metrics.CryptoStats {
 }
 
 // SnapshotStats returns the node's checkpoint/GC counters: replica-level
-// snapshot activity, pool-level rejections of tampered snapshot material,
-// segment GC totals, the store's current on-disk size, and whether the
-// ledger has detached from its store after a persistence failure. Safe to
-// call while the node is running.
+// snapshot activity and rejections of tampered snapshot material, segment GC
+// totals, the store's current on-disk size, and whether the ledger has
+// detached from its store after a persistence failure. Safe to call while the
+// node is running.
 func (n *Node) SnapshotStats() metrics.SnapshotStats {
 	s := metrics.SnapshotStats{
 		Written:           n.replica.SnapshotsWritten(),
 		Served:            n.replica.SnapshotsServed(),
 		Installed:         n.replica.SnapshotsInstalled(),
-		Rejected:          n.replica.SnapshotsRejected() + n.snapRejects.Load(),
+		Rejected:          n.replica.SnapshotsRejected(),
 		SegmentsReclaimed: n.segsReclaimed.Load(),
 		BytesReclaimed:    n.bytesReclaimed.Load(),
 	}

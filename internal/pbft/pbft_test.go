@@ -49,8 +49,7 @@ func (c *testClient) submit() {
 	seq := c.nextSeq
 	b := c.wl.MakeBatch(c.env.ID(), seq, c.batchSize)
 	c.batches[seq] = b
-	c.env.Suite().ChargeSign()
-	c.env.Send(c.primary, &pbft.Request{Batch: b})
+	c.env.Send(c.primary, &pbft.Request{Batch: b, Sig: c.env.Suite().Sign(pbft.RequestPayload(&b))})
 	c.armRetry(seq)
 }
 

@@ -293,14 +293,14 @@ type signedBatch struct {
 }
 
 // SubmitLocal hands a client batch to this replica; sig is the client's
-// signature over RequestPayload (nil where the caller's trust model does not
-// use real client signatures, e.g. the simulator). The primary enqueues and
-// proposes the batch; a backup forwards it to the primary and supervises
-// progress (the standard PBFT anti-censorship mechanism).
+// signature over RequestPayload (nil for a no-op). verified is false only
+// where nothing checked sig (the standalone PBFT baseline). The primary
+// enqueues and proposes the batch; a backup forwards it to the primary and
+// supervises progress (the standard PBFT anti-censorship mechanism).
 func (r *Replica) SubmitLocal(b types.Batch, sig []byte, verified bool) {
 	if !verified {
-		// Client batches are signed; charge verification (simulated clients
-		// are honest, so the signature check itself is modelled as cost).
+		// Client batches are signed; charge verification (the baseline's
+		// simulated clients are honest, so the check is modelled as cost).
 		r.env.Suite().ChargeVerify()
 	}
 	if !b.NoOp && b.Seq <= r.clientHWM[b.Client] {
@@ -344,7 +344,7 @@ func (r *Replica) tryPropose() {
 		dbg("%v PROPOSE view=%d seq=%d", r.env.ID(), r.view, r.nextSeq)
 		pp := &PrePrepare{View: r.view, Seq: r.nextSeq, Digest: d, Batch: b}
 		r.broadcast(pp)
-		r.onPrePrepare(r.env.ID(), pp, true) // digest freshly computed above
+		r.onPrePrepare(r.env.ID(), pp)
 	}
 }
 
@@ -364,33 +364,33 @@ func (r *Replica) digestLive(d types.Digest) bool {
 	return false
 }
 
-// HandleMessage dispatches a PBFT message; it returns false if msg is not a
-// PBFT message (so composing protocols can try their own handlers). All
-// cryptographic checks run inline on the caller's goroutine.
+// HandleMessage checks a PBFT message with PreVerify on this replica's suite
+// and applies it with HandleVerified; a rejected message is counted
+// (Hooks.Rejected) and dropped. It returns false if msg is not a PBFT message
+// (so composing protocols can try their own handlers).
 func (r *Replica) HandleMessage(from types.NodeID, msg types.Message) bool {
-	return r.handle(from, msg, false)
+	if PreVerify(r.env.Suite(), from, msg) == proto.VerdictReject {
+		r.reject()
+		return true
+	}
+	return r.HandleVerified(from, msg)
 }
 
-// HandleVerified dispatches a PBFT message whose state-independent
-// cryptographic checks already passed PreVerify (the fabric's verify pool);
-// the apply path skips re-verification but keeps every stateful guard, so
-// decisions are identical to HandleMessage's.
+// HandleVerified applies a PBFT message that PreVerify did not reject: the
+// state-dependent guards run here, the state-independent checks do not run
+// again. It returns false if msg is not a PBFT message.
 func (r *Replica) HandleVerified(from types.NodeID, msg types.Message) bool {
-	return r.handle(from, msg, true)
-}
-
-func (r *Replica) handle(from types.NodeID, msg types.Message, pre bool) bool {
 	switch m := msg.(type) {
 	case *Request:
 		// A forwarded client request: route it by our current role (the
-		// fabric re-verifies the carried client signature before this point;
-		// the simulator models the forwarder's check as cost).
+		// composing layer checked the carried client signature:
+		// core.Replica.PreVerify).
 		r.env.Suite().ChargeVerifyMAC()
 		r.SubmitLocal(m.Batch, m.Sig, true)
 		return true
 	case *PrePrepare:
 		r.env.Suite().ChargeVerifyMAC()
-		r.onPrePrepare(from, m, pre)
+		r.onPrePrepare(from, m)
 		return true
 	case *Prepare:
 		r.env.Suite().ChargeVerifyMAC()
@@ -443,9 +443,9 @@ func (r *Replica) inWindow(seq uint64) bool {
 	return seq > r.lowWater && seq <= r.lowWater+2*r.cfg.HighWaterMark
 }
 
-// onPrePrepare applies a proposal. pre marks proposals whose batch/digest
-// binding was already checked (PreVerify, or the proposing path itself).
-func (r *Replica) onPrePrepare(from types.NodeID, m *PrePrepare, pre bool) {
+// onPrePrepare applies a proposal whose batch/digest binding holds: checked
+// by PreVerify, or true by construction where the proposal was made here.
+func (r *Replica) onPrePrepare(from types.NodeID, m *PrePrepare) {
 	if from != r.PrimaryOf(m.View) {
 		return
 	}
@@ -461,10 +461,6 @@ func (r *Replica) onPrePrepare(from types.NodeID, m *PrePrepare, pre bool) {
 		return
 	}
 	if !r.inWindow(m.Seq) {
-		return
-	}
-	if !pre && m.Batch.Digest() != m.Digest {
-		r.reject()
 		return
 	}
 	e := r.entryAt(m.Seq)
@@ -499,10 +495,6 @@ func (r *Replica) onPrepare(from types.NodeID, m *Prepare) {
 	// Votes for the current or any future view are bucketed; only stale
 	// views are discarded. This keeps votes that raced ahead of their
 	// preprepare or of our view-change installation.
-	if m.Replica != from || len(m.Sig) == 0 {
-		r.reject() // spoofed vote identity, or no signature to retain
-		return
-	}
 	if m.View < r.view || !r.inWindow(m.Seq) {
 		return
 	}
@@ -543,14 +535,10 @@ func (r *Replica) sendCommit(seq uint64, e *entry) {
 
 // onCommit counts a commit vote. What authenticates it is the channel it
 // arrived on — the frame MAC over TCP, the in-process endpoint on Mem — plus
-// the checks that the vote names its sender and the sender is a member; the
-// ed25519 signature is kept and verified only when a certificate built from
-// it is about to be shown (Prove).
+// the checks that the vote names its sender (PreVerify) and the sender is a
+// member; the ed25519 signature is kept and verified only when a certificate
+// built from it is about to be shown (Prove).
 func (r *Replica) onCommit(from types.NodeID, m *Commit) {
-	if m.Replica != from || len(m.Sig) == 0 {
-		r.reject() // spoofed vote identity, or no signature to retain
-		return
-	}
 	if !r.inWindow(m.Seq) {
 		// The entry is collected (or never existed); a sequence decided here
 		// still takes the vote as a spare. A checkpoint can stabilize before

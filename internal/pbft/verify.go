@@ -7,20 +7,18 @@ import (
 )
 
 // PreVerify performs the state-independent checks of a PBFT message: the
-// preprepare batch/digest binding and the rule that a commit vote names its
-// sender, exactly the predicates the apply path would evaluate. It touches
-// no replica state, so the fabric's verify pool calls it concurrently from
-// many goroutines (suite must honor crypto.Suite's concurrency contract).
+// batch/digest binding of a preprepare and of every proposal a new-view
+// carries, and the rule that a prepare or commit vote names its sender and
+// carries a signature to retain. It touches no replica state, so the fabric's
+// verify pool calls it concurrently from many goroutines (suite must honor
+// crypto.Suite's concurrency contract). It is the only place these checks
+// run: HandleMessage runs it inline, and HandleVerified assumes it passed.
 //
-// The mapping is decision-equivalent to the inline path: VerdictReject is
-// returned only for messages the state machine would unconditionally discard,
-// and VerdictVerified messages may skip exactly the checks performed here.
-// No vote signature is checked on receipt, here or inline: prepare, commit
-// and checkpoint votes are counted on their channel's authentication and
-// their signatures verified only where a proof built from them is shown
-// (Replica.Prove, buildViewChange). View-change and new-view messages verify
-// inline on the worker (rare path, and their validation is entangled with
-// quorum state).
+// No vote signature is checked on receipt: prepare, commit and checkpoint
+// votes are counted on their channel's authentication and their signatures
+// verified only where a proof built from them is shown (Replica.Prove,
+// buildViewChange). View-change and new-view signatures verify on the worker
+// (rare path, and their validation is entangled with quorum state).
 func PreVerify(suite *crypto.Suite, from types.NodeID, msg types.Message) proto.Verdict {
 	switch m := msg.(type) {
 	case *PrePrepare:
@@ -28,12 +26,29 @@ func PreVerify(suite *crypto.Suite, from types.NodeID, msg types.Message) proto.
 			return proto.VerdictReject
 		}
 		return proto.VerdictVerified
-	case *Commit:
-		if m.Replica != from {
-			return proto.VerdictReject
+	case *NewView:
+		// The re-issued proposals carry batches the new primary supplied;
+		// onNewView matches their digests against the campaigns.
+		for _, pp := range m.PrePrepares {
+			if pp.Batch.Digest() != pp.Digest {
+				return proto.VerdictReject
+			}
 		}
 		return proto.VerdictPass
+	case *Prepare:
+		return vote(from, m.Replica, m.Sig)
+	case *Commit:
+		return vote(from, m.Replica, m.Sig)
 	default:
 		return proto.VerdictPass
 	}
+}
+
+// vote rejects a vote whose identity is spoofed or that has no signature to
+// retain for a later proof.
+func vote(from, replica types.NodeID, sig []byte) proto.Verdict {
+	if replica != from || len(sig) == 0 {
+		return proto.VerdictReject
+	}
+	return proto.VerdictPass
 }

@@ -400,10 +400,10 @@ func (r *Replica) applyNewView(nv *NewView) {
 			continue
 		}
 		// Entries are reused, not reset: votes already bucketed under the
-		// new view's key must survive the re-proposal. The digest/batch
-		// binding is re-checked: NewView proposals carry attacker-supplied
-		// batches.
-		r.onPrePrepare(r.PrimaryOf(nv.View), pp, false)
+		// new view's key must survive the re-proposal. A received NewView's
+		// batches passed PreVerify's digest binding; one built here took
+		// them from validated campaigns.
+		r.onPrePrepare(r.PrimaryOf(nv.View), pp)
 	}
 	if r.nextSeq < maxSeq {
 		r.nextSeq = maxSeq
@@ -431,7 +431,7 @@ func (r *Replica) applyNewView(nv *NewView) {
 	r.futurePP = nil
 	for _, pp := range buffered {
 		if pp.View >= r.view {
-			r.onPrePrepare(r.PrimaryOf(pp.View), pp, false)
+			r.onPrePrepare(r.PrimaryOf(pp.View), pp)
 		}
 	}
 	r.tryPropose()

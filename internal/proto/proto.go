@@ -19,6 +19,8 @@ import (
 
 // Timer is a cancellable one-shot timer handle.
 type Timer interface {
+	// Stop cancels the timer; a timer that already fired or was stopped is
+	// unaffected.
 	Stop()
 }
 
@@ -39,24 +41,25 @@ type Env interface {
 	Rand() *rand.Rand
 }
 
-// Verdict is the outcome of concurrent pre-verification. The fabric's verify
-// pool runs every state-independent cryptographic check of an inbound message
-// (PBFT commit signatures, preprepare batch digests, GeoBFT certificate and
-// Rvc signatures) before the message enters the worker queue, and tags it
-// with the verdict so the single-threaded state machine can skip
-// re-verification without changing any protocol decision.
+// Verdict is the outcome of a protocol's PreVerify: every state-independent
+// receive-time check of an inbound message (client request signatures,
+// preprepare batch digests, GeoBFT certificate and Rvc signatures, catch-up
+// ranges, snapshot manifests), run once — inline, or by the fabric's verify
+// pool before the message enters the worker queue. Pass and Verified both go
+// to the apply path (core.Replica.ReceiveVerified), which runs none of those
+// checks again; Reject is counted and dropped.
 type Verdict int
 
 const (
 	// VerdictPass means the message has no state-independent cryptographic
-	// checks; it takes the full (verifying) apply path.
+	// check, or none worth running for it (a stale share, a forward that is
+	// vouched for); the apply path's stateful guards decide.
 	VerdictPass Verdict = iota
 	// VerdictVerified means every state-independent cryptographic check
-	// passed; the apply path may skip them.
+	// passed.
 	VerdictVerified
-	// VerdictReject means a cryptographic check failed. The message must be
-	// dropped — the state machine would discard it anyway, so dropping early
-	// is decision-equivalent.
+	// VerdictReject means a check failed, or the message is provably forged
+	// or mis-routed. It is dropped and counted.
 	VerdictReject
 )
 
@@ -87,10 +90,15 @@ func WrapSim(e *simnet.Env) Env { return simEnv{e} }
 // sent matching replies (at most f can be faulty, so one reply is from a
 // non-faulty replica — paper Section 2.4).
 type Reply struct {
-	Client    types.NodeID
+	// Client is the client the reply answers.
+	Client types.NodeID
+	// ClientSeq is the client's sequence number of the executed batch.
 	ClientSeq uint64
-	Replica   types.NodeID
-	TxnCount  int
+	// Replica is the replica that executed it and replies.
+	Replica types.NodeID
+	// TxnCount is how many transactions the batch carried (it sizes the
+	// reply).
+	TxnCount int
 	// Result commits to the execution outcome (here: the batch digest, as
 	// our YCSB writes return no data).
 	Result types.Digest
