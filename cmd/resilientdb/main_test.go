@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -94,22 +96,47 @@ func waitProc(t *testing.T, p *proc, what string, timeout time.Duration) {
 	}
 }
 
+// writeSpec writes spec as the JSON file every process of a test deployment
+// loads with -config.
+func writeSpec(t *testing.T, spec config.ClusterSpec) string {
+	t.Helper()
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// placed is an address book placing replica i at addrs[i].
+func placed(addrs []string) []config.ReplicaSpec {
+	out := make([]config.ReplicaSpec, len(addrs))
+	for i, a := range addrs {
+		out[i].Listen = a
+	}
+	return out
+}
+
 // TestInProcessWithAdversary runs the single-process demo with replica
 // (0,0) compromised by the share-forging script: the deployment tolerates
 // f=1 Byzantine replica per cluster, so every batch must still commit, the
 // honest ledger must verify, and the forged certificates must be counted as
-// verify-rejects — the -adversary flag end to end.
+// verify-rejects — the -adversary flag end to end, on an in-process run of a
+// spec file.
 func TestInProcessWithAdversary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time adversarial run")
 	}
+	cfg := writeSpec(t, config.ClusterSpec{
+		Clusters: 2, ReplicasPerCluster: 4, BatchSize: 4,
+		LocalTimeout:  config.Duration(400 * time.Millisecond),
+		RemoteTimeout: config.Duration(700 * time.Millisecond),
+	})
 	var out bytes.Buffer
-	err := run([]string{
-		"-clusters", "2", "-replicas", "4",
-		"-batches", "6", "-batch-size", "4",
-		"-adversary", "forge-shares",
-		"-local-timeout", "400ms", "-remote-timeout", "700ms",
-	}, &out)
+	err := run([]string{"-config", cfg, "-batches", "6", "-adversary", "forge-shares"}, &out)
 	if err != nil {
 		t.Fatalf("adversarial run failed: %v\n%s", err, out.String())
 	}
@@ -122,6 +149,41 @@ func TestInProcessWithAdversary(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(string(m[1])); n == 0 {
 		t.Fatalf("adversarial run rejected nothing:\n%s", out.String())
+	}
+}
+
+// TestRoleErrors checks that a process asked for a role the spec cannot give
+// it fails with an error before it starts anything, never a panic. The first
+// row is a spec with more client addresses than the default number of
+// provisioned identities: its last client has an address but no key.
+func TestRoleErrors(t *testing.T) {
+	replicas := placed([]string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"})
+	clients := make([]string, config.DefaultProvisionClients+1)
+	for i := range clients {
+		clients[i] = "127.0.0.1:0"
+	}
+	unprovisioned := writeSpec(t, config.ClusterSpec{Clusters: 1, ReplicasPerCluster: 4,
+		Replicas: replicas, Clients: clients})
+	twoClients := writeSpec(t, config.ClusterSpec{Clusters: 1, ReplicasPerCluster: 4,
+		Replicas: replicas, Clients: clients[:2], ProvisionClients: 8})
+	noBook := writeSpec(t, config.ClusterSpec{Clusters: 1, ReplicasPerCluster: 4})
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"client without a key", []string{"-config", unprovisioned, "-client", strconv.Itoa(len(clients) - 1)}, "provisioned identities"},
+		{"client without an address", []string{"-config", twoClients, "-client", "5"}, "client 5 is not one of them"},
+		{"replica outside the spec", []string{"-config", twoClients, "-id", "4"}, "replica 4 is not one of them"},
+		{"join without an address book", []string{"-config", noBook, "-id", "0"}, "needs 4"},
+		{"role without a spec", []string{"-id", "0"}, "-config"},
+		{"both roles", []string{"-config", twoClients, "-id", "0", "-client", "0"}, "not both"},
+	}
+	for _, c := range cases {
+		err := run(c.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -138,25 +200,17 @@ func TestMultiProcessCluster(t *testing.T) {
 		numBatches = 50
 	)
 	addrs := reserveAddrs(t, z*n+z)
-	replicaAddrs := addrs[:z*n]
-	clientAddrs := addrs[z*n:]
-	peers := joinAddrs(replicaAddrs)
-	clients := joinAddrs(clientAddrs)
-
-	common := []string{
-		"-clusters", strconv.Itoa(z),
-		"-replicas", strconv.Itoa(n),
-		"-peers", peers,
-		"-clients", clients,
-		"-local-timeout", "2s",
-		"-remote-timeout", "3s",
-	}
+	cfg := writeSpec(t, config.ClusterSpec{
+		Clusters: z, ReplicasPerCluster: n, BatchSize: 5,
+		LocalTimeout:  config.Duration(2 * time.Second),
+		RemoteTimeout: config.Duration(3 * time.Second),
+		Replicas:      placed(addrs[:z*n]),
+		Clients:       addrs[z*n:],
+	})
 
 	replicas := make([]*proc, z*n)
 	for i := range replicas {
-		replicas[i] = startProc(t, append([]string{
-			"-listen", replicaAddrs[i], "-id", strconv.Itoa(i),
-		}, common...)...)
+		replicas[i] = startProc(t, "-config", cfg, "-id", strconv.Itoa(i))
 	}
 	defer func() {
 		for _, p := range replicas {
@@ -170,10 +224,8 @@ func TestMultiProcessCluster(t *testing.T) {
 	clientProcs := make([]*proc, z)
 	var wg sync.WaitGroup
 	for c := range clientProcs {
-		clientProcs[c] = startProc(t, append([]string{
-			"-listen", clientAddrs[c], "-client", strconv.Itoa(c),
-			"-batches", strconv.Itoa(numBatches), "-batch-size", "5",
-		}, common...)...)
+		clientProcs[c] = startProc(t, "-config", cfg, "-client", strconv.Itoa(c),
+			"-batches", strconv.Itoa(numBatches))
 	}
 	for c, p := range clientProcs {
 		wg.Add(1)
@@ -230,10 +282,10 @@ func TestMultiProcessCluster(t *testing.T) {
 
 // TestPrimaryKillAndRejoin is the end-to-end failure-model run over real
 // TCP: a 4-replica cluster of separate OS processes — each persisting its
-// ledger to its own -data-dir — loses its primary to SIGKILL mid-load
+// ledger under the spec's data_dir — loses its primary to SIGKILL mid-load
 // (possibly mid-write: the store must truncate the torn tail), the client's
 // commits must resume through the local view change, and the killed process
-// is then relaunched with identical flags and must rejoin from its data
+// is then relaunched with the same command line and must rejoin from its data
 // directory alone: no in-memory handoff exists across processes, so it
 // re-verifies the on-disk prefix and pulls only the missed suffix from peers
 // (ledger catch-up) — every replica, the reborn one included, reports the
@@ -246,24 +298,27 @@ func TestPrimaryKillAndRejoin(t *testing.T) {
 	}
 	const n = 4
 	addrs := reserveAddrs(t, n+2)
-	replicaAddrs := addrs[:n]
-	clientAddrs := addrs[n:]
-	dataRoot := t.TempDir()
-	dataDir := func(i int) string { return filepath.Join(dataRoot, fmt.Sprintf("r%d", i)) }
-
-	common := []string{
-		"-clusters", "1",
-		"-replicas", strconv.Itoa(n),
-		"-peers", joinAddrs(replicaAddrs),
-		"-clients", joinAddrs(clientAddrs),
-		"-local-timeout", "1s",
-		"-remote-timeout", "1s",
+	// One data_dir for every process: each replica keeps its store under
+	// node-<id>, so the four share the root like replicas on one machine.
+	spec := config.ClusterSpec{
+		Clusters: 1, ReplicasPerCluster: n, BatchSize: 5,
+		LocalTimeout:  config.Duration(time.Second),
+		RemoteTimeout: config.Duration(time.Second),
+		Replicas:      placed(addrs[:n]),
+		Clients:       addrs[n:],
 	}
+	spec.Retention.DataDir = t.TempDir()
+	cfg := writeSpec(t, spec)
+	replica := func(i int, extra ...string) *proc {
+		return startProc(t, append([]string{"-config", cfg, "-id", strconv.Itoa(i)}, extra...)...)
+	}
+	client := func(c, batches int) *proc {
+		return startProc(t, "-config", cfg, "-client", strconv.Itoa(c), "-batches", strconv.Itoa(batches))
+	}
+
 	replicas := make([]*proc, n)
 	for i := range replicas {
-		replicas[i] = startProc(t, append([]string{
-			"-listen", replicaAddrs[i], "-id", strconv.Itoa(i), "-data-dir", dataDir(i),
-		}, common...)...)
+		replicas[i] = replica(i)
 	}
 	defer func() {
 		for _, p := range replicas {
@@ -277,26 +332,20 @@ func TestPrimaryKillAndRejoin(t *testing.T) {
 	// Load the cluster, then kill the primary mid-run. Commits can only
 	// resume after the remaining replicas complete a view change, so the
 	// client finishing all its batches IS the liveness assertion.
-	client0 := startProc(t, append([]string{
-		"-listen", clientAddrs[0], "-client", "0", "-batches", "40", "-batch-size", "5",
-	}, common...)...)
+	client0 := client(0, 40)
 	time.Sleep(800 * time.Millisecond)
 	replicas[0].cmd.Process.Kill()
 	replicas[0].cmd.Wait()
 	waitProc(t, client0, "client 0 (across primary kill)", 180*time.Second)
 
-	// Rejoin: same binary, same flags, fresh process. All it has is its
+	// Rejoin: same binary, same command line, fresh process. All it has is its
 	// data directory — the SIGKILLed process took its memory with it — so
 	// it must recover the persisted prefix (torn tail truncated, every
 	// certificate re-verified) and close the remaining gap via catch-up
 	// while fresh traffic from a second client provides the evidence that
 	// it is behind.
-	replicas[0] = startProc(t, append([]string{
-		"-listen", replicaAddrs[0], "-id", "0", "-data-dir", dataDir(0),
-	}, common...)...)
-	client1 := startProc(t, append([]string{
-		"-listen", clientAddrs[1], "-client", "1", "-batches", "8", "-batch-size", "5",
-	}, common...)...)
+	replicas[0] = replica(0)
+	client1 := client(1, 8)
 	waitProc(t, client1, "client 1 (during rejoin)", 120*time.Second)
 	time.Sleep(5 * time.Second) // let the reborn replica drain its catch-up
 
@@ -330,9 +379,7 @@ func TestPrimaryKillAndRejoin(t *testing.T) {
 	// no one to catch up from, so the full converged chain it reports can
 	// only have come from its data directory — recovered, re-verified, and
 	// byte-for-byte the same head the cluster agreed on.
-	solo := startProc(t, append([]string{
-		"-listen", replicaAddrs[0], "-id", "0", "-data-dir", dataDir(0), "-serve", "3s",
-	}, common...)...)
+	solo := replica(0, "-serve", "3s")
 	waitProc(t, solo, "replica 0 (solo restart from disk)", 60*time.Second)
 	m := final.FindStringSubmatch(solo.out.String())
 	if m == nil {
@@ -449,15 +496,4 @@ func TestConfigFileClusterRPC(t *testing.T) {
 			t.Errorf("replica %d head %s differs from replica 0's %s", i, heads[i], heads[0])
 		}
 	}
-}
-
-func joinAddrs(addrs []string) string {
-	out := ""
-	for i, a := range addrs {
-		if i > 0 {
-			out += ","
-		}
-		out += a
-	}
-	return out
 }

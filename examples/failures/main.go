@@ -17,8 +17,8 @@ func main() {
 		Clusters:           2,
 		ReplicasPerCluster: 4,
 		BatchSize:          4,
-		LocalTimeout:       400 * time.Millisecond,
-		RemoteTimeout:      600 * time.Millisecond,
+		LocalTimeout:       resilientdb.Duration(400 * time.Millisecond),
+		RemoteTimeout:      resilientdb.Duration(600 * time.Millisecond),
 	})
 	if err != nil {
 		log.Fatal(err)

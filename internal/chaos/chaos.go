@@ -54,8 +54,6 @@ type Scenario struct {
 	// replica checkpoints its executed state and garbage-collects ledger
 	// segments below it (0: disabled). See fabric.Config.SnapshotInterval.
 	SnapshotInterval uint64
-	// RetainSegments is the segment retention below checkpoints (0: 2).
-	RetainSegments int
 	// Seed, when set, pre-populates the scenario's data directory before
 	// the deployment opens (disk-backed scenarios only): the hook writes
 	// each replica's stores exactly as a prior long, GC'd run would have
@@ -132,7 +130,6 @@ func Run(s Scenario, seed int64, logf func(format string, args ...any)) error {
 		Transport:        tr,
 		Mempool:          s.Mempool,
 		SnapshotInterval: s.SnapshotInterval,
-		RetainSegments:   s.RetainSegments,
 	}
 	var dataDir string
 	if s.Disk {

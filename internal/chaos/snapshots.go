@@ -113,7 +113,6 @@ func snapshotJoin() Scenario {
 		Clusters:    2, Replicas: 4,
 		Disk:             true,
 		SnapshotInterval: 8,
-		RetainSegments:   2,
 		Seed: func(dataDir string, topo config.Topology) error {
 			return seedCheckpointedDeployment(dataDir, topo, seedRound, 128,
 				map[types.NodeID]bool{topo.ReplicaID(0, 3): true})
@@ -181,7 +180,6 @@ func byzTamperedSnapshot() Scenario {
 		Clusters:    2, Replicas: 4,
 		Disk:             true,
 		SnapshotInterval: 8,
-		RetainSegments:   2,
 		Byzantine: []Role{
 			{Cluster: 0, Index: 1, Script: &byzantine.SnapshotTamperer{}},
 		},

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"resilientdb/internal/mempool"
 )
 
 // Duration is a time.Duration that travels through JSON as a human-readable
@@ -40,6 +42,26 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // Std returns the duration as a time.Duration.
 func (d Duration) Std() time.Duration { return time.Duration(d) }
 
+// The defaults an omitted (zero) spec key selects. fabric.Open applies them
+// to the zero fields of a fabric.Config, so every way of starting a
+// deployment — a spec file, the root API, a fabric.Config built directly —
+// gets the same ones.
+const (
+	// DefaultBatchSize is the number of client transactions per consensus
+	// batch, as in the paper.
+	DefaultBatchSize = 100
+	// DefaultLocalTimeout is the local view-change timeout.
+	DefaultLocalTimeout = 2 * time.Second
+	// DefaultRemoteTimeout is the base remote-cluster failure-detection
+	// timeout.
+	DefaultRemoteTimeout = 3 * time.Second
+	// DefaultProvisionClients is how many client identities get signing keys.
+	DefaultProvisionClients = 64
+	// DefaultRetainSegments is how many block-store segments snapshot GC
+	// keeps below the last durable checkpoint.
+	DefaultRetainSegments = 2
+)
+
 // ReplicaSpec places one replica of a cluster spec: where its consensus
 // transport listens and, optionally, where its client-facing RPC server
 // listens.
@@ -52,72 +74,63 @@ type ReplicaSpec struct {
 	RPC string `json:"rpc,omitempty"`
 }
 
-// MempoolSpec is the cluster spec's client-admission tuning block. Zero
-// fields select the internal/mempool defaults.
-type MempoolSpec struct {
-	// Capacity caps admitted-but-unexecuted requests per replica (0: 4096).
-	Capacity int `json:"capacity,omitempty"`
-	// ClientRate limits new admissions per client in requests/s (0: 512;
-	// negative disables).
-	ClientRate float64 `json:"client_rate,omitempty"`
-	// ClientBurst is the rate limiter's burst allowance (0: 512).
-	ClientBurst int `json:"client_burst,omitempty"`
-	// ReplayWindow is how many executed requests per client each replica
-	// remembers for ledger re-replies (0: 32).
-	ReplayWindow int `json:"replay_window,omitempty"`
-}
-
 // RetentionSpec is the cluster spec's persistence and history-bounding
 // block. An empty DataDir keeps ledgers in memory only.
 type RetentionSpec struct {
-	// DataDir roots each hosted replica's durable block store. Processes on
-	// different machines may use the same path; processes sharing a machine
-	// need distinct paths.
+	// DataDir roots each hosted replica's durable block store; replica i
+	// keeps its files under DataDir/node-<i>, so processes sharing a
+	// machine may share the path. A replica acknowledges a batch only once
+	// the block holding it is fsynced.
 	DataDir string `json:"data_dir,omitempty"`
 	// SegmentBytes caps one block-store segment file (0: 4 MiB).
 	SegmentBytes int64 `json:"segment_bytes,omitempty"`
-	// GroupCommit fsyncs the block store on a timer at this interval,
-	// acknowledging batches before they are durable (0: fsync, coalesced,
-	// before acknowledging).
-	GroupCommit Duration `json:"group_commit,omitempty"`
 	// SnapshotInterval writes a checkpoint snapshot every N rounds and GCs
 	// ledger segments below it (0: history unbounded).
 	SnapshotInterval uint64 `json:"snapshot_interval,omitempty"`
 	// RetainSegments is how many segments snapshot GC keeps below the last
-	// durable checkpoint (0: 2).
+	// durable checkpoint (0: DefaultRetainSegments).
 	RetainSegments int `json:"retain_segments,omitempty"`
 }
 
-// ClusterSpec is a whole deployment in one JSON file: topology, the address
-// book every process must agree on, and the shared tuning knobs. Each
-// process of the deployment loads the same file and is told only which role
-// it plays (-id or -client); everything else — peer addresses, RPC listen
-// addresses, timeouts, retention, admission — comes from the spec, so the
-// file can be provisioned once and shipped to every machine.
+// ClusterSpec is a whole deployment: topology, the address book every
+// process must agree on, and the shared tuning knobs. It is the only place a
+// deployment knob is declared. A spec file is this struct in JSON; each
+// process of a multi-process deployment loads the same file and is told only
+// which role it plays, so the file can be provisioned once and shipped to
+// every machine. Zero fields select the Default* constants (or the
+// internal/mempool defaults for the mempool block).
 type ClusterSpec struct {
-	// Clusters is the number of regions (z ≥ 1).
+	// Clusters is the number of regions (1 ≤ z ≤ NumRegions).
 	Clusters int `json:"clusters"`
-	// ReplicasPerCluster is n per region (n ≥ 4).
+	// ReplicasPerCluster is n per region (n ≥ 4; tolerates f = ⌊(n−1)/3⌋
+	// Byzantine replicas per cluster).
 	ReplicasPerCluster int `json:"replicas_per_cluster"`
-	// BatchSize groups client transactions per consensus decision (0: the
-	// deployment default).
+	// BatchSize groups client transactions per consensus decision (0:
+	// DefaultBatchSize).
 	BatchSize int `json:"batch_size,omitempty"`
-	// LocalTimeout tunes local view-change failure detection (0: default).
+	// LocalTimeout tunes local view-change failure detection (0:
+	// DefaultLocalTimeout).
 	LocalTimeout Duration `json:"local_timeout,omitempty"`
-	// RemoteTimeout is the remote failure-detection base timeout (0:
-	// default).
+	// RemoteTimeout is the remote failure-detection base timeout; it backs
+	// off exponentially on repeat (0: DefaultRemoteTimeout).
 	RemoteTimeout Duration `json:"remote_timeout,omitempty"`
+	// EmulateWAN injects the paper's Table 1 one-way latencies between
+	// clusters (cluster c sits in region c), in-process or over TCP.
+	EmulateWAN bool `json:"emulate_wan,omitempty"`
 	// Replicas is the address book for the z×n replicas in global order:
 	// Replicas[i] places global replica i (cluster i/n, local index i%n).
-	Replicas []ReplicaSpec `json:"replicas"`
+	// Only a process that joins a deployment over TCP uses it.
+	Replicas []ReplicaSpec `json:"replicas,omitempty"`
 	// Clients maps client index to the listen address of the process
 	// hosting that client, so replicas can route replies.
 	Clients []string `json:"clients,omitempty"`
 	// ProvisionClients is how many client identities get signing keys (0:
-	// 64). Must be at least len(Clients).
+	// DefaultProvisionClients). Every process must agree on it: the key
+	// directory is derived from it, and replicas reject requests from
+	// unprovisioned identities. Must be at least len(Clients).
 	ProvisionClients int `json:"provision_clients,omitempty"`
 	// Mempool tunes client admission.
-	Mempool MempoolSpec `json:"mempool,omitempty"`
+	Mempool mempool.Config `json:"mempool,omitempty"`
 	// Retention tunes persistence and history bounding.
 	Retention RetentionSpec `json:"retention,omitempty"`
 }
@@ -151,16 +164,27 @@ func LoadClusterSpec(path string) (*ClusterSpec, error) {
 	return spec, nil
 }
 
-// Validate checks the spec's internal consistency: a plausible topology, a
-// complete replica address book, and a provisioned identity for every
-// listed client.
+// Validate checks what every deployment needs, wherever its processes run:
+// a topology within the regions of the WAN profile, and a provisioned
+// identity for every listed client. The replica address book is checked by
+// CheckAddressBook, where it is used.
 func (s *ClusterSpec) Validate() error {
-	if s.Clusters < 1 {
-		return fmt.Errorf("config: cluster spec needs clusters ≥ 1, got %d", s.Clusters)
+	if s.Clusters < 1 || s.Clusters > int(NumRegions) {
+		return fmt.Errorf("config: cluster spec needs 1 ≤ clusters ≤ %d (one per region), got %d", NumRegions, s.Clusters)
 	}
 	if s.ReplicasPerCluster < 4 {
 		return fmt.Errorf("config: cluster spec needs replicas_per_cluster ≥ 4 (f ≥ 1), got %d", s.ReplicasPerCluster)
 	}
+	if len(s.Clients) > s.ProvisionedClients() {
+		return fmt.Errorf("config: %d client addresses but only %d provisioned identities",
+			len(s.Clients), s.ProvisionedClients())
+	}
+	return nil
+}
+
+// CheckAddressBook checks the replica address book a process joining the
+// deployment over TCP dials: exactly z×n entries, each with a listen address.
+func (s *ClusterSpec) CheckAddressBook() error {
 	want := s.Clusters * s.ReplicasPerCluster
 	if len(s.Replicas) != want {
 		return fmt.Errorf("config: cluster spec lists %d replicas, topology %d×%d needs %d",
@@ -171,24 +195,20 @@ func (s *ClusterSpec) Validate() error {
 			return fmt.Errorf("config: replica %d has no listen address", i)
 		}
 	}
-	if s.ProvisionClients > 0 && len(s.Clients) > s.ProvisionClients {
-		return fmt.Errorf("config: %d client addresses but only %d provisioned identities",
-			len(s.Clients), s.ProvisionClients)
-	}
 	return nil
+}
+
+// ProvisionedClients is the number of client identities the deployment
+// provisions keys for: ProvisionClients, or DefaultProvisionClients when
+// that is zero. Valid client indices are [0, ProvisionedClients()).
+func (s *ClusterSpec) ProvisionedClients() int {
+	if s.ProvisionClients > 0 {
+		return s.ProvisionClients
+	}
+	return DefaultProvisionClients
 }
 
 // Topology returns the spec's deployment shape.
 func (s *ClusterSpec) Topology() Topology {
 	return NewTopology(s.Clusters, s.ReplicasPerCluster)
-}
-
-// ReplicaAddrs returns the consensus listen addresses in global replica
-// order (the flat address book the transport layer wants).
-func (s *ClusterSpec) ReplicaAddrs() []string {
-	out := make([]string, len(s.Replicas))
-	for i, r := range s.Replicas {
-		out[i] = r.Listen
-	}
-	return out
 }

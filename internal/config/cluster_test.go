@@ -27,7 +27,7 @@ const sampleSpec = `{
   "clients": ["10.0.0.9:7100", "10.0.1.9:7100"],
   "provision_clients": 8,
   "mempool": {"capacity": 2048, "client_rate": 256, "replay_window": 16},
-  "retention": {"data_dir": "/var/lib/resilientdb", "group_commit": "5ms",
+  "retention": {"data_dir": "/var/lib/resilientdb",
                 "snapshot_interval": 64, "retain_segments": 3}
 }`
 
@@ -42,21 +42,17 @@ func TestParseClusterSpec(t *testing.T) {
 	if got := spec.LocalTimeout.Std(); got != 500*time.Millisecond {
 		t.Errorf("local_timeout %v, want 500ms", got)
 	}
-	if got := spec.Retention.GroupCommit.Std(); got != 5*time.Millisecond {
-		t.Errorf("group_commit %v, want 5ms", got)
-	}
 	topo := spec.Topology()
 	if topo.TotalReplicas() != 8 || topo.F() != 1 {
 		t.Errorf("topology (%d replicas, f=%d), want (8, 1)", topo.TotalReplicas(), topo.F())
 	}
-	addrs := spec.ReplicaAddrs()
-	if len(addrs) != 8 || addrs[4] != "10.0.1.1:7000" {
-		t.Errorf("replica addrs %v", addrs)
+	if err := spec.CheckAddressBook(); err != nil || spec.Replicas[4].Listen != "10.0.1.1:7000" {
+		t.Errorf("address book: %v, replica 4 at %q", err, spec.Replicas[4].Listen)
 	}
 	if spec.Replicas[0].RPC != "10.0.0.1:9000" || spec.Replicas[1].RPC != "" {
 		t.Errorf("rpc addrs: %q / %q", spec.Replicas[0].RPC, spec.Replicas[1].RPC)
 	}
-	if spec.Mempool.Capacity != 2048 || spec.Retention.SnapshotInterval != 64 {
+	if spec.Mempool.Capacity != 2048 || spec.Mempool.PerClientRate != 256 || spec.Retention.SnapshotInterval != 64 {
 		t.Errorf("tuning blocks: %+v %+v", spec.Mempool, spec.Retention)
 	}
 }
@@ -86,21 +82,21 @@ func TestClusterSpecValidation(t *testing.T) {
 			"bad duration"},
 		{"no clusters",
 			`{"clusters": 0, "replicas_per_cluster": 4}`,
-			"clusters ≥ 1"},
+			"1 ≤ clusters"},
 		{"too few replicas per cluster",
 			`{"clusters": 1, "replicas_per_cluster": 3}`,
 			"replicas_per_cluster ≥ 4"},
-		{"short address book",
-			`{"clusters": 1, "replicas_per_cluster": 4, "replicas": [{"listen": "a:1"}]}`,
-			"needs 4"},
-		{"empty listen address",
-			`{"clusters": 1, "replicas_per_cluster": 4,
-			  "replicas": [{"listen": "a:1"}, {"listen": ""}, {"listen": "c:1"}, {"listen": "d:1"}]}`,
-			"no listen address"},
+		{"more clusters than regions",
+			`{"clusters": 7, "replicas_per_cluster": 4}`,
+			"clusters ≤ 6"},
 		{"more clients than identities",
 			`{"clusters": 1, "replicas_per_cluster": 4, "provision_clients": 1,
 			  "clients": ["a:1", "b:1"],
 			  "replicas": [{"listen": "a:1"}, {"listen": "b:1"}, {"listen": "c:1"}, {"listen": "d:1"}]}`,
+			"provisioned identities"},
+		{"more clients than the default identities",
+			`{"clusters": 1, "replicas_per_cluster": 4, "clients": [` +
+				strings.Repeat(`"a:1", `, DefaultProvisionClients) + `"b:1"]}`,
 			"provisioned identities"},
 	}
 	for _, c := range cases {
@@ -111,6 +107,33 @@ func TestClusterSpecValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestCheckAddressBook: a spec without an address book parses (it can run
+// in-process), and only a process that joins over TCP needs a complete one.
+func TestCheckAddressBook(t *testing.T) {
+	cases := []struct {
+		name, spec, want string
+	}{
+		{"no address book", `{"clusters": 1, "replicas_per_cluster": 4}`, "needs 4"},
+		{"short address book",
+			`{"clusters": 1, "replicas_per_cluster": 4, "replicas": [{"listen": "a:1"}]}`,
+			"needs 4"},
+		{"empty listen address",
+			`{"clusters": 1, "replicas_per_cluster": 4,
+			  "replicas": [{"listen": "a:1"}, {"listen": ""}, {"listen": "c:1"}, {"listen": "d:1"}]}`,
+			"no listen address"},
+	}
+	for _, c := range cases {
+		spec, err := ParseClusterSpec([]byte(c.spec))
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if err := spec.CheckAddressBook(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v does not mention %q", c.name, err, c.want)
 		}
 	}
 }

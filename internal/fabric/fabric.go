@@ -44,11 +44,18 @@ import (
 	"resilientdb/internal/types"
 )
 
-// Config parameterizes a fabric deployment.
+// Config parameterizes a fabric deployment. It is the runtime's input, not a
+// second place to declare deployment knobs: each knob is one
+// config.ClusterSpec key mapped onto one field here (resilientdb.Open does
+// the mapping, emulate_wan becoming Latency). The fields with no spec key
+// (Records, Mode, OnExecute, Transport, Local, VerifyWorkers) are what
+// tests, the chaos harness and the benchmark set when they build a Config
+// directly.
 type Config struct {
 	// Topo is the clustered deployment shape.
 	Topo config.Topology
-	// BatchSize is the number of client transactions per consensus batch.
+	// BatchSize is the number of client transactions per consensus batch
+	// (0: config.DefaultBatchSize).
 	BatchSize int
 	// Records sizes the YCSB-style table.
 	Records int
@@ -58,10 +65,10 @@ type Config struct {
 	// OnExecute, if set, observes every executed batch at every replica.
 	OnExecute func(replica types.NodeID, round uint64, cluster types.ClusterID, batch types.Batch)
 	// LocalTimeout is the local PBFT view-change timeout (core.Config);
-	// 0 selects 2 s.
+	// 0 selects config.DefaultLocalTimeout.
 	LocalTimeout time.Duration
 	// RemoteTimeout is the base remote-cluster failure-detection timeout
-	// (core.Config); 0 selects 3 s.
+	// (core.Config); 0 selects config.DefaultRemoteTimeout.
 	RemoteTimeout time.Duration
 	// Latency, if set, injects one-way delays between nodes (emulating a
 	// geo-distributed deployment in-process). Ignored when Transport is
@@ -89,13 +96,6 @@ type Config struct {
 	// DiskSegmentBytes caps one segment file of the block store; 0 selects
 	// disk.DefaultSegmentBytes. Ignored without DataDir.
 	DiskSegmentBytes int64
-	// DiskGroupCommit makes the block store acknowledge appends after the OS
-	// write and fsync on a timer at this interval instead: replies no longer
-	// wait for the disk at all, at the price that a machine — not process —
-	// crash can lose up to one interval of blocks the node already
-	// acknowledged. 0, the default, fsyncs before acknowledging (coalesced,
-	// see DataDir). Ignored without DataDir.
-	DiskGroupCommit time.Duration
 	// SnapshotInterval enables checkpoint snapshots every N global rounds:
 	// each replica captures its executed state, publishes it once covered by
 	// a stable local PBFT checkpoint, garbage-collects ledger disk segments
@@ -106,12 +106,13 @@ type Config struct {
 	SnapshotInterval uint64
 	// RetainSegments is the minimum number of ledger disk segments kept
 	// through snapshot GC (the block suffix still served to catching-up
-	// peers from disk). 0 selects 2. Ignored without DataDir or
-	// SnapshotInterval.
+	// peers from disk). 0 selects config.DefaultRetainSegments. Ignored
+	// without DataDir or SnapshotInterval.
 	RetainSegments int
 	// Clients is how many client identities the deployment provisions keys
-	// for (NewClient indices 0..Clients-1). 0 selects 64. Every process of a
-	// multi-process deployment must agree on it, like the topology.
+	// for (NewClient indices 0..Clients-1). 0 selects
+	// config.DefaultProvisionClients. Every process of a multi-process
+	// deployment must agree on it, like the topology.
 	Clients int
 	// Mempool tunes each replica's client admission layer (dedup, replay
 	// window, rate limiting, capacity); zero fields select the
@@ -162,22 +163,22 @@ func New(cfg Config) *Fabric {
 // certificate re-verified — before joining the network.
 func Open(cfg Config) (*Fabric, error) {
 	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 100
+		cfg.BatchSize = config.DefaultBatchSize
 	}
 	if cfg.Records == 0 {
 		cfg.Records = 1024
 	}
 	if cfg.LocalTimeout == 0 {
-		cfg.LocalTimeout = 2 * time.Second
+		cfg.LocalTimeout = config.DefaultLocalTimeout
 	}
 	if cfg.RemoteTimeout == 0 {
-		cfg.RemoteTimeout = 3 * time.Second
+		cfg.RemoteTimeout = config.DefaultRemoteTimeout
 	}
 	if cfg.Clients == 0 {
-		cfg.Clients = 64
+		cfg.Clients = config.DefaultProvisionClients
 	}
 	if cfg.RetainSegments == 0 {
-		cfg.RetainSegments = 2
+		cfg.RetainSegments = config.DefaultRetainSegments
 	}
 	if cfg.VerifyWorkers == 0 {
 		hosted := len(cfg.Local)
@@ -282,10 +283,7 @@ func (f *Fabric) attachDisk(n *Node) (func(r *core.Replica), error) {
 		return nil, nil
 	}
 	dir := f.nodeDir(n.id)
-	st, blocks, err := disk.Open(dir, core.BlockCodec{}, disk.Options{
-		SegmentBytes: f.cfg.DiskSegmentBytes,
-		GroupCommit:  f.cfg.DiskGroupCommit,
-	})
+	st, blocks, err := disk.Open(dir, core.BlockCodec{}, disk.Options{SegmentBytes: f.cfg.DiskSegmentBytes})
 	if err != nil {
 		return nil, fmt.Errorf("fabric: node %v block store: %w", n.id, err)
 	}
@@ -1023,7 +1021,7 @@ func (n *Node) stop() {
 		// exit.
 		n.replica.Ledger().StopPersister()
 		if n.store != nil {
-			n.store.Close() // flushes the last group-commit window
+			n.store.Close()
 		}
 	})
 }

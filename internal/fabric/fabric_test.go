@@ -407,7 +407,6 @@ func TestFabricSnapshotGC(t *testing.T) {
 		RemoteTimeout:    700 * time.Millisecond,
 		DataDir:          dataDir,
 		DiskSegmentBytes: 512,
-		DiskGroupCommit:  2 * time.Millisecond,
 		SnapshotInterval: 2,
 		RetainSegments:   retain,
 	})

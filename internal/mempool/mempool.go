@@ -78,25 +78,27 @@ type Executed struct {
 	TxnCount int
 }
 
-// Config tunes one replica's pool. The zero value selects the defaults.
+// Config tunes one replica's pool. The zero value selects the defaults. It
+// is also the cluster spec's "mempool" block (internal/config), under the
+// JSON keys below.
 type Config struct {
 	// Capacity bounds the number of pending (admitted, not yet executed)
 	// requests across all clients; an admission beyond it evicts the oldest
 	// pending request. 0 selects DefaultCapacity.
-	Capacity int
+	Capacity int `json:"capacity,omitempty"`
 	// PerClientRate is the sustained number of new admissions per second one
 	// client identity may consume (token-bucket refill rate). 0 selects
 	// DefaultPerClientRate; negative disables rate limiting.
-	PerClientRate float64
+	PerClientRate float64 `json:"client_rate,omitempty"`
 	// PerClientBurst is the token-bucket depth: how many admissions a client
 	// may burst above the sustained rate. 0 selects DefaultPerClientBurst.
-	PerClientBurst int
+	PerClientBurst int `json:"client_burst,omitempty"`
 	// ReplayWindow is how many executed (seq, digest) entries are remembered
 	// per client for ledger re-replies. 0 selects DefaultReplayWindow.
-	ReplayWindow int
+	ReplayWindow int `json:"replay_window,omitempty"`
 	// Now overrides the clock used by the rate limiter (deterministic
-	// tests). Nil selects time.Now.
-	Now func() time.Time
+	// tests). Nil selects time.Now. It has no spec key.
+	Now func() time.Time `json:"-"`
 }
 
 // Default tuning (see the README's Operations section for the tuning table).

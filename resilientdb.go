@@ -4,11 +4,13 @@
 //
 // Two entry points are provided:
 //
-//   - Open starts a real-time fabric: clusters of replicas running the
-//     paper's multi-threaded pipelined architecture (Figure 9) on
-//     goroutines, connected by an in-process transport. Clients submit
-//     transaction batches and wait for f+1 matching confirmations from
-//     their local cluster; every replica maintains the append-only ledger.
+//   - Open starts a real-time fabric from a cluster spec (Options):
+//     clusters of replicas running the paper's multi-threaded pipelined
+//     architecture (Figure 9) on goroutines, connected by an in-process
+//     transport, or with OpenRole one replica or client of a deployment
+//     whose processes meet over TCP. Clients submit transaction batches and
+//     wait for f+1 matching confirmations from their local cluster; every
+//     replica maintains the append-only ledger.
 //
 //   - Simulate runs a GeoBFT or PBFT experiment on the deterministic
 //     discrete-event WAN simulator calibrated against the paper's Table 1
@@ -27,7 +29,6 @@ import (
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/fabric"
 	"resilientdb/internal/ledger"
-	"resilientdb/internal/mempool"
 	"resilientdb/internal/metrics"
 	"resilientdb/internal/rpc"
 	"resilientdb/internal/transport"
@@ -60,206 +61,90 @@ type RoundStats = metrics.RoundStats
 // cost of a round).
 type CryptoStats = metrics.CryptoStats
 
-// Options configures a fabric deployment.
-type Options struct {
-	// Clusters is the number of regions (z ≥ 1).
-	Clusters int
-	// ReplicasPerCluster is n per region (n ≥ 4; tolerates f = ⌊(n−1)/3⌋
-	// Byzantine replicas per cluster).
-	ReplicasPerCluster int
-	// BatchSize groups client transactions per consensus decision
-	// (default 100, as in the paper).
-	BatchSize int
-	// Records preloads the key-value table (default 1024 rows).
-	Records int
-	// EmulateWAN injects the paper's Table 1 inter-region latencies between
-	// clusters (the deployment still runs in-process).
-	EmulateWAN bool
-	// LocalTimeout tunes local view-change failure detection (default 2 s;
-	// lower it in tests that inject crashes).
-	LocalTimeout time.Duration
-	// RemoteTimeout is the base failure-detection timeout for remote
-	// clusters (default 3 s; it backs off exponentially on repeat).
-	RemoteTimeout time.Duration
-	// VerifyWorkers sizes each replica's parallel verification pool (all
-	// cryptographic checks run there, off the consensus thread). 0
-	// auto-sizes: GOMAXPROCS divided across the replicas this process
-	// hosts, capped at 8 per replica, falling back to serial inline
-	// verification when a replica's share comes to less than 2 cores (a
-	// single-CPU host, or an in-process deployment hosting more replicas
-	// than cores). Negative disables the pool explicitly, and a positive
-	// value forces that pool size; both serial modes verify inline on the
-	// worker.
-	VerifyWorkers int
-	// DataDir, when non-empty, makes every replica hosted by this process
-	// durable: each persists its certified blocks to a segmented
-	// append-only block store under DataDir/node-<id> as they commit, and
-	// a restarted process recovers the chain from those files alone —
-	// torn tails from a crash mid-write are truncated, every commit
-	// certificate is re-verified, and peers supply only the genuinely
-	// missing suffix. Empty (the default) keeps ledgers in memory only.
-	DataDir string
-	// DiskSegmentBytes caps one block-store segment file (0: 4 MiB).
-	// Ignored without DataDir.
-	DiskSegmentBytes int64
-	// DiskGroupCommit makes the block store acknowledge appends after the
-	// OS write and fsync on a timer at this interval, so replies stop
-	// waiting for the disk; it trades up to one interval of acknowledged
-	// blocks on machine (not process) crash. 0, the default, fsyncs before
-	// a batch is acknowledged — off the consensus worker, one fsync
-	// covering every block committed during the previous one. Ignored
-	// without DataDir.
-	DiskGroupCommit time.Duration
-	// SnapshotInterval, when non-zero, bounds each replica's history: every
-	// N rounds the replica captures a content-addressed snapshot of its
-	// executed key-value state, publishes it once the round is covered by a
-	// stable checkpoint, and garbage-collects block-store segments wholly
-	// below it. Fresh or far-behind replicas then bootstrap from a verified
-	// peer snapshot plus the block suffix instead of replaying the whole
-	// chain. 0 (the default) disables snapshots and keeps history
-	// unbounded.
-	SnapshotInterval uint64
-	// RetainSegments is how many full block-store segments each replica
-	// keeps below its last durable checkpoint when snapshot GC runs (0: 2).
-	// More segments mean slightly-lagging peers catch up via blocks instead
-	// of state transfer at the cost of disk. Ignored without DataDir and
-	// SnapshotInterval.
-	RetainSegments int
-	// Clients is how many client identities the deployment provisions
-	// signing keys for (DB.Client indices 0..Clients-1). 0 selects 64.
-	// Every process of a multi-process deployment must agree on it: the
-	// key directory is derived from it, and replicas reject requests from
-	// unprovisioned identities.
-	Clients int
-	// MempoolCapacity caps each replica's pool of admitted-but-unexecuted
-	// client requests; beyond it the oldest pending request is evicted
-	// (clients simply retry — admission is idempotent). 0 selects 4096.
-	MempoolCapacity int
-	// ClientRate limits how many *new* requests per second one client
-	// identity may get admitted (duplicates and replays are answered for
-	// free). 0 selects 512/s; negative disables rate limiting.
-	ClientRate float64
-	// ClientBurst is the rate limiter's burst allowance (0: 512).
-	ClientBurst int
-	// ReplayWindow is how many executed requests per client each replica
-	// remembers to answer retries from the certified ledger instead of
-	// re-executing (0: 32).
-	ReplayWindow int
-	// Net, if non-nil, runs this process as one member of a multi-process
-	// TCP deployment instead of a self-contained in-process fabric. The
-	// TCP transport always runs with MAC-authenticated framing: every
-	// frame's claimed sender is verified against the pairwise key it
-	// implies, so a connected socket cannot impersonate another replica.
-	Net *NetOptions
-	// RPCListen, when non-empty, serves the HTTP/JSON client front door
-	// (internal/rpc) for this process's first hosted replica on that
-	// address ("host:port"; ":0" picks a port readable via DB.RPCAddr):
-	// signed submits through the mempool admission path, status and
-	// certificate-carrying block reads, and proof-carrying key reads.
-	RPCListen string
+// Options is a deployment: the cluster spec of internal/config, the only
+// place a deployment knob is declared. A spec file is the same struct in
+// JSON, so Open(Options{Clusters: 2, ReplicasPerCluster: 4}) and a file
+// holding {"clusters": 2, "replicas_per_cluster": 4} start the same
+// deployment. Zero fields select the defaults (config.Default*, and the
+// internal/mempool defaults for Mempool).
+type Options = config.ClusterSpec
+
+// Duration is the type of the spec's timeouts (Options.LocalTimeout,
+// Options.RemoteTimeout): a time.Duration that reads and writes JSON as
+// "500ms".
+type Duration = config.Duration
+
+// Role is what this process runs of a deployment: the inputs of OpenRole
+// that are not deployment knobs, and so are not in the spec. The zero Role
+// runs the whole deployment in this process.
+type Role struct {
+	// Kind selects the whole deployment in-process, or one member of a
+	// multi-process deployment over TCP.
+	Kind RoleKind
+	// Index is the hosted replica's global index (cluster*n + local index)
+	// for ReplicaProcess, or the client index for ClientProcess. The
+	// process listens at that entry's address in Options.Replicas or
+	// Options.Clients, and a replica whose entry has an "rpc" address
+	// serves the HTTP/JSON front door (internal/rpc) there.
+	Index int
 	// Adversary, when non-empty, compromises one hosted replica with the
 	// named scripted attack from the byzantine harness (internal/byzantine;
 	// see byzantine.ScriptByName for the names: "equivocate",
 	// "forge-shares", "forge-votes", "vc-spam", "tamper-catchup",
-	// "tamper-snapshots", "suppress"). In-process
-	// deployments compromise replica (0,0); multi-process deployments
-	// compromise the first locally hosted replica. The script is armed from
-	// startup. The deployment must tolerate it — f ≥ 1 per cluster — and
-	// with exactly one adversary it always does: commits continue, honest
-	// ledgers agree, and forged traffic lands in Stats as verify-rejects.
+	// "tamper-snapshots", "suppress"): replica (0,0) in-process, the hosted
+	// replica of a ReplicaProcess. The script is armed from startup. The
+	// deployment must tolerate it — f ≥ 1 per cluster — and with exactly
+	// one adversary it always does: commits continue, honest ledgers agree,
+	// and forged traffic lands in Stats as verify-rejects.
 	Adversary string
 }
 
-// NetOptions describes one process's place in a multi-process deployment:
-// every process runs the same topology with the same address book but hosts
-// only its own replicas (and clients). Messages travel as length-prefixed
-// wire-codec frames over TCP (see internal/transport).
-type NetOptions struct {
-	// Listen is this process's TCP listen address ("host:port"; ":0" picks
-	// an ephemeral port readable via DB.ListenAddr).
-	Listen string
-	// Replicas is the address book for the z×n replicas: Replicas[i] is the
-	// listen address of the process hosting global replica i (cluster*n +
-	// local index). Must have exactly z×n entries.
-	Replicas []string
-	// Clients maps client index to the listen address of the process
-	// hosting that client, so replicas can route replies. A process that
-	// calls DB.Client(i) must list its own address at Clients[i].
-	Clients []string
-	// LocalReplicas are the global replica indices hosted by this process.
-	// Empty means this process hosts no replicas (a pure client process).
-	LocalReplicas []int
-}
+// RoleKind is the shape of a Role.
+type RoleKind int
 
-// DB is a running ResilientDB deployment (or, with Options.Net, one
-// process's slice of one).
+// The roles a process can play in a deployment.
+const (
+	// InProcess hosts every replica in this process, over an in-memory
+	// transport; the spec's address book is not used.
+	InProcess RoleKind = iota
+	// ReplicaProcess hosts one replica and joins the others over TCP with
+	// MAC-authenticated framing: every frame's claimed sender is verified
+	// against the pairwise key it implies, so a connected socket cannot
+	// impersonate another replica.
+	ReplicaProcess
+	// ClientProcess hosts no replica: it runs client Index, whose replies
+	// reach it at Options.Clients[Index].
+	ClientProcess
+)
+
+// DB is a running ResilientDB deployment (or, under a ReplicaProcess or
+// ClientProcess role, one process's slice of one).
 type DB struct {
-	fab  *fabric.Fabric
-	topo config.Topology
-	tcp  *transport.TCP
-	rpc  *rpc.Server
+	fab     *fabric.Fabric
+	topo    config.Topology
+	clients int
+	tcp     *transport.TCP
+	rpc     *rpc.Server
 }
 
-// Open starts a fabric deployment and returns a handle to it.
-func Open(o Options) (*DB, error) {
-	if o.Clusters < 1 {
-		return nil, fmt.Errorf("resilientdb: need at least 1 cluster, got %d", o.Clusters)
+// Open starts the whole deployment o in this process.
+func Open(o Options) (*DB, error) { return OpenRole(o, Role{}) }
+
+// OpenRole starts this process's part of deployment o: all of it, or the
+// replica or client r names, joined to the other processes over TCP.
+func OpenRole(o Options, r Role) (*DB, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
-	if o.Clusters > int(config.NumRegions) {
-		return nil, fmt.Errorf("resilientdb: at most %d clusters (regions), got %d", config.NumRegions, o.Clusters)
-	}
-	if o.ReplicasPerCluster < 4 {
-		return nil, fmt.Errorf("resilientdb: need n ≥ 4 replicas per cluster, got %d", o.ReplicasPerCluster)
-	}
-	topo := config.NewTopology(o.Clusters, o.ReplicasPerCluster)
-	cfg := fabric.Config{
-		Topo:             topo,
-		BatchSize:        o.BatchSize,
-		Records:          o.Records,
-		LocalTimeout:     o.LocalTimeout,
-		RemoteTimeout:    o.RemoteTimeout,
-		VerifyWorkers:    o.VerifyWorkers,
-		DataDir:          o.DataDir,
-		DiskSegmentBytes: o.DiskSegmentBytes,
-		DiskGroupCommit:  o.DiskGroupCommit,
-		SnapshotInterval: o.SnapshotInterval,
-		RetainSegments:   o.RetainSegments,
-		Clients:          o.Clients,
-		Mempool: mempool.Config{
-			Capacity:       o.MempoolCapacity,
-			PerClientRate:  o.ClientRate,
-			PerClientBurst: o.ClientBurst,
-			ReplayWindow:   o.ReplayWindow,
-		},
-	}
-	var latency func(from, to types.NodeID) time.Duration
-	if o.EmulateWAN {
-		prof := config.GoogleCloudProfile(o.Clusters)
-		latency = func(from, to types.NodeID) time.Duration {
-			ra, rb := regionOf(topo, from, o.Clusters), regionOf(topo, to, o.Clusters)
-			return prof.OneWay(ra, rb)
+	cfg := fabricConfig(&o)
+	db := &DB{topo: cfg.Topo, clients: cfg.Clients}
+	var rpcListen string
+	if r.Kind != InProcess {
+		listen, rpcAddr, local, err := member(&o, r)
+		if err != nil {
+			return nil, err
 		}
-	}
-	db := &DB{topo: topo}
-	if o.Net != nil {
-		if len(o.Net.Replicas) != topo.TotalReplicas() {
-			return nil, fmt.Errorf("resilientdb: address book has %d replica addresses, topology needs %d",
-				len(o.Net.Replicas), topo.TotalReplicas())
-		}
-		net := *o.Net
-		book := func(id types.NodeID) string {
-			if id.IsClient() {
-				if i := int(id - types.ClientIDBase); i < len(net.Clients) {
-					return net.Clients[i]
-				}
-				return ""
-			}
-			if i := int(id); i >= 0 && i < len(net.Replicas) {
-				return net.Replicas[i]
-			}
-			return ""
-		}
-		tcp, err := transport.NewTCP(net.Listen, book)
+		tcp, err := transport.NewTCP(listen, addressBook(&o))
 		if err != nil {
 			return nil, err
 		}
@@ -269,22 +154,12 @@ func Open(o Options) (*DB, error) {
 		// derived from the same deterministic provisioning as the signing
 		// keys, so every process of the deployment agrees.
 		tcp.Auth = crypto.NewFrameMAC(cfg.Mode)
-		tcp.Latency = latency
-		cfg.Transport = tcp
-		cfg.Local = []types.NodeID{} // default: pure client process
-		for _, i := range net.LocalReplicas {
-			if i < 0 || i >= topo.TotalReplicas() {
-				tcp.Close()
-				return nil, fmt.Errorf("resilientdb: local replica index %d out of range [0,%d)", i, topo.TotalReplicas())
-			}
-			cfg.Local = append(cfg.Local, types.NodeID(i))
-		}
-		db.tcp = tcp
-	} else {
-		cfg.Latency = latency
+		tcp.Latency, cfg.Latency = cfg.Latency, nil
+		cfg.Transport, cfg.Local = tcp, local
+		db.tcp, rpcListen = tcp, rpcAddr
 	}
-	if o.Adversary != "" {
-		if err := attachAdversary(&cfg, o); err != nil {
+	if r.Adversary != "" {
+		if err := attachAdversary(&cfg, r.Adversary); err != nil {
 			if db.tcp != nil {
 				db.tcp.Close()
 			}
@@ -299,17 +174,9 @@ func Open(o Options) (*DB, error) {
 		return nil, err
 	}
 	db.fab = fab
-	if o.RPCListen != "" {
-		target := topo.ReplicaID(0, 0)
-		if o.Net != nil {
-			if len(cfg.Local) == 0 {
-				fab.Stop()
-				return nil, fmt.Errorf("resilientdb: RPCListen needs a hosted replica (client processes cannot serve RPC)")
-			}
-			target = cfg.Local[0]
-		}
-		srv := rpc.NewServer(fab.Node(target), topo)
-		if _, err := srv.Start(o.RPCListen); err != nil {
+	if rpcListen != "" {
+		srv := rpc.NewServer(fab.Node(cfg.Local[0]), cfg.Topo)
+		if _, err := srv.Start(rpcListen); err != nil {
 			fab.Stop()
 			return nil, err
 		}
@@ -318,18 +185,86 @@ func Open(o Options) (*DB, error) {
 	return db, nil
 }
 
+// fabricConfig is the one translation of a deployment's knobs into the
+// runtime's input: each spec key lands in one fabric.Config field, and the
+// fabric applies the defaults.
+func fabricConfig(o *Options) fabric.Config {
+	topo := o.Topology()
+	cfg := fabric.Config{
+		Topo:             topo,
+		BatchSize:        o.BatchSize,
+		LocalTimeout:     o.LocalTimeout.Std(),
+		RemoteTimeout:    o.RemoteTimeout.Std(),
+		DataDir:          o.Retention.DataDir,
+		DiskSegmentBytes: o.Retention.SegmentBytes,
+		SnapshotInterval: o.Retention.SnapshotInterval,
+		RetainSegments:   o.Retention.RetainSegments,
+		Clients:          o.ProvisionedClients(),
+		Mempool:          o.Mempool,
+	}
+	if o.EmulateWAN {
+		prof := config.GoogleCloudProfile(o.Clusters)
+		cfg.Latency = func(from, to types.NodeID) time.Duration {
+			return prof.OneWay(regionOf(topo, from, o.Clusters), regionOf(topo, to, o.Clusters))
+		}
+	}
+	return cfg
+}
+
+// member resolves a joining process's place in the spec: the address it
+// listens on, its RPC front door's address (a replica's "rpc" entry), and
+// the replicas it hosts.
+func member(o *Options, r Role) (listen, rpcListen string, local []types.NodeID, err error) {
+	if err := o.CheckAddressBook(); err != nil {
+		return "", "", nil, err
+	}
+	switch r.Kind {
+	case ReplicaProcess:
+		if r.Index < 0 || r.Index >= len(o.Replicas) {
+			return "", "", nil, fmt.Errorf("resilientdb: the spec places %d replicas, replica %d is not one of them", len(o.Replicas), r.Index)
+		}
+		rs := o.Replicas[r.Index]
+		return rs.Listen, rs.RPC, []types.NodeID{types.NodeID(r.Index)}, nil
+	case ClientProcess:
+		// Validate bounds len(Clients) by the provisioned identities, so an
+		// index with an address also has a key. Without an address replicas
+		// would drop every reply and each Submit would run to its timeout.
+		if r.Index < 0 || r.Index >= len(o.Clients) {
+			return "", "", nil, fmt.Errorf("resilientdb: the spec lists %d client addresses, client %d is not one of them", len(o.Clients), r.Index)
+		}
+		return o.Clients[r.Index], "", []types.NodeID{}, nil
+	}
+	return "", "", nil, fmt.Errorf("resilientdb: unknown role kind %d", r.Kind)
+}
+
+// addressBook maps a node to the address the spec gives it ("" if none).
+func addressBook(o *Options) func(types.NodeID) string {
+	return func(id types.NodeID) string {
+		if id.IsClient() {
+			if i := int(id - types.ClientIDBase); i < len(o.Clients) {
+				return o.Clients[i]
+			}
+			return ""
+		}
+		if i := int(id); i >= 0 && i < len(o.Replicas) {
+			return o.Replicas[i].Listen
+		}
+		return ""
+	}
+}
+
 // attachAdversary compromises one hosted replica with the named byzantine
-// script (Options.Adversary), wrapping the deployment's transport in the
+// script (Role.Adversary), wrapping the deployment's transport in the
 // fleet's interception tap. The script is armed immediately.
-func attachAdversary(cfg *fabric.Config, o Options) error {
+func attachAdversary(cfg *fabric.Config, name string) error {
 	target := cfg.Topo.ReplicaID(0, 0)
-	if o.Net != nil {
+	if cfg.Local != nil {
 		if len(cfg.Local) == 0 {
-			return fmt.Errorf("resilientdb: -adversary needs a hosted replica (client processes cannot run one)")
+			return fmt.Errorf("resilientdb: an adversary needs a hosted replica (client processes cannot run one)")
 		}
 		target = cfg.Local[0]
 	}
-	script, err := byzantine.ScriptByName(o.Adversary, cfg.Topo, target)
+	script, err := byzantine.ScriptByName(name, cfg.Topo, target)
 	if err != nil {
 		return err
 	}
@@ -349,7 +284,8 @@ func attachAdversary(cfg *fabric.Config, o Options) error {
 }
 
 // ListenAddr returns this process's bound TCP address in a multi-process
-// deployment ("" for in-process deployments). Useful with Net.Listen ":0".
+// deployment ("" for in-process deployments). Useful with a ":0" address in
+// the spec.
 func (db *DB) ListenAddr() string {
 	if db.tcp != nil {
 		return db.tcp.Addr()
@@ -364,8 +300,13 @@ func regionOf(topo config.Topology, id types.NodeID, z int) int {
 	return int(topo.ClusterOf(id))
 }
 
-// Client opens client number i, homed in cluster i mod z.
+// Client opens client number i, homed in cluster i mod z. Only the
+// provisioned identities [0, Options.ProvisionedClients()) have keys; the
+// Client of any other index fails every Submit.
 func (db *DB) Client(i int) *Client {
+	if i < 0 || i >= db.clients {
+		return &Client{err: fmt.Errorf("resilientdb: client %d outside the %d provisioned identities", i, db.clients)}
+	}
 	return &Client{inner: db.fab.NewClient(i)}
 }
 
@@ -416,7 +357,7 @@ func (db *DB) Topology() (clusters, perCluster, f int) {
 func (db *DB) Stats() metrics.DropStats { return db.fab.Stats() }
 
 // RPCAddr returns the bound address of this process's RPC front door, or ""
-// when Options.RPCListen was not set. Useful with RPCListen ":0".
+// when its spec entry has no "rpc" address. Useful with an "rpc" of ":0".
 func (db *DB) RPCAddr() string {
 	if db.rpc != nil {
 		return db.rpc.Addr()
@@ -435,16 +376,24 @@ func (db *DB) Close() {
 // Client submits transaction batches to its local cluster.
 type Client struct {
 	inner *fabric.Client
+	err   error // why there is no inner client
 }
 
 // Submit sends one batch and blocks until f+1 local replicas confirm
 // execution, or timeout.
 func (c *Client) Submit(txns []Transaction, timeout time.Duration) error {
+	if c.inner == nil {
+		return c.err
+	}
 	return c.inner.Submit(txns, timeout)
 }
 
 // Close stops the client.
-func (c *Client) Close() { c.inner.Close() }
+func (c *Client) Close() {
+	if c.inner != nil {
+		c.inner.Close()
+	}
+}
 
 // Protocol names a consensus protocol available to Simulate.
 type Protocol = bench.Protocol

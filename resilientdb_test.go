@@ -35,6 +35,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("topology = (%d,%d,%d)", z, n, f)
 	}
 
+	// An index without a provisioned key fails its submits; it does not panic.
+	if err := db.Client(64).Submit(nil, time.Second); err == nil {
+		t.Error("client 64 of 64 provisioned identities submitted")
+	}
+
 	cl := db.Client(0)
 	defer cl.Close()
 	for b := 0; b < 3; b++ {
