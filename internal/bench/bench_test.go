@@ -42,6 +42,31 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestModelGolden pins the model itself: the tiny scenarios' throughput,
+// event count, global messages and batches as the deterministic simulator
+// produced them when this test was written. TestRunDeterministic only
+// compares two runs of one binary; a change to the event order, the link or
+// CPU model, the client or the protocol's message pattern shows here. A
+// change that moves the model on purpose updates these values and says so.
+func TestModelGolden(t *testing.T) {
+	for _, g := range []struct {
+		p          Protocol
+		throughput float64
+		events     int64
+		globalMsgs int64
+		batches    int64
+	}{
+		{GeoBFT, 127800, 72174, 2544, 1278},
+		{PBFT, 69300, 122215, 53633, 693},
+	} {
+		r := Run(tiny(g.p))
+		if r.Throughput != g.throughput || r.Events != g.events || r.Messages.GlobalMsgs != g.globalMsgs || r.Batches != g.batches {
+			t.Errorf("%s: (throughput, events, global msgs, batches) = (%v, %d, %d, %d), golden (%v, %d, %d, %d)",
+				g.p, r.Throughput, r.Events, r.Messages.GlobalMsgs, r.Batches, g.throughput, g.events, g.globalMsgs, g.batches)
+		}
+	}
+}
+
 func TestGeoBFTBeatsPBFTAtScale(t *testing.T) {
 	// The paper's headline: at several clusters, GeoBFT clearly outperforms
 	// PBFT (Sections 4.1-4.4).

@@ -6,7 +6,8 @@ import (
 	"time"
 
 	"resilientdb/internal/config"
-	"resilientdb/internal/simnet"
+	"resilientdb/internal/detsim"
+	"resilientdb/internal/proto"
 	"resilientdb/internal/types"
 )
 
@@ -43,14 +44,14 @@ func (*bulkMsg) MsgType() string { return "probe/bulk" }
 func (*bulkMsg) WireSize() int   { return 1 << 20 }
 
 type prober struct {
-	env   *simnet.Env
+	env   proto.Env
 	rtt   *time.Duration
 	got   *int
 	first *time.Duration
 	last  *time.Duration
 }
 
-func (p *prober) Init(env *simnet.Env) { p.env = env }
+func (p *prober) InitEnv(env proto.Env) { p.env = env }
 func (p *prober) Receive(from types.NodeID, msg types.Message) {
 	switch m := msg.(type) {
 	case *pingMsg:
@@ -75,7 +76,7 @@ func Table1() []Table1Row {
 	var rows []Table1Row
 	for a := config.Oregon; a < config.NumRegions; a++ {
 		for b := a; b < config.NumRegions; b++ {
-			net := simnet.New(simnet.Options{
+			net := detsim.New(detsim.Options{
 				Profile:    config.GoogleCloudProfile(int(config.NumRegions)),
 				Seed:       1,
 				JitterFrac: -1,

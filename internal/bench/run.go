@@ -7,9 +7,9 @@ import (
 	"resilientdb/internal/config"
 	"resilientdb/internal/core"
 	"resilientdb/internal/crypto"
+	"resilientdb/internal/detsim"
 	"resilientdb/internal/metrics"
 	"resilientdb/internal/pbft"
-	"resilientdb/internal/simnet"
 	"resilientdb/internal/types"
 )
 
@@ -33,7 +33,7 @@ func Run(s Scenario) Result {
 	s = s.withDefaults()
 	topo := config.NewTopology(s.Clusters, s.PerCluster)
 	prof := config.GoogleCloudProfile(s.Clusters)
-	net := simnet.New(simnet.Options{
+	net := detsim.New(detsim.Options{
 		Profile: prof,
 		Seed:    s.Seed,
 		Mode:    crypto.Fast,
@@ -50,7 +50,16 @@ func Run(s Scenario) Result {
 		}
 	}
 
-	b := build(s, topo, net, collector)
+	b := build(s, topo, net)
+	for i := 0; i < s.ClientNodes; i++ { // spread round-robin over the regions in use
+		cluster := i % s.Clusters
+		net.AddNode(config.ClientID(i), cluster, &detsim.Client{
+			Group:      b.group(cluster),
+			Window:     max(s.Outstanding/s.ClientNodes, 1),
+			BatchSize:  s.BatchSize,
+			OnComplete: collector.RecordCompletion,
+		})
+	}
 
 	// Crash backups at time zero (highest local indices; never the primary
 	// or site representative at local index 0).
@@ -95,17 +104,14 @@ func Run(s Scenario) Result {
 // built carries protocol-specific hooks out of the wiring step.
 type built struct {
 	primary   types.NodeID
+	group     func(cluster int) []types.NodeID // a client's replica group
 	watchExec func() uint64
 }
 
-func build(s Scenario, topo config.Topology, net *simnet.Network, collector *metrics.Collector) built {
+func build(s Scenario, topo config.Topology, net *detsim.Network) built {
 	checkpointBatches := uint64(s.CheckpointTxns / s.BatchSize)
 	if checkpointBatches == 0 {
 		checkpointBatches = 1
-	}
-	perWindow := s.Outstanding / s.ClientNodes
-	if perWindow == 0 {
-		perWindow = 1
 	}
 
 	switch s.Protocol {
@@ -115,7 +121,7 @@ func build(s Scenario, topo config.Topology, net *simnet.Network, collector *met
 			for i := 0; i < s.PerCluster; i++ {
 				id := topo.ReplicaID(c, i)
 				rep := core.NewReplica(core.Config{
-					Topo: topo, Self: id, Records: s.Records,
+					Topo: topo, Self: id, Records: detsim.Records,
 					CheckpointInterval: checkpointBatches,
 					Fanout:             s.Fanout,
 					PipelineDepth:      pipelineDepth(s),
@@ -127,25 +133,10 @@ func build(s Scenario, topo config.Topology, net *simnet.Network, collector *met
 				net.AddNode(id, c, rep)
 			}
 		}
-		for i := 0; i < s.ClientNodes; i++ {
-			cluster := i % s.Clusters
-			cl := &quorumClient{
-				target:       topo.ReplicaID(cluster, 0),
-				retryTargets: topo.ClusterMembers(cluster),
-				quorum:       topo.F() + 1,
-				acceptFrom: func(from types.NodeID) bool {
-					return int(topo.ClusterOf(from)) == cluster
-				},
-				window:    perWindow,
-				batchSize: s.BatchSize,
-				collector: collector,
-				records:   s.Records,
-			}
-			net.AddNode(config.ClientID(i), cluster, cl)
-		}
 		watch := reps[topo.ReplicaID(0, 1)]
 		return built{
 			primary:   topo.ReplicaID(0, 0),
+			group:     topo.ClusterMembers,
 			watchExec: func() uint64 { return watch.ExecutedTxns() },
 		}
 
@@ -160,27 +151,15 @@ func build(s Scenario, topo config.Topology, net *simnet.Network, collector *met
 					Members: members, Self: id, F: f,
 					CheckpointInterval: checkpointBatches,
 					HighWaterMark:      64,
-				}, s.Records)
+				}, detsim.Records)
 				reps[id] = rep
 				net.AddNode(id, c, rep)
 			}
 		}
-		for i := 0; i < s.ClientNodes; i++ {
-			cluster := i % s.Clusters
-			cl := &quorumClient{
-				target:       members[0], // primary in Oregon (Section 4)
-				retryTargets: members,
-				quorum:       f + 1,
-				window:       perWindow,
-				batchSize:    s.BatchSize,
-				collector:    collector,
-				records:      s.Records,
-			}
-			net.AddNode(config.ClientID(i), cluster, cl)
-		}
 		watch := reps[topo.ReplicaID(0, 1)]
 		return built{
-			primary:   members[0],
+			primary:   members[0], // in Oregon (Section 4)
+			group:     func(int) []types.NodeID { return members },
 			watchExec: func() uint64 { return watch.Store().Applied() },
 		}
 	}

@@ -46,9 +46,6 @@ type Scenario struct {
 	// Outstanding is the total number of batches in flight system-wide
 	// (client concurrency). Zero selects 480.
 	Outstanding int
-	// Records sizes the YCSB table. Zero selects 10 000 (the simulation's
-	// working set; the paper's 600k only affects memory, not behaviour).
-	Records int
 
 	Warmup  time.Duration // zero → 1 s
 	Measure time.Duration // zero → 3 s
@@ -74,9 +71,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Outstanding == 0 {
 		s.Outstanding = 480
-	}
-	if s.Records == 0 {
-		s.Records = 10_000
 	}
 	if s.Warmup == 0 {
 		s.Warmup = time.Second

@@ -1,106 +1,29 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"resilientdb/internal/config"
 	"resilientdb/internal/core"
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/pbft"
-	"resilientdb/internal/proto"
-	"resilientdb/internal/simnet"
+	"resilientdb/internal/detsim"
 	"resilientdb/internal/types"
-	"resilientdb/internal/ycsb"
 )
 
-// geoClient drives one cluster of a GeoBFT deployment closed-loop: window
-// outstanding batches, f+1 matching local replies to complete, rebroadcast
-// to the whole local cluster on timeout.
-type geoClient struct {
-	topo      config.Topology
-	cluster   int
-	f         int
-	batchSize int
-	total     int
-	window    int
-
-	env       *simnet.Env
-	wl        *ycsb.Workload
-	nextSeq   uint64
-	acks      map[uint64]map[types.NodeID]bool
-	done      map[uint64]bool
-	reqs      map[uint64]*pbft.Request
-	completed int
-}
-
-func (c *geoClient) Init(env *simnet.Env) {
-	c.env = env
-	c.wl = ycsb.NewWorkload(10_000, ycsb.DefaultTheta, int64(env.ID()))
-	c.acks = make(map[uint64]map[types.NodeID]bool)
-	c.done = make(map[uint64]bool)
-	c.reqs = make(map[uint64]*pbft.Request)
-	for i := 0; i < c.window && int(c.nextSeq) < c.total; i++ {
-		c.submit()
-	}
-}
-
-func (c *geoClient) submit() {
-	c.nextSeq++
-	seq := c.nextSeq
-	b := c.wl.MakeBatch(c.env.ID(), seq, c.batchSize)
-	req := &pbft.Request{Batch: b, Sig: c.env.Suite().Sign(pbft.RequestPayload(&b))}
-	c.reqs[seq] = req
-	c.env.Send(c.topo.ReplicaID(c.cluster, 0), req)
-	c.armRetry(seq)
-}
-
-func (c *geoClient) armRetry(seq uint64) {
-	c.env.SetTimer(5*time.Second, func() {
-		if c.done[seq] {
-			return
-		}
-		for _, m := range c.topo.ClusterMembers(c.cluster) {
-			c.env.Send(m, c.reqs[seq])
-		}
-		c.armRetry(seq)
-	})
-}
-
-func (c *geoClient) Receive(from types.NodeID, msg types.Message) {
-	rep, ok := msg.(*proto.Reply)
-	if !ok || c.done[rep.ClientSeq] {
-		return
-	}
-	if int(c.topo.ClusterOf(from)) != c.cluster {
-		return // only the local cluster informs us (Section 2.4)
-	}
-	set := c.acks[rep.ClientSeq]
-	if set == nil {
-		set = make(map[types.NodeID]bool)
-		c.acks[rep.ClientSeq] = set
-	}
-	set[from] = true
-	if len(set) >= c.f+1 {
-		c.done[rep.ClientSeq] = true
-		delete(c.reqs, rep.ClientSeq)
-		c.completed++
-		if int(c.nextSeq) < c.total {
-			c.submit()
-		}
-	}
-}
-
 type deployment struct {
-	net     *simnet.Network
+	net     *detsim.Network
 	topo    config.Topology
 	reps    map[types.NodeID]*core.Replica
-	clients []*geoClient
+	clients []*detsim.Client
 }
 
-// deploy builds a z×n GeoBFT deployment over the Table-1 profile with one
-// client per cluster submitting `total` batches.
-func deploy(t *testing.T, z, n, total int, opts simnet.Options) *deployment {
+// deploy builds a z×n GeoBFT deployment on the deterministic simulator, over
+// the Table-1 profile unless opts names one, with one client per cluster
+// submitting total batches of ten, three outstanding. A test may reshape a
+// client before the first run (Window 0 leaves its cluster idle).
+func deploy(t *testing.T, z, n, total int, opts detsim.Options) *deployment {
 	t.Helper()
 	topo := config.NewTopology(z, n)
 	if opts.Profile == nil {
@@ -109,7 +32,7 @@ func deploy(t *testing.T, z, n, total int, opts simnet.Options) *deployment {
 	if opts.Seed == 0 {
 		opts.Seed = 21
 	}
-	net := simnet.New(opts)
+	net := detsim.New(opts)
 	d := &deployment{net: net, topo: topo, reps: make(map[types.NodeID]*core.Replica)}
 	for c := 0; c < z; c++ {
 		for i := 0; i < n; i++ {
@@ -124,10 +47,7 @@ func deploy(t *testing.T, z, n, total int, opts simnet.Options) *deployment {
 		}
 	}
 	for c := 0; c < z; c++ {
-		cl := &geoClient{
-			topo: topo, cluster: c, f: topo.F(),
-			batchSize: 10, total: total, window: 3,
-		}
+		cl := &detsim.Client{Group: topo.ClusterMembers(c), Window: 3, BatchSize: 10, Total: total}
 		d.clients = append(d.clients, cl)
 		net.AddNode(config.ClientID(c), c, cl)
 	}
@@ -167,7 +87,7 @@ func (d *deployment) assertConvergence(t *testing.T, crashed map[types.NodeID]bo
 
 func (d *deployment) completedAll() bool {
 	for _, c := range d.clients {
-		if c.completed != c.total {
+		if c.Completed() != c.Total {
 			return false
 		}
 	}
@@ -175,11 +95,11 @@ func (d *deployment) completedAll() bool {
 }
 
 func TestTwoClustersNormalCase(t *testing.T) {
-	d := deploy(t, 2, 4, 10, simnet.Options{})
+	d := deploy(t, 2, 4, 10, detsim.Options{})
 	d.net.RunUntil(120 * time.Second)
 	for i, c := range d.clients {
-		if c.completed != c.total {
-			t.Errorf("cluster %d client completed %d/%d", i, c.completed, c.total)
+		if c.Completed() != c.Total {
+			t.Errorf("cluster %d client completed %d/%d", i, c.Completed(), c.Total)
 		}
 	}
 	d.assertConvergence(t, nil)
@@ -191,18 +111,18 @@ func TestTwoClustersNormalCase(t *testing.T) {
 }
 
 func TestSixClustersGeoScale(t *testing.T) {
-	d := deploy(t, 6, 4, 6, simnet.Options{Seed: 5})
+	d := deploy(t, 6, 4, 6, detsim.Options{Seed: 5})
 	d.net.RunUntil(240 * time.Second)
 	for i, c := range d.clients {
-		if c.completed != c.total {
-			t.Errorf("cluster %d client completed %d/%d", i, c.completed, c.total)
+		if c.Completed() != c.Total {
+			t.Errorf("cluster %d client completed %d/%d", i, c.Completed(), c.Total)
 		}
 	}
 	d.assertConvergence(t, nil)
 }
 
 func TestRealCryptoTwoClusters(t *testing.T) {
-	d := deploy(t, 2, 4, 5, simnet.Options{Mode: crypto.Real, Seed: 13})
+	d := deploy(t, 2, 4, 5, detsim.Options{Mode: crypto.Real, Seed: 13})
 	d.net.RunUntil(120 * time.Second)
 	if !d.completedAll() {
 		t.Errorf("not all clients completed under real crypto")
@@ -213,7 +133,7 @@ func TestRealCryptoTwoClusters(t *testing.T) {
 func TestBackupFailuresPerCluster(t *testing.T) {
 	// f backup failures in every cluster: GeoBFT's design worst case
 	// (Section 4.3).
-	d := deploy(t, 3, 4, 8, simnet.Options{Seed: 31})
+	d := deploy(t, 3, 4, 8, detsim.Options{Seed: 31})
 	crashed := map[types.NodeID]bool{}
 	for c := 0; c < 3; c++ {
 		id := d.topo.ReplicaID(c, 3) // one backup per cluster (f=1)
@@ -222,8 +142,8 @@ func TestBackupFailuresPerCluster(t *testing.T) {
 	}
 	d.net.RunUntil(240 * time.Second)
 	for i, c := range d.clients {
-		if c.completed != c.total {
-			t.Errorf("cluster %d client completed %d/%d with f failures", i, c.completed, c.total)
+		if c.Completed() != c.Total {
+			t.Errorf("cluster %d client completed %d/%d with f failures", i, c.Completed(), c.Total)
 		}
 	}
 	d.assertConvergence(t, crashed)
@@ -233,22 +153,21 @@ func TestRemoteViewChangeOnPrimaryCrash(t *testing.T) {
 	// Crash the primary of cluster 0 mid-run. Other clusters must detect the
 	// missing certificates, run the remote view-change protocol, and force
 	// cluster 0 to elect a new primary that resumes sharing (Figure 7).
-	d := deploy(t, 2, 4, 40, simnet.Options{Seed: 17})
+	d := deploy(t, 2, 4, 40, detsim.Options{Seed: 17})
 	d.net.RunUntil(150 * time.Millisecond)
 	victim := d.topo.ReplicaID(0, 0)
 	if d.reps[victim].ExecutedRound() == 0 {
 		t.Fatal("test setup: no rounds executed before crash point")
 	}
-	preCrash := d.clients[0].completed
-	if preCrash == d.clients[0].total {
+	if d.clients[0].Completed() == d.clients[0].Total {
 		t.Fatal("test setup: workload finished before crash point")
 	}
 	d.net.Crash(victim)
 	d.net.RunUntil(600 * time.Second)
 
 	for i, c := range d.clients {
-		if c.completed != c.total {
-			t.Errorf("cluster %d client completed %d/%d after remote view-change", i, c.completed, c.total)
+		if c.Completed() != c.Total {
+			t.Errorf("cluster %d client completed %d/%d after remote view-change", i, c.Completed(), c.Total)
 		}
 	}
 	crashed := map[types.NodeID]bool{victim: true}
@@ -265,26 +184,16 @@ func TestRemoteViewChangeOnPrimaryCrash(t *testing.T) {
 func TestNoOpFillWhenOneClusterIdle(t *testing.T) {
 	// Cluster 1 has no client load; its primary must propose no-ops so the
 	// loaded cluster's rounds can execute (Section 2.5).
-	topo := config.NewTopology(2, 4)
-	net := simnet.New(simnet.Options{Profile: config.GoogleCloudProfile(2), Seed: 23})
-	reps := make(map[types.NodeID]*core.Replica)
-	for c := 0; c < 2; c++ {
-		for i := 0; i < 4; i++ {
-			id := topo.ReplicaID(c, i)
-			rep := core.NewReplica(core.Config{Topo: topo, Self: id, Records: 100,
-				LocalTimeout: time.Second, RemoteTimeout: 2 * time.Second})
-			reps[id] = rep
-			net.AddNode(id, c, rep)
-		}
-	}
-	cl := &geoClient{topo: topo, cluster: 0, f: 1, batchSize: 5, total: 8, window: 2}
-	net.AddNode(config.ClientID(0), 0, cl)
-	net.RunUntil(240 * time.Second)
-	if cl.completed != cl.total {
-		t.Fatalf("client completed %d/%d with idle remote cluster", cl.completed, cl.total)
+	d := deploy(t, 2, 4, 8, detsim.Options{Seed: 23})
+	cl := d.clients[0]
+	cl.Window, cl.BatchSize = 2, 5
+	d.clients[1].Window = 0
+	d.net.RunUntil(240 * time.Second)
+	if cl.Completed() != cl.Total {
+		t.Fatalf("client completed %d/%d with idle remote cluster", cl.Completed(), cl.Total)
 	}
 	// The idle cluster's slots must be filled with no-ops.
-	ref := reps[topo.ReplicaID(0, 0)]
+	ref := d.reps[d.topo.ReplicaID(0, 0)]
 	noops := 0
 	for h := uint64(1); h <= ref.Ledger().Height(); h++ {
 		b := ref.Ledger().Block(h)
@@ -296,7 +205,7 @@ func TestNoOpFillWhenOneClusterIdle(t *testing.T) {
 		t.Error("no no-op blocks from the idle cluster")
 	}
 	// An idle cluster fills at once: it never holds a round open (no grace).
-	for id, r := range reps {
+	for id, r := range d.reps {
 		if st := r.RoundStats(); st.GracesArmed != 0 {
 			t.Errorf("replica %v armed %d no-op graces under one-sided load", id, st.GracesArmed)
 		}
@@ -307,27 +216,29 @@ func TestSafetyAcrossSeedsProperty(t *testing.T) {
 	// Across seeds: crash one random backup per cluster mid-run; ledgers of
 	// all surviving replicas must agree (non-divergence, Theorem 2.8).
 	for seed := int64(1); seed <= 4; seed++ {
-		d := deploy(t, 2, 4, 6, simnet.Options{Seed: seed * 101})
-		crashAt := time.Duration(100+seed*70) * time.Millisecond
-		crashed := map[types.NodeID]bool{}
-		for c := 0; c < 2; c++ {
-			id := d.topo.ReplicaID(c, 1+int(seed)%3)
-			crashed[id] = true
-		}
-		d.net.RunUntil(crashAt)
-		for id := range crashed {
-			d.net.Crash(id)
-		}
-		d.net.RunUntil(300 * time.Second)
-		if !d.completedAll() {
-			t.Errorf("seed %d: clients incomplete", seed)
-		}
-		d.assertConvergence(t, crashed)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			d := deploy(t, 2, 4, 6, detsim.Options{Seed: seed * 101})
+			crashAt := time.Duration(100+seed*70) * time.Millisecond
+			crashed := map[types.NodeID]bool{}
+			for c := 0; c < 2; c++ {
+				id := d.topo.ReplicaID(c, 1+int(seed)%3)
+				crashed[id] = true
+			}
+			d.net.RunUntil(crashAt)
+			for id := range crashed {
+				d.net.Crash(id)
+			}
+			d.net.RunUntil(300 * time.Second)
+			if !d.completedAll() {
+				t.Errorf("seed %d: clients incomplete", seed)
+			}
+			d.assertConvergence(t, crashed)
+		})
 	}
 }
 
 func TestLedgerBlocksAlternateClusters(t *testing.T) {
-	d := deploy(t, 3, 4, 5, simnet.Options{Seed: 41})
+	d := deploy(t, 3, 4, 5, detsim.Options{Seed: 41})
 	d.net.RunUntil(240 * time.Second)
 	if !d.completedAll() {
 		t.Fatal("clients incomplete")

@@ -1,198 +1,130 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"resilientdb/internal/config"
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/pbft"
-	"resilientdb/internal/proto"
+	"resilientdb/internal/detsim"
+	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
 
 // No-op pacing tests. They drive a whole z×n deployment of real Replicas on
-// one goroutine through a proto.Env with a manual clock: messages travel in
-// zero time through one FIFO queue, timers fire only when the test advances
-// the clock, so every interleaving below is exact and repeats.
+// the deterministic simulator (detsim) with instantaneous links and free crypto, on a
+// manual clock: RunFor(0) runs every exchange a step sets off, and time moves
+// only when a test advances it with RunFor(d), so every interleaving below is
+// exact and repeats. Timers due at one instant fire in arming order, each
+// with the messages it sends queued behind the timers already due.
 
-type manualMsg struct {
+// clientIdentities is the number of client identities a testNet provisions.
+const clientIdentities = 12
+
+// testNet is a deployment on the manual clock. Client identity i (home
+// cluster i mod z) sends one-transaction requests to its cluster's primary,
+// only when told (submit), unless a test gives it a window.
+type testNet struct {
+	*detsim.Network
+	t       *testing.T
+	topo    config.Topology
+	reps    map[types.NodeID]*Replica
+	clients []*detsim.Client
+	// held is what the hold intercept parked; unheld is the intercept it
+	// was installed over.
+	held   []heldMsg
+	unheld transport.InterceptFn
+}
+
+type heldMsg struct {
 	from, to types.NodeID
 	msg      types.Message
 }
 
-type manualTimer struct {
-	at      time.Duration
-	fn      func()
-	stopped bool
-}
-
-func (t *manualTimer) Stop() { t.stopped = true }
-
-type manualNet struct {
-	t       *testing.T
-	topo    config.Topology
-	dir     *crypto.Directory
-	now     time.Duration
-	reps    map[types.NodeID]*Replica
-	clients map[types.NodeID]*manualClient
-	queue   []manualMsg
-	timers  []*manualTimer
-	// hold, if set, parks matching messages until release.
-	hold func(m manualMsg) bool
-	held []manualMsg
-	// tamper, if set, may replace a message on its way to one recipient (a
-	// Byzantine sender's script); it must not modify the original, which the
-	// other recipients share.
-	tamper func(m manualMsg) types.Message
-	// sent, if set, observes every message as it is delivered.
-	sent func(m manualMsg)
-}
-
-type manualEnv struct {
-	net   *manualNet
-	id    types.NodeID
-	suite *crypto.Suite
-	rng   *rand.Rand
-}
-
-func (e *manualEnv) ID() types.NodeID     { return e.id }
-func (e *manualEnv) Now() time.Duration   { return e.net.now }
-func (e *manualEnv) Suite() *crypto.Suite { return e.suite }
-func (e *manualEnv) Rand() *rand.Rand     { return e.rng }
-func (e *manualEnv) Send(to types.NodeID, m types.Message) {
-	e.net.queue = append(e.net.queue, manualMsg{e.id, to, m})
-}
-func (e *manualEnv) SetTimer(d time.Duration, fn func()) proto.Timer {
-	t := &manualTimer{at: e.net.now + d, fn: fn}
-	e.net.timers = append(e.net.timers, t)
-	return t
-}
-
-// manualClient is one closed-loop client identity: one request in flight,
-// the next one think after f+1 replicas of its cluster replied.
-type manualClient struct {
-	net     *manualNet
-	id      types.NodeID
-	cluster int
-	think   time.Duration
-	total   int // requests to submit; 0 = submit only when the test says so
-	suite   *crypto.Suite
-	seq     uint64
-	acks    map[types.NodeID]bool
-	done    int
-}
-
-func (c *manualClient) submit() {
-	c.seq++
-	c.acks = map[types.NodeID]bool{}
-	b := types.Batch{Client: c.id, Seq: c.seq, Txns: []types.Transaction{{Key: uint64(c.id), Value: c.seq}}}
-	req := &pbft.Request{Batch: b, Sig: c.suite.Sign(pbft.RequestPayload(&b))}
-	c.net.queue = append(c.net.queue, manualMsg{c.id, c.net.topo.ReplicaID(c.cluster, 0), req})
-}
-
-func (c *manualClient) onReply(from types.NodeID, rep *proto.Reply) {
-	if rep.ClientSeq != c.seq || c.acks[from] {
-		return
-	}
-	c.acks[from] = true
-	if len(c.acks) != c.net.topo.F()+1 {
-		return
-	}
-	c.done++
-	if int(c.seq) < c.total {
-		c.net.timers = append(c.net.timers, &manualTimer{at: c.net.now + c.think, fn: c.submit})
-	}
-}
-
-func newManualNet(t *testing.T, z, n int, cfg Config) *manualNet {
+func newTestNet(t *testing.T, z, n int, cfg Config) *testNet {
 	t.Helper()
 	topo := config.NewTopology(z, n)
-	dir := crypto.NewDirectory(crypto.Fast, topo.AllReplicas())
-	net := &manualNet{t: t, topo: topo, dir: dir, reps: map[types.NodeID]*Replica{}, clients: map[types.NodeID]*manualClient{}}
+	net := &testNet{Network: detsim.New(detsim.Options{Mode: crypto.Fast}), t: t, topo: topo, reps: map[types.NodeID]*Replica{}}
 	for _, id := range topo.AllReplicas() {
 		c := cfg
 		c.Topo, c.Self, c.Records = topo, id, 100
 		r := NewReplica(c)
 		net.reps[id] = r
-		r.InitEnv(&manualEnv{net: net, id: id, suite: crypto.NewSuite(dir, id, crypto.FreeCosts(), nil),
-			rng: rand.New(rand.NewSource(int64(id) + 1))})
+		net.AddNode(id, 0, r)
 	}
+	for i := 0; i < clientIdentities; i++ {
+		c := &detsim.Client{Group: topo.ClusterMembers(i % z), BatchSize: 1}
+		net.clients = append(net.clients, c)
+		net.AddNode(config.ClientID(i), 0, c)
+	}
+	net.Start()
 	return net
 }
 
-// client adds identity idx (home cluster idx mod z).
-func (n *manualNet) client(idx int, think time.Duration, total int) *manualClient {
-	id := config.ClientID(idx)
-	c := &manualClient{net: n, id: id, cluster: idx % n.topo.Clusters, think: think, total: total,
-		suite: crypto.NewSuite(n.dir, id, crypto.FreeCosts(), nil)}
-	n.clients[c.id] = c
-	return c
+// client returns client identity idx.
+func (n *testNet) client(idx int) *detsim.Client { return n.clients[idx] }
+
+// submit has each client send its next request, in order, at the current
+// instant; drain delivers them.
+func (n *testNet) submit(cs ...*detsim.Client) {
+	for _, c := range cs {
+		n.At(n.Now(), c.ID(), c.Submit)
+	}
 }
 
-// drain delivers queued messages until the deployment is quiet.
-func (n *manualNet) drain() {
-	for len(n.queue) > 0 {
-		m := n.queue[0]
-		n.queue = n.queue[1:]
-		if n.hold != nil && n.hold(m) {
-			n.held = append(n.held, m)
-			continue
+// deliver hands one message to a replica as if from the given sender.
+func (n *testNet) deliver(from, to types.NodeID, m types.Message) {
+	n.At(n.Now(), to, func() { n.reps[to].Receive(from, m) })
+	n.RunFor(0)
+}
+
+// hold parks every send matching park until unhold or release; the rest go
+// to the intercept installed before.
+func (n *testNet) hold(park func(from, to types.NodeID, m types.Message) bool) {
+	next := n.Intercept
+	n.unheld = next
+	n.Intercept = func(from, to types.NodeID, m types.Message) ([]transport.Delivery, bool) {
+		if park(from, to, m) {
+			n.held = append(n.held, heldMsg{from, to, m})
+			return nil, true
 		}
-		if n.tamper != nil {
-			m.msg = n.tamper(m)
+		if next != nil {
+			return next(from, to, m)
 		}
-		if n.sent != nil {
-			n.sent(m)
-		}
-		if r := n.reps[m.to]; r != nil {
-			r.Receive(m.from, m.msg)
-		} else if c := n.clients[m.to]; c != nil {
-			c.onReply(m.from, m.msg.(*proto.Reply))
-		}
+		return nil, false
 	}
+}
+
+// unhold stops holding and returns what was held, undelivered.
+func (n *testNet) unhold() []heldMsg {
+	held := n.held
+	n.Intercept, n.unheld, n.held = n.unheld, nil, nil
+	return held
 }
 
 // release stops holding and delivers everything held.
-func (n *manualNet) release() {
-	n.hold = nil
-	n.queue = append(n.queue, n.held...)
-	n.held = nil
-	n.drain()
+func (n *testNet) release() {
+	for _, h := range n.unhold() {
+		h := h
+		n.At(n.Now(), h.to, func() { n.reps[h.to].Receive(h.from, h.msg) })
+	}
+	n.RunFor(0)
 }
 
-// advance moves the clock forward by d, firing due timers in time order
-// (arming order breaks ties) and draining after each.
-func (n *manualNet) advance(d time.Duration) {
-	n.drain()
-	target := n.now + d
-	for {
-		var next *manualTimer
-		live := n.timers[:0]
-		for _, t := range n.timers {
-			if t.stopped {
-				continue
-			}
-			live = append(live, t)
-			if t.at <= target && (next == nil || t.at < next.at) {
-				next = t
-			}
+// observe calls fn on every message transmitted from now on, after the
+// observers installed before.
+func (n *testNet) observe(fn func(from, to types.NodeID, m types.Message)) {
+	prev := n.TraceSend
+	n.TraceSend = func(from, to types.NodeID, m types.Message, size int, sameRegion bool) {
+		if prev != nil {
+			prev(from, to, m, size, sameRegion)
 		}
-		n.timers = live
-		if next == nil {
-			break
-		}
-		next.stopped = true
-		n.now = next.at
-		next.fn()
-		n.drain()
+		fn(from, to, m)
 	}
-	n.now = target
 }
 
 // graceTimers counts armed no-op grace timers across the deployment.
-func (n *manualNet) graceTimers() int {
+func (n *testNet) graceTimers() int {
 	armed := 0
 	for _, r := range n.reps {
 		if r.graceTimer != nil {
@@ -202,7 +134,7 @@ func (n *manualNet) graceTimers() int {
 	return armed
 }
 
-func (n *manualNet) primary(cluster int) *Replica {
+func (n *testNet) primary(cluster int) *Replica {
 	for _, id := range n.topo.ClusterMembers(cluster) {
 		if n.reps[id].IsPrimary() {
 			return n.reps[id]
@@ -213,17 +145,17 @@ func (n *manualNet) primary(cluster int) *Replica {
 }
 
 // assertExecuted checks that every replica executed exactly round rounds.
-func (n *manualNet) assertExecuted(rounds uint64) {
+func (n *testNet) assertExecuted(rounds uint64) {
 	n.t.Helper()
 	for _, id := range n.topo.AllReplicas() {
 		if got := n.reps[id].ExecutedRound(); got != rounds {
-			n.t.Fatalf("t=%v: replica %v executed round %d, want %d", n.now, id, got, rounds)
+			n.t.Fatalf("t=%v: replica %v executed round %d, want %d", n.Now(), id, got, rounds)
 		}
 	}
 }
 
 // noOpsAfter counts cluster c's no-op blocks in rounds beyond warm.
-func (n *manualNet) noOpsAfter(c int, warm uint64) (noops, blocks int) {
+func (n *testNet) noOpsAfter(c int, warm uint64) (noops, blocks int) {
 	l := n.reps[0].Ledger()
 	for h := uint64(1); h <= l.Height(); h++ {
 		if b := l.Block(h); int(b.Cluster) == c && b.Round > warm {
@@ -246,26 +178,28 @@ func (n *manualNet) noOpsAfter(c int, warm uint64) (noops, blocks int) {
 func TestPacingSymmetricLoadFillsRoundsWithClientBatches(t *testing.T) {
 	const identities, perClient = 4, 50
 	const warm = 2 * identities // rounds
-	net := newManualNet(t, 2, 4, Config{})
+	net := newTestNet(t, 2, 4, Config{})
 	for i := 0; i < 2*identities; i++ {
 		think := 500 * time.Microsecond
 		if i%2 == 1 {
 			think += time.Millisecond // < noopGrace
 		}
-		net.client(i, think, perClient).submit()
+		c := net.client(i)
+		c.Window, c.Think, c.Total = 1, think, perClient
+		net.submit(c)
 	}
 	for step := 0; step < 4000 && net.reps[0].ExecutedRound() < identities*perClient; step++ {
-		net.advance(100 * time.Microsecond)
+		net.RunFor(100 * time.Microsecond)
 		for c := 0; c < 2; c++ {
 			p := net.primary(c)
 			if ahead := p.assignedRounds() - p.ExecutedRound(); p.ExecutedRound() > warm && ahead > identities {
-				t.Fatalf("t=%v: cluster %d primary has %d rounds in flight with %d identities", net.now, c, ahead, identities)
+				t.Fatalf("t=%v: cluster %d primary has %d rounds in flight with %d identities", net.Now(), c, ahead, identities)
 			}
 		}
 	}
-	for _, c := range net.clients {
-		if c.done != perClient {
-			t.Fatalf("client %v confirmed %d/%d", c.id, c.done, perClient)
+	for _, c := range net.clients[:2*identities] {
+		if c.Completed() != perClient {
+			t.Fatalf("client %v confirmed %d/%d", c.ID(), c.Completed(), perClient)
 		}
 	}
 	for c := 0; c < 2; c++ {
@@ -288,11 +222,11 @@ func TestPacingSymmetricLoadFillsRoundsWithClientBatches(t *testing.T) {
 // grace is ever armed. A cluster whose clients went quiet pays one grace and
 // is idle again from then on.
 func TestPacingIdleClusterFillsAtOnce(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	net := newTestNet(t, 2, 4, Config{})
+	a, b := net.client(0), net.client(1)
 	for round := uint64(1); round <= 10; round++ {
-		a.submit()
-		net.drain()
+		net.submit(a)
+		net.RunFor(0)
 		net.assertExecuted(round) // zero added delay: the clock never moved
 	}
 	if noops, blocks := net.noOpsAfter(1, 0); noops != 10 || blocks != 10 {
@@ -305,22 +239,21 @@ func TestPacingIdleClusterFillsAtOnce(t *testing.T) {
 	}
 
 	// Cluster 1 carries one batch, then its client goes quiet.
-	a.submit()
-	b.submit()
-	net.drain()
+	net.submit(a, b)
+	net.RunFor(0)
 	net.assertExecuted(11)
-	net.advance(time.Millisecond)
-	a.submit()
-	net.drain()
+	net.RunFor(time.Millisecond)
+	net.submit(a)
+	net.RunFor(0)
 	net.assertExecuted(11) // cluster 1 executed a client batch 1 ms ago: round 12 waits
 	if net.graceTimers() != 1 {
 		t.Fatalf("%d grace timers armed, want 1", net.graceTimers())
 	}
-	net.advance(noopGrace)
+	net.RunFor(noopGrace)
 	net.assertExecuted(12) // bounded by one grace
 	for round := uint64(13); round <= 20; round++ {
-		a.submit()
-		net.drain()
+		net.submit(a)
+		net.RunFor(0)
 		net.assertExecuted(round) // idle again: at once
 	}
 	if st := net.primary(1).RoundStats(); st.GracesArmed != 1 || st.GraceFilled != 0 {
@@ -333,23 +266,22 @@ func TestPacingIdleClusterFillsAtOnce(t *testing.T) {
 // old primary (a no-op), the new primary fills the open round from
 // onLocalViewChange without waiting, and the deployment keeps executing.
 func TestPacingGraceAcrossViewChange(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
-	a.submit()
-	b.submit()
-	net.drain()
+	net := newTestNet(t, 2, 4, Config{})
+	a, b := net.client(0), net.client(1)
+	net.submit(a, b)
+	net.RunFor(0)
 	net.assertExecuted(1)
 	old := net.primary(1)
-	a.submit() // round 2: cluster 1 has load (executed just now) and nothing pending
-	net.drain()
+	net.submit(a) // round 2: cluster 1 has load (executed just now) and nothing pending
+	net.RunFor(0)
 	net.assertExecuted(1)
 	if old.graceTimer == nil || net.graceTimers() != 1 {
 		t.Fatalf("want exactly the old primary's grace armed, have %d", net.graceTimers())
 	}
 
 	old.Local().ForceViewChange() // alone: no quorum yet, so it sits mid-view-change
-	net.drain()
-	net.advance(noopGrace) // the grace fires there
+	net.RunFor(0)
+	net.RunFor(noopGrace) // the grace fires there
 	if old.graceTimer != nil {
 		t.Fatal("fired grace timer still recorded as armed")
 	}
@@ -358,7 +290,7 @@ func TestPacingGraceAcrossViewChange(t *testing.T) {
 	for _, id := range net.topo.ClusterMembers(1) {
 		net.reps[id].Local().ForceViewChange()
 	}
-	net.drain()
+	net.RunFor(0)
 	if p := net.primary(1); p == old || p.Local().InViewChange() {
 		t.Fatalf("view change did not install a new primary (view %d)", p.Local().View())
 	}
@@ -368,10 +300,9 @@ func TestPacingGraceAcrossViewChange(t *testing.T) {
 	}
 
 	// Nothing is wedged: the old primary forwards, the new one orders.
-	net.advance(noopGrace)
-	a.submit()
-	b.submit()
-	net.drain()
+	net.RunFor(noopGrace)
+	net.submit(a, b)
+	net.RunFor(0)
 	net.assertExecuted(3)
 	if net.graceTimers() != 0 {
 		t.Errorf("%d grace timers left armed", net.graceTimers())
@@ -384,24 +315,22 @@ func TestPacingGraceAcrossViewChange(t *testing.T) {
 // the next open round arms a fresh timer.
 func TestPacingOneTimerAndFullWindow(t *testing.T) {
 	// CheckpointInterval 1 makes the PBFT window 4 sequences wide.
-	net := newManualNet(t, 2, 4, Config{CheckpointInterval: 1})
-	bs := []*manualClient{net.client(1, 0, 0), net.client(3, 0, 0), net.client(5, 0, 0), net.client(7, 0, 0)}
+	net := newTestNet(t, 2, 4, Config{CheckpointInterval: 1})
+	bs := []*detsim.Client{net.client(1), net.client(3), net.client(5), net.client(7)}
 	// Cluster 1's backups hear nothing for now: its primary assigns four
 	// client batches (window full) and none of them commits.
 	p := net.primary(1)
-	net.hold = func(m manualMsg) bool {
-		return m.from == p.cfg.Self && !m.to.IsClient() && m.to != p.cfg.Self && int(net.topo.ClusterOf(m.to)) == 1
-	}
-	for _, b := range bs {
-		b.submit()
-	}
-	net.drain()
+	net.hold(func(from, to types.NodeID, _ types.Message) bool {
+		return from == p.cfg.Self && !to.IsClient() && to != p.cfg.Self && int(net.topo.ClusterOf(to)) == 1
+	})
+	net.submit(bs...)
+	net.RunFor(0)
 	if p.assignedRounds() != 4 || p.local.QueueLen() != 0 {
 		t.Fatalf("setup: assigned %d queued %d", p.assignedRounds(), p.local.QueueLen())
 	}
 	for i := 0; i < 6; i++ { // cluster 0 certifies rounds 1..6; each share is new evidence
-		net.client(2*i, 0, 0).submit()
-		net.drain()
+		net.submit(net.client(2 * i))
+		net.RunFor(0)
 	}
 	if p.evidencedRound != 6 {
 		t.Fatalf("setup: cluster 1's primary saw evidence of round %d, want 6", p.evidencedRound)
@@ -410,7 +339,7 @@ func TestPacingOneTimerAndFullWindow(t *testing.T) {
 		t.Fatalf("six shares armed %d graces (%d timers), want 1", st.GracesArmed, net.graceTimers())
 	}
 
-	net.advance(noopGrace) // fires against the full window
+	net.RunFor(noopGrace) // fires against the full window
 	if p.graceTimer != nil || p.assignedRounds() != 6 || p.local.QueueLen() != 2 {
 		t.Fatalf("after the grace: timer armed=%v assigned %d queued %d, want no timer, 6, 2",
 			p.graceTimer != nil, p.assignedRounds(), p.local.QueueLen())
@@ -423,15 +352,15 @@ func TestPacingOneTimerAndFullWindow(t *testing.T) {
 		t.Fatalf("cluster 1 filled %d rounds with no-ops, want 2 (rounds 5 and 6)", noops)
 	}
 
-	net.clients[config.ClientID(0)].submit() // round 7: cluster 1 has load again, so a fresh grace
-	net.drain()
+	net.submit(net.client(0)) // round 7: cluster 1 has load again, so a fresh grace
+	net.RunFor(0)
 	if st := p.RoundStats(); st.GracesArmed != 2 || net.graceTimers() != 1 {
 		t.Fatalf("next open round: %d graces armed (%d timers), want 2 (1)", st.GracesArmed, net.graceTimers())
 	}
-	bs[0].submit() // a client batch takes it before the grace runs out
-	net.drain()
+	net.submit(bs[0]) // a client batch takes it before the grace runs out
+	net.RunFor(0)
 	net.assertExecuted(7)
-	net.advance(noopGrace)
+	net.RunFor(noopGrace)
 	if st := p.RoundStats(); st.GraceFilled != 1 || p.graceTimer != nil {
 		t.Errorf("grace that a client batch beat: %+v, timer armed=%v", st, p.graceTimer != nil)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"resilientdb/internal/pbft"
+	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
 
@@ -13,7 +14,7 @@ import (
 // shown — on the manual-clock harness of pacing_test.go.
 
 // ops returns the Sign and Verify calls replica id's suite has run.
-func (n *manualNet) ops(id types.NodeID) (signs, verifies uint64) {
+func (n *testNet) ops(id types.NodeID) (signs, verifies uint64) {
 	return n.reps[id].env.Suite().Ops()
 }
 
@@ -31,12 +32,11 @@ func (n *manualNet) ops(id types.NodeID) (signs, verifies uint64) {
 func TestSignatureBudgetPerRound(t *testing.T) {
 	const z, n, f, rounds, interval = 2, 4, 1, 12, 6
 	const quorum = n - f
-	net := newManualNet(t, z, n, Config{CheckpointInterval: interval})
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	net := newTestNet(t, z, n, Config{CheckpointInterval: interval})
+	a, b := net.client(0), net.client(1)
 	for round := uint64(1); round <= rounds; round++ {
-		a.submit()
-		b.submit()
-		net.drain()
+		net.submit(a, b)
+		net.RunFor(0)
 		net.assertExecuted(round)
 	}
 	for _, id := range net.topo.AllReplicas() {
@@ -64,59 +64,60 @@ func TestSignatureBudgetPerRound(t *testing.T) {
 	}
 }
 
-// forgeVotes returns a tamper hook that garbles the signature of every
+// forgeVotes returns an intercept that garbles the signature of every
 // prepare, commit and checkpoint vote sent by id — valid routing, good
 // channel, garbage signature — and counts what it garbled.
-func forgeVotes(id types.NodeID, forged *int) func(m manualMsg) types.Message {
+func forgeVotes(id types.NodeID, forged *int) transport.InterceptFn {
 	garbage := []byte("garbage-signature")
-	return func(m manualMsg) types.Message {
-		if m.from != id {
-			return m.msg
+	return func(from, to types.NodeID, m types.Message) ([]transport.Delivery, bool) {
+		if from != id {
+			return nil, false
 		}
-		switch v := m.msg.(type) {
+		var forgery types.Message
+		switch v := m.(type) {
 		case *pbft.Prepare:
 			c := *v
 			c.Sig = garbage
-			*forged++
-			return &c
+			forgery = &c
 		case *pbft.Commit:
 			c := *v
 			c.Sig = garbage
-			*forged++
-			return &c
+			forgery = &c
 		case *pbft.Checkpoint:
 			c := *v
 			c.Sig = garbage
-			*forged++
-			return &c
+			forgery = &c
+		default:
+			return nil, false
 		}
-		return m.msg
+		*forged++
+		return []transport.Delivery{{To: to, Msg: forgery}}, true
 	}
 }
 
 // auditShares makes the harness verify every certificate that crosses a
 // cluster boundary or answers a catch-up request, as the receiver would:
 // whatever its sender counted, what leaves a replica must be proven.
-func (n *manualNet) auditShares(skip types.NodeID) {
-	n.sent = func(m manualMsg) {
-		if m.from == skip || m.from.IsClient() {
+func (n *testNet) auditShares(skip types.NodeID) {
+	n.observe(func(from, to types.NodeID, m types.Message) {
+		if from == skip || from.IsClient() {
 			return
 		}
 		verifier := n.reps[n.topo.ReplicaID(0, 0)].env.Suite()
 		quorum := n.topo.PerCluster - n.topo.F()
-		switch v := m.msg.(type) {
+		switch v := m.(type) {
 		case *GlobalShare:
 			if !v.Cert.Verify(verifier, n.topo.ClusterMembers(int(v.Cluster)), quorum) {
-				n.t.Errorf("t=%v: %v sent %v an unprovable certificate for round %d of cluster %d", n.now, m.from, m.to, v.Round, v.Cluster)
+				n.t.Errorf("t=%v: %v sent %v an unprovable certificate for round %d of cluster %d", n.Now(), from, to, v.Round, v.Cluster)
 			}
 		case *CatchUpResp:
 			for _, b := range v.Blocks {
 				if !b.Cert.(*pbft.Certificate).Verify(verifier, n.topo.ClusterMembers(int(b.Cluster)), quorum) {
-					n.t.Errorf("t=%v: %v served %v block %d with an unprovable certificate", n.now, m.from, m.to, b.Height)
+					n.t.Errorf("t=%v: %v served %v block %d with an unprovable certificate", n.Now(), from, to, b.Height)
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestForgedVotesFromBackup: backup (0,2) signs garbage. On the harness's
@@ -132,21 +133,20 @@ func (n *manualNet) auditShares(skip types.NodeID) {
 func TestForgedVotesFromBackup(t *testing.T) {
 	rejects := map[types.NodeID]int{}
 	cfg := Config{}
-	net := newManualNet(t, 2, 4, cfg)
+	net := newTestNet(t, 2, 4, cfg)
 	for id, r := range net.reps {
 		id := id
 		r.cfg.OnVerifyReject = func() { rejects[id]++ }
 	}
 	forger := net.topo.ReplicaID(0, 2)
 	forged := 0
-	net.tamper = forgeVotes(forger, &forged)
+	net.Intercept = forgeVotes(forger, &forged)
 	net.auditShares(forger)
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	a, b := net.client(0), net.client(1)
 	const rounds = 4
 	for round := uint64(1); round <= rounds; round++ {
-		a.submit()
-		b.submit()
-		net.drain()
+		net.submit(a, b)
+		net.RunFor(0)
 		net.assertExecuted(round)
 	}
 	if forged == 0 {
@@ -170,15 +170,12 @@ func TestForgedVotesFromBackup(t *testing.T) {
 	// with the forger's vote replaced by the spare.
 	backup := net.topo.ReplicaID(0, 3)
 	served := 0
-	audit := net.sent
-	net.sent = func(m manualMsg) {
-		audit(m)
-		if resp, ok := m.msg.(*CatchUpResp); ok && m.from == backup {
+	net.observe(func(from, _ types.NodeID, m types.Message) {
+		if resp, ok := m.(*CatchUpResp); ok && from == backup {
 			served += len(resp.Blocks)
 		}
-	}
-	net.queue = append(net.queue, manualMsg{net.topo.ReplicaID(1, 3), backup, &CatchUpReq{NextHeight: 1}})
-	net.drain()
+	})
+	net.deliver(net.topo.ReplicaID(1, 3), backup, &CatchUpReq{NextHeight: 1})
 	if served != 2*rounds {
 		t.Errorf("backup served %d blocks, want the whole chain of %d", served, 2*rounds)
 	}
@@ -192,32 +189,28 @@ func TestForgedVotesFromBackup(t *testing.T) {
 // replace it with. Asked for its chain it serves nothing it cannot prove and
 // counts the refusal; the requester's rotation would move on.
 func TestUnprovableBlockIsNotServed(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
+	net := newTestNet(t, 2, 4, Config{})
 	forger, backup := net.topo.ReplicaID(0, 2), net.topo.ReplicaID(0, 3)
 	forged := 0
-	net.tamper = forgeVotes(forger, &forged)
+	net.Intercept = forgeVotes(forger, &forged)
 	net.auditShares(forger)
-	net.hold = func(m manualMsg) bool { // (0,1)'s commit votes never reach (0,3)
-		_, isCommit := m.msg.(*pbft.Commit)
-		return isCommit && m.from == net.topo.ReplicaID(0, 1) && m.to == backup
-	}
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	net.hold(func(from, to types.NodeID, m types.Message) bool { // (0,1)'s commit votes never reach (0,3)
+		_, isCommit := m.(*pbft.Commit)
+		return isCommit && from == net.topo.ReplicaID(0, 1) && to == backup
+	})
+	a, b := net.client(0), net.client(1)
 	for round := uint64(1); round <= 2; round++ {
-		a.submit()
-		b.submit()
-		net.drain()
+		net.submit(a, b)
+		net.RunFor(0)
 		net.assertExecuted(round)
 	}
 	served := -1
-	audit := net.sent
-	net.sent = func(m manualMsg) {
-		audit(m)
-		if resp, ok := m.msg.(*CatchUpResp); ok && m.from == backup {
+	net.observe(func(from, _ types.NodeID, m types.Message) {
+		if resp, ok := m.(*CatchUpResp); ok && from == backup {
 			served = len(resp.Blocks)
 		}
-	}
-	net.queue = append(net.queue, manualMsg{net.topo.ReplicaID(1, 3), backup, &CatchUpReq{NextHeight: 1}})
-	net.drain()
+	})
+	net.deliver(net.topo.ReplicaID(1, 3), backup, &CatchUpReq{NextHeight: 1})
 	if served > 0 {
 		t.Errorf("backup served %d blocks starting at one it cannot prove", served)
 	}
@@ -242,29 +235,28 @@ func TestUnprovableBlockIsNotServed(t *testing.T) {
 // campaigns, whose checkpoint sets hold the old primary's garbage, must still
 // validate so the view change completes at all.
 func TestForgedVotesFromPrimaryThenWithheldShares(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{
+	net := newTestNet(t, 2, 4, Config{
 		CheckpointInterval: 2,
 		LocalTimeout:       400 * time.Millisecond,
 		RemoteTimeout:      700 * time.Millisecond,
 	})
 	old := net.primary(0)
 	forged := 0
-	net.tamper = forgeVotes(old.cfg.Self, &forged)
+	net.Intercept = forgeVotes(old.cfg.Self, &forged)
 	net.auditShares(old.cfg.Self)
 	withheld := 0
-	net.hold = func(m manualMsg) bool {
-		if _, isShare := m.msg.(*GlobalShare); isShare && m.from == old.cfg.Self && int(net.topo.ClusterOf(m.to)) != 0 {
+	net.hold(func(from, to types.NodeID, m types.Message) bool {
+		if _, isShare := m.(*GlobalShare); isShare && from == old.cfg.Self && int(net.topo.ClusterOf(to)) != 0 {
 			withheld++
 			return true
 		}
 		return false
-	}
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	})
+	a, b := net.client(0), net.client(1)
 	const rounds = 5
 	for round := uint64(1); round <= rounds; round++ {
-		a.submit()
-		b.submit()
-		net.drain()
+		net.submit(a, b)
+		net.RunFor(0)
 	}
 	for _, id := range net.topo.AllReplicas() {
 		want := uint64(rounds) // cluster 0 has both certificates of every round
@@ -279,12 +271,12 @@ func TestForgedVotesFromPrimaryThenWithheldShares(t *testing.T) {
 		t.Fatalf("setup: stable checkpoint %d (want 4: entries 1-4 collected), withheld %d shares, forged %d votes", got, withheld, forged)
 	}
 
-	net.advance(2 * time.Second) // cluster 1 times out on round 1, agrees, sends Rvc; cluster 0 changes view
+	net.RunFor(2 * time.Second) // cluster 1 times out on round 1, agrees, sends Rvc; cluster 0 changes view
 	p := net.primary(0)
 	if p == old || p.local.InViewChange() {
 		t.Fatalf("the forging, withholding primary was not deposed (view %d)", p.local.View())
 	}
-	net.advance(time.Second)
+	net.RunFor(time.Second)
 	net.assertExecuted(rounds) // every withheld round reshared, provably (audited), and executed by cluster 1
 	if bad, _ := p.ProofStats(); bad == 0 {
 		t.Error("the new primary proved certificates holding garbage votes without counting one")
@@ -300,38 +292,36 @@ func TestForgedVotesFromPrimaryThenWithheldShares(t *testing.T) {
 // never complete. Built from n−f signatures that verify, they install the
 // new view, and the prepared batch commits and executes there.
 func TestViewChangeCompletesOverGarbageVotes(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{CheckpointInterval: 2, LocalTimeout: 400 * time.Millisecond})
+	net := newTestNet(t, 2, 4, Config{CheckpointInterval: 2, LocalTimeout: 400 * time.Millisecond})
 	old := net.primary(0)
 	forged := 0
-	net.tamper = forgeVotes(old.cfg.Self, &forged)
+	net.Intercept = forgeVotes(old.cfg.Self, &forged)
 	net.auditShares(old.cfg.Self)
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	a, b := net.client(0), net.client(1)
 	for round := uint64(1); round <= 3; round++ {
-		a.submit()
-		b.submit()
-		net.drain()
+		net.submit(a, b)
+		net.RunFor(0)
 		net.assertExecuted(round)
 	}
 	// Round 4 prepares in cluster 0 and no commit vote is ever delivered;
 	// from then on the primary says nothing at all.
 	silent := false
-	net.hold = func(m manualMsg) bool {
-		if c, isCommit := m.msg.(*pbft.Commit); isCommit && c.Seq == 4 && c.View == 0 && int(net.topo.ClusterOf(m.from)) == 0 {
+	net.hold(func(from, _ types.NodeID, m types.Message) bool {
+		if c, isCommit := m.(*pbft.Commit); isCommit && c.Seq == 4 && c.View == 0 && int(net.topo.ClusterOf(from)) == 0 {
 			silent = true
 			return true
 		}
-		return silent && m.from == old.cfg.Self
-	}
-	a.submit()
-	b.submit()
-	net.drain()
+		return silent && from == old.cfg.Self
+	})
+	net.submit(a, b)
+	net.RunFor(0)
 	for _, id := range net.topo.ClusterMembers(0)[1:] {
 		if r := net.reps[id]; r.local.StableSeq() != 2 || r.local.CommittedUpTo() != 3 {
 			t.Fatalf("setup: replica %v stable %d committed %d, want 2 and 3", id, r.local.StableSeq(), r.local.CommittedUpTo())
 		}
 	}
 
-	net.advance(time.Second) // the backups time out on round 4 and campaign
+	net.RunFor(time.Second) // the backups time out on round 4 and campaign
 	for _, id := range net.topo.ClusterMembers(0)[1:] {
 		if r := net.reps[id]; r.local.View() != 1 || r.local.InViewChange() {
 			t.Fatalf("replica %v: view %d, in view change %v: the view change did not complete", id, r.local.View(), r.local.InViewChange())
@@ -345,7 +335,7 @@ func TestViewChangeCompletesOverGarbageVotes(t *testing.T) {
 			t.Errorf("replica %v executed round %d, want 4: the prepared batch did not survive the view change", id, net.reps[id].ExecutedRound())
 		}
 	}
-	if blk := net.reps[net.topo.ReplicaID(1, 1)].ledger.Block(7); blk == nil || blk.Batch.NoOp || blk.Batch.Client != a.id {
+	if blk := net.reps[net.topo.ReplicaID(1, 1)].ledger.Block(7); blk == nil || blk.Batch.NoOp || blk.Batch.Client != a.ID() {
 		t.Errorf("round 4 of cluster 0 does not hold the client's prepared batch: %+v", blk)
 	}
 }

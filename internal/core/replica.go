@@ -11,7 +11,6 @@ import (
 	"resilientdb/internal/metrics"
 	"resilientdb/internal/pbft"
 	"resilientdb/internal/proto"
-	"resilientdb/internal/simnet"
 	"resilientdb/internal/snapshot"
 	"resilientdb/internal/types"
 )
@@ -242,10 +241,8 @@ func NewReplica(cfg Config) *Replica {
 	return r
 }
 
-// Init implements simnet.Handler.
-func (r *Replica) Init(env *simnet.Env) { r.InitEnv(proto.WrapSim(env)) }
-
-// InitEnv wires the replica to any protocol environment.
+// InitEnv wires the replica to any protocol environment: the fabric's node
+// or the deterministic simulator's (package detsim).
 func (r *Replica) InitEnv(env proto.Env) {
 	r.env = env
 	r.local = pbft.NewReplica(env, pbft.Config{
@@ -279,7 +276,7 @@ func (r *Replica) noteReject() {
 	}
 }
 
-// Receive implements simnet.Handler: PreVerify on the replica's own suite,
+// Receive delivers one inbound message: PreVerify on the replica's own suite,
 // then ReceiveVerified. A rejected message is counted (Config.OnVerifyReject)
 // and dropped.
 func (r *Replica) Receive(from types.NodeID, msg types.Message) {
@@ -746,7 +743,7 @@ func (r *Replica) tryExecute() {
 	// acknowledgements wait — held until the fsync covering their block
 	// returns, then sent from the persister goroutine (the environments that
 	// attach a store have a goroutine-safe Send). Without one — the
-	// simulator, memory-only deployments — replies leave inline.
+	// deterministic simulator, memory-only deployments — replies leave inline.
 	async := r.ledger.Persisting()
 	for {
 		next := r.executedRound.Load() + 1

@@ -22,7 +22,7 @@ import (
 // goroutines.
 //
 // It is the only place these checks run. Receive runs it inline on the
-// replica's own suite (the simulator, the manual-clock harness, and the
+// replica's own suite (the deterministic simulator, package detsim, and the
 // fabric's serial configuration, whose input threads run it for client
 // requests); the verify pool runs it ahead of the worker. Either way a
 // message it does not reject goes to ReceiveVerified, where

@@ -17,12 +17,11 @@ import (
 // a remote view-change request relayed by a replica of another cluster that
 // did not sign it. The same material from its proper sender verifies.
 func TestPreVerifyRoutesBeforeCrypto(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	net := newTestNet(t, 2, 4, Config{})
+	a, b := net.client(0), net.client(1)
 	for round := uint64(1); round <= 2; round++ {
-		a.submit()
-		b.submit()
-		net.drain()
+		net.submit(a, b)
+		net.RunFor(0)
 		net.assertExecuted(round)
 	}
 	r := net.reps[net.topo.ReplicaID(0, 0)]
@@ -33,7 +32,7 @@ func TestPreVerifyRoutesBeforeCrypto(t *testing.T) {
 	tip := r.ledger.Block(r.ledger.Height())
 	manifest := func(signer types.NodeID) types.Message {
 		m := snapshot.Build(2, 2, tip.Prev, tip.Cert.(*pbft.Certificate), r.clusterHistories(2), r.store.Serialize())
-		m.Sign(crypto.NewSuite(net.dir, signer, crypto.FreeCosts(), nil))
+		m.Sign(crypto.NewSuite(crypto.NewDirectory(crypto.Fast, nil), signer, crypto.FreeCosts(), nil))
 		return &SnapshotResp{Manifest: m, Round: m.Round, Chunk: -1}
 	}
 	signer := net.topo.ReplicaID(1, 1)

@@ -15,7 +15,7 @@ import (
 // forwards verifies for itself exactly one grace later.
 
 // vouchTimers counts armed share-grace timers across the deployment.
-func (n *manualNet) vouchTimers() int {
+func (n *testNet) vouchTimers() int {
 	armed := 0
 	for _, r := range n.reps {
 		if r.vouchTimer != nil {
@@ -26,7 +26,7 @@ func (n *manualNet) vouchTimers() int {
 }
 
 // countRejects routes every replica's OnVerifyReject into the returned map.
-func (n *manualNet) countRejects() map[types.NodeID]int {
+func (n *testNet) countRejects() map[types.NodeID]int {
 	rejects := map[types.NodeID]int{}
 	for id, r := range n.reps {
 		id := id
@@ -35,11 +35,11 @@ func (n *manualNet) countRejects() map[types.NodeID]int {
 	return rejects
 }
 
-// isForward reports whether m is a certificate share travelling inside one
-// cluster: the local phase of Figure 5.
-func (n *manualNet) isForward(m manualMsg) bool {
-	_, isShare := m.msg.(*GlobalShare)
-	return isShare && !m.from.IsClient() && n.topo.ClusterOf(m.from) == n.topo.ClusterOf(m.to)
+// isForward reports whether m, sent from → to, is a certificate share
+// travelling inside one cluster: the local phase of Figure 5.
+func (n *testNet) isForward(from, to types.NodeID, m types.Message) bool {
+	_, isShare := m.(*GlobalShare)
+	return isShare && !from.IsClient() && n.topo.ClusterOf(from) == n.topo.ClusterOf(to)
 }
 
 // garbled returns a copy of a share whose first commit signature is flipped:
@@ -59,11 +59,10 @@ func garbled(gs *GlobalShare) *GlobalShare {
 // in the instant the round was submitted, and no grace timer is left armed
 // anywhere.
 func TestVouchedShareCostsNoVerify(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
-	a.submit()
-	b.submit()
-	net.drain()
+	net := newTestNet(t, 2, 4, Config{})
+	a, b := net.client(0), net.client(1)
+	net.submit(a, b)
+	net.RunFor(0)
 	net.assertExecuted(1) // the clock never moved
 	// Round 1 goes to local indices 1 and 2; index 3 is a backup it skipped.
 	for c := 0; c < 2; c++ {
@@ -85,12 +84,13 @@ func TestVouchedShareCostsNoVerify(t *testing.T) {
 // forward of (c,1), execute nothing a nanosecond short of one grace, and at
 // one grace verify the copy themselves — n−f checks — and execute.
 func TestOneForwardFallsBackAfterOneGrace(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
-	net.hold = func(m manualMsg) bool { return net.isForward(m) && net.topo.LocalIndex(m.from) == 2 }
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
-	a.submit()
-	b.submit()
-	net.drain()
+	net := newTestNet(t, 2, 4, Config{})
+	net.hold(func(from, to types.NodeID, m types.Message) bool {
+		return net.isForward(from, to, m) && net.topo.LocalIndex(from) == 2
+	})
+	a, b := net.client(0), net.client(1)
+	net.submit(a, b)
+	net.RunFor(0)
 	skipped := []types.NodeID{net.topo.ReplicaID(0, 0), net.topo.ReplicaID(0, 3), net.topo.ReplicaID(1, 0), net.topo.ReplicaID(1, 3)}
 	check := func(want uint64) {
 		t.Helper()
@@ -100,17 +100,17 @@ func TestOneForwardFallsBackAfterOneGrace(t *testing.T) {
 				exp = want
 			}
 			if got := net.reps[id].ExecutedRound(); got != exp {
-				t.Fatalf("t=%v: replica %v executed round %d, want %d", net.now, id, got, exp)
+				t.Fatalf("t=%v: replica %v executed round %d, want %d", net.Now(), id, got, exp)
 			}
 		}
 	}
 	check(0)
-	net.advance(shareGrace - time.Nanosecond)
+	net.RunFor(shareGrace - time.Nanosecond)
 	check(0)
-	net.advance(time.Nanosecond)
+	net.RunFor(time.Nanosecond)
 	check(1)
-	if net.now != shareGrace {
-		t.Fatalf("clock at %v, want exactly one grace", net.now)
+	if net.Now() != shareGrace {
+		t.Fatalf("clock at %v, want exactly one grace", net.Now())
 	}
 	for _, id := range skipped {
 		_, verifies := net.ops(id)
@@ -133,27 +133,19 @@ func TestOneForwardFallsBackAfterOneGrace(t *testing.T) {
 // returns the genuine share of cluster 0 it missed. The rest of the
 // deployment executes the round; victim has only its own cluster's
 // certificate.
-func starve(t *testing.T, net *manualNet, victim types.NodeID) *GlobalShare {
+func starve(t *testing.T, net *testNet, victim types.NodeID) *GlobalShare {
 	t.Helper()
-	net.hold = func(m manualMsg) bool {
-		_, isShare := m.msg.(*GlobalShare)
-		return isShare && m.to == victim
+	net.hold(func(_, to types.NodeID, m types.Message) bool {
+		_, isShare := m.(*GlobalShare)
+		return isShare && to == victim
+	})
+	net.submit(net.client(0), net.client(1))
+	net.RunFor(0)
+	held := net.unhold()
+	if len(held) == 0 || net.reps[victim].ExecutedRound() != 0 {
+		t.Fatalf("setup: %d shares withheld, victim executed round %d", len(held), net.reps[victim].ExecutedRound())
 	}
-	net.client(0, 0, 0).submit()
-	net.client(1, 0, 0).submit()
-	net.drain()
-	if len(net.held) == 0 || net.reps[victim].ExecutedRound() != 0 {
-		t.Fatalf("setup: %d shares withheld, victim executed round %d", len(net.held), net.reps[victim].ExecutedRound())
-	}
-	share := net.held[0].msg.(*GlobalShare)
-	net.hold, net.held = nil, nil
-	return share
-}
-
-// deliver hands one message to a replica as if from the given sender.
-func (n *manualNet) deliver(from, to types.NodeID, m types.Message) {
-	n.queue = append(n.queue, manualMsg{from, to, m})
-	n.drain()
+	return held[0].msg.(*GlobalShare)
 }
 
 // TestOnlyDistinctLocalMembersVouch: a forged copy is forwarded by one member
@@ -164,7 +156,7 @@ func (n *manualNet) deliver(from, to types.NodeID, m types.Message) {
 // one voucher however often it repeats itself. The genuine copy then needs
 // two members of its own.
 func TestOnlyDistinctLocalMembersVouch(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
+	net := newTestNet(t, 2, 4, Config{})
 	rejects := net.countRejects()
 	victim := net.topo.ReplicaID(1, 3)
 	good := starve(t, net, victim)
@@ -203,8 +195,8 @@ func TestOnlyDistinctLocalMembersVouch(t *testing.T) {
 	if blk := r.Ledger().Block(1); blk == nil || blk.CertDigest != good.Cert.CertDigest() {
 		t.Error("the block of cluster 0 does not carry the genuine certificate")
 	}
-	if net.now != 0 || net.vouchTimers() != 0 {
-		t.Errorf("clock at %v, %d share-grace timers armed; want 0, 0", net.now, net.vouchTimers())
+	if net.Now() != 0 || net.vouchTimers() != 0 {
+		t.Errorf("clock at %v, %d share-grace timers armed; want 0, 0", net.Now(), net.vouchTimers())
 	}
 }
 
@@ -213,23 +205,23 @@ func TestOnlyDistinctLocalMembersVouch(t *testing.T) {
 // verifies them in arrival order: the garbled copy is rejected and counted,
 // the genuine one executes, and it is the genuine bytes that are kept.
 func TestDisagreeingForwards(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
+	net := newTestNet(t, 2, 4, Config{})
 	rejects := net.countRejects()
 	victim := net.topo.ReplicaID(1, 3)
 	good := starve(t, net, victim)
 	r := net.reps[victim]
 
 	net.deliver(net.topo.ReplicaID(1, 1), victim, garbled(good))
-	net.advance(time.Millisecond)
+	net.RunFor(time.Millisecond)
 	net.deliver(net.topo.ReplicaID(1, 2), victim, good)
 	if r.ExecutedRound() != 0 || rejects[victim] != 0 {
 		t.Fatalf("before the grace: executed round %d, %d rejects; want 0, 0", r.ExecutedRound(), rejects[victim])
 	}
-	net.advance(shareGrace - time.Millisecond - time.Nanosecond) // the clock started with the first copy
+	net.RunFor(shareGrace - time.Millisecond - time.Nanosecond) // the clock started with the first copy
 	if r.ExecutedRound() != 0 {
 		t.Fatal("decided before one grace had passed")
 	}
-	net.advance(time.Nanosecond)
+	net.RunFor(time.Nanosecond)
 	if r.ExecutedRound() != 1 || rejects[victim] != 1 {
 		t.Fatalf("at one grace: executed round %d, %d rejects; want 1, 1", r.ExecutedRound(), rejects[victim])
 	}
@@ -254,21 +246,20 @@ func TestDisagreeingForwards(t *testing.T) {
 // alike, the primary included.
 func TestShareReceiversRotate(t *testing.T) {
 	const n, f = 4, 1
-	net := newManualNet(t, 2, n, Config{})
+	net := newTestNet(t, 2, n, Config{})
 	sentTo := map[uint64]map[types.NodeID]bool{} // round → receivers in cluster 1
-	net.sent = func(m manualMsg) {
-		if gs, ok := m.msg.(*GlobalShare); ok && gs.Cluster == 0 && net.topo.ClusterOf(m.from) == 0 && net.topo.ClusterOf(m.to) == 1 {
+	net.observe(func(from, to types.NodeID, m types.Message) {
+		if gs, ok := m.(*GlobalShare); ok && gs.Cluster == 0 && net.topo.ClusterOf(from) == 0 && net.topo.ClusterOf(to) == 1 {
 			if sentTo[gs.Round] == nil {
 				sentTo[gs.Round] = map[types.NodeID]bool{}
 			}
-			sentTo[gs.Round][m.to] = true
+			sentTo[gs.Round][to] = true
 		}
-	}
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	})
+	a, b := net.client(0), net.client(1)
 	for round := uint64(1); round <= n; round++ {
-		a.submit()
-		b.submit()
-		net.drain()
+		net.submit(a, b)
+		net.RunFor(0)
 		net.assertExecuted(round)
 	}
 	times := map[types.NodeID]int{}
@@ -293,20 +284,20 @@ func TestShareReceiversRotate(t *testing.T) {
 }
 
 // silence makes replica id crash-silent: nothing it sends is ever delivered.
-func (n *manualNet) silence(ids ...types.NodeID) {
-	n.hold = func(m manualMsg) bool {
+func (n *testNet) silence(ids ...types.NodeID) {
+	n.hold(func(from, _ types.NodeID, _ types.Message) bool {
 		for _, id := range ids {
-			if m.from == id {
+			if from == id {
 				return true
 			}
 		}
 		return false
-	}
+	})
 }
 
 // assertLiveExecuted checks the executed round of every replica but the
 // silenced ones.
-func (n *manualNet) assertLiveExecuted(rounds uint64, dead ...types.NodeID) {
+func (n *testNet) assertLiveExecuted(rounds uint64, dead ...types.NodeID) {
 	n.t.Helper()
 next:
 	for _, id := range n.topo.AllReplicas() {
@@ -316,7 +307,7 @@ next:
 			}
 		}
 		if got := n.reps[id].ExecutedRound(); got != rounds {
-			n.t.Fatalf("t=%v: replica %v executed round %d, want %d", n.now, id, got, rounds)
+			n.t.Fatalf("t=%v: replica %v executed round %d, want %d", n.Now(), id, got, rounds)
 		}
 	}
 }
@@ -329,13 +320,13 @@ next:
 // grace per round — and not a nanosecond earlier.
 func TestSilentReceiverCostsOneGraceInParallel(t *testing.T) {
 	const k = 4
-	net := newManualNet(t, 2, 4, Config{})
+	net := newTestNet(t, 2, 4, Config{})
 	dead := []types.NodeID{net.topo.ReplicaID(0, 2), net.topo.ReplicaID(1, 2)}
 	net.silence(dead...)
 	for i := 0; i < 2*k; i++ {
-		net.client(i, 0, 0).submit()
+		net.submit(net.client(i))
 	}
-	net.drain()
+	net.RunFor(0)
 	// (c,1) was sent round 1 and waits for round 2; (c,3) and the primary wait
 	// for round 1.
 	for _, id := range net.topo.AllReplicas() {
@@ -347,15 +338,15 @@ func TestSilentReceiverCostsOneGraceInParallel(t *testing.T) {
 			t.Fatalf("t=0: replica %v executed round %d, want %d", id, got, want)
 		}
 	}
-	net.advance(shareGrace - time.Nanosecond)
+	net.RunFor(shareGrace - time.Nanosecond)
 	if got := net.primary(0).ExecutedRound(); got != 0 {
-		t.Fatalf("t=%v: the primary executed round %d before one grace", net.now, got)
+		t.Fatalf("t=%v: the primary executed round %d before one grace", net.Now(), got)
 	}
-	net.advance(time.Nanosecond)
+	net.RunFor(time.Nanosecond)
 	net.assertLiveExecuted(k, dead...)
-	for _, c := range net.clients {
-		if c.done != 1 {
-			t.Errorf("client %v confirmed %d requests, want 1", c.id, c.done)
+	for _, c := range net.clients[:2*k] {
+		if c.Completed() != 1 {
+			t.Errorf("client %v confirmed %d requests, want 1", c.ID(), c.Completed())
 		}
 	}
 	// Rounds 3 and 4 had both receivers alive: nobody fell back on those.
@@ -376,37 +367,37 @@ func TestSilentReceiverCostsOneGraceInParallel(t *testing.T) {
 // nothing. Evidence comes only from accepted certificates: the held copy
 // proposes nothing.
 func TestIdleClusterFillWaitsAtMostOneGrace(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
+	net := newTestNet(t, 2, 4, Config{})
 	dead := net.topo.ReplicaID(1, 2)
 	net.silence(dead)
-	a := net.client(0, 0, 0)
+	a := net.client(0)
 	p := net.primary(1)
 
-	a.submit()
-	net.drain()
+	net.submit(a)
+	net.RunFor(0)
 	if p.evidencedRound != 0 || p.assignedRounds() != 0 {
 		t.Fatalf("a held copy drove the idle primary: evidence of round %d, %d rounds assigned", p.evidencedRound, p.assignedRounds())
 	}
-	net.advance(shareGrace - time.Nanosecond)
+	net.RunFor(shareGrace - time.Nanosecond)
 	net.assertLiveExecuted(0, dead)
-	net.advance(time.Nanosecond)
+	net.RunFor(time.Nanosecond)
 	net.assertLiveExecuted(1, dead)
 
-	a.submit() // round 2 goes to (1,2) and (1,3): again one forward
-	net.drain()
+	net.submit(a) // round 2 goes to (1,2) and (1,3): again one forward
+	net.RunFor(0)
 	net.assertLiveExecuted(1, dead)
-	net.advance(shareGrace)
+	net.RunFor(shareGrace)
 	net.assertLiveExecuted(2, dead)
 
-	start := net.now
-	a.submit() // round 3 goes to (1,3) and the primary
-	net.drain()
+	start := net.Now()
+	net.submit(a) // round 3 goes to (1,3) and the primary
+	net.RunFor(0)
 	net.assertLiveExecuted(3, dead)
-	a.submit() // round 4 goes to the primary and (1,1)
-	net.drain()
+	net.submit(a) // round 4 goes to the primary and (1,1)
+	net.RunFor(0)
 	net.assertLiveExecuted(4, dead)
-	if net.now != start {
-		t.Fatalf("rounds sent to live receivers moved the clock by %v", net.now-start)
+	if net.Now() != start {
+		t.Fatalf("rounds sent to live receivers moved the clock by %v", net.Now()-start)
 	}
 	if st := p.RoundStats(); st.GracesArmed != 0 {
 		t.Errorf("the idle primary armed %d no-op graces", st.GracesArmed)
@@ -418,31 +409,31 @@ func TestIdleClusterFillWaitsAtMostOneGrace(t *testing.T) {
 // holder verifies it at once, as every copy used to be, and the certificate is
 // its evidence that it is behind. Nothing is broadcast on.
 func TestShareBeyondWindowIsVerifiedOnArrival(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{PipelineDepth: -1}) // window of one round
-	a, b := net.client(0, 0, 0), net.client(1, 0, 0)
+	net := newTestNet(t, 2, 4, Config{PipelineDepth: -1}) // window of one round
+	a, b := net.client(0), net.client(1)
 	victim := net.topo.ReplicaID(1, 3)
 	var shares []*GlobalShare
-	net.hold = func(m manualMsg) bool { return m.to == victim } // the victim hears nothing at all
-	net.sent = func(m manualMsg) {
-		if gs, ok := m.msg.(*GlobalShare); ok && gs.Cluster == 0 && len(shares) < int(gs.Round) {
+	net.hold(func(_, to types.NodeID, _ types.Message) bool { return to == victim }) // the victim hears nothing at all
+	net.observe(func(_, _ types.NodeID, m types.Message) {
+		if gs, ok := m.(*GlobalShare); ok && gs.Cluster == 0 && len(shares) < int(gs.Round) {
 			shares = append(shares, gs)
 		}
-	}
+	})
 	for round := 1; round <= 2; round++ {
-		a.submit()
-		b.submit()
-		net.drain()
+		net.submit(a, b)
+		net.RunFor(0)
 	}
 	if len(shares) != 2 || net.reps[victim].ExecutedRound() != 0 {
 		t.Fatalf("setup: %d shares seen, victim executed round %d", len(shares), net.reps[victim].ExecutedRound())
 	}
-	net.hold, net.held = nil, nil
+	net.unhold()
+	net.TraceSend = nil
 	forwards := 0
-	net.sent = func(m manualMsg) {
-		if _, ok := m.msg.(*GlobalShare); ok && m.from == victim {
+	net.observe(func(from, _ types.NodeID, m types.Message) {
+		if _, ok := m.(*GlobalShare); ok && from == victim {
 			forwards++
 		}
-	}
+	})
 	r := net.reps[victim]
 	net.deliver(net.topo.ReplicaID(1, 1), victim, shares[1]) // round 2 > executed 0 + window 1
 	if _, verifies := net.ops(victim); verifies != 3 || r.evidencedRound != 2 {
@@ -471,7 +462,7 @@ func padded(gs *GlobalShare) *GlobalShare {
 // and the round executes on two members' genuine copies, whose certificate —
 // the one the ledger keeps — verifies.
 func TestPaddedForwardCannotRideOnGenuineVouchers(t *testing.T) {
-	net := newManualNet(t, 2, 4, Config{})
+	net := newTestNet(t, 2, 4, Config{})
 	rejects := net.countRejects()
 	victim := net.topo.ReplicaID(1, 3)
 	good := starve(t, net, victim)
@@ -513,7 +504,7 @@ func TestPaddedForwardCannotRideOnGenuineVouchers(t *testing.T) {
 // smallest cluster with f+1 such holders beside the one that lags).
 func TestLaggingReplicaServedByVouchOnlyHolders(t *testing.T) {
 	const n, timeout = 7, 100 * time.Millisecond
-	net := newManualNet(t, 2, n, Config{RemoteTimeout: timeout})
+	net := newTestNet(t, 2, n, Config{RemoteTimeout: timeout})
 	victim := net.topo.ReplicaID(1, 6)
 	good := starve(t, net, victim)
 	r := net.reps[victim]
@@ -531,21 +522,21 @@ func TestLaggingReplicaServedByVouchOnlyHolders(t *testing.T) {
 		}
 	}
 	answers := 0
-	net.hold = func(m manualMsg) bool {
-		_, isShare := m.msg.(*GlobalShare)
-		return isShare && m.to == victim && verified(m.from)
-	}
-	net.sent = func(m manualMsg) {
-		if _, isShare := m.msg.(*GlobalShare); isShare && m.to == victim {
+	net.hold(func(from, to types.NodeID, m types.Message) bool {
+		_, isShare := m.(*GlobalShare)
+		return isShare && to == victim && verified(from)
+	})
+	net.observe(func(_, to types.NodeID, m types.Message) {
+		if _, isShare := m.(*GlobalShare); isShare && to == victim {
 			answers++
 		}
-	}
+	})
 	_, before := net.ops(victim)
-	net.advance(timeout - time.Nanosecond)
+	net.RunFor(timeout - time.Nanosecond)
 	if r.ExecutedRound() != 0 || answers != 0 {
 		t.Fatalf("before the detection timeout: executed round %d, %d answers", r.ExecutedRound(), answers)
 	}
-	net.advance(time.Nanosecond) // the victim's DRvc goes out and is answered
+	net.RunFor(time.Nanosecond) // the victim's DRvc goes out and is answered
 	if r.ExecutedRound() != 1 || answers != 3 {
 		t.Fatalf("executed round %d on %d answers from members that never verified; want 1 on 3", r.ExecutedRound(), answers)
 	}

@@ -1,9 +1,12 @@
-// Package simnet implements a deterministic discrete-event simulator of a
-// geo-distributed network of nodes. It is the substrate on which every
-// experiment of the ResilientDB reproduction runs: replicas and clients are
-// event-driven handlers; links are modelled with the per-region-pair latency
-// and bandwidth of the paper's Table 1; and each node owns a virtual CPU
-// that cryptographic and execution work is charged to.
+// Package detsim is the one deterministic simulator of the protocol cores: a
+// single-goroutine discrete-event loop that runs any node with
+// InitEnv(proto.Env) + Receive — core.Replica, pbft.Standalone, Client — with
+// *Env as its proto.Env. Every simulated experiment runs on it, and so does
+// every test that needs an exact, repeatable interleaving of a deployment.
+// Links follow the paper's Table 1 latency and bandwidth, or are
+// instantaneous without a profile; each node owns a virtual CPU that crypto
+// and execution work is charged to; an Intercept hook of transport.Tap's
+// shape rewrites, suppresses or holds sends.
 //
 // Three properties matter for reproducing the paper's evaluation:
 //
@@ -17,7 +20,7 @@
 //     the signature work the paper's cost model assigns it.
 //   - Determinism. All randomness derives from a seed; runs are
 //     reproducible bit for bit.
-package simnet
+package detsim
 
 import (
 	"container/heap"
@@ -27,20 +30,28 @@ import (
 
 	"resilientdb/internal/config"
 	"resilientdb/internal/crypto"
+	"resilientdb/internal/proto"
+	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
 
 // Handler is an event-driven node: a consensus replica, a client, or any
-// other participant. Init is called once before the simulation starts;
-// Receive is invoked for each delivered message.
+// other participant.
 type Handler interface {
-	Init(env *Env)
+	// InitEnv is called once, when the network starts, with the node's *Env.
+	InitEnv(env proto.Env)
+	// Receive is invoked for each message delivered to the node.
 	Receive(from types.NodeID, msg types.Message)
 }
 
+// maxEvents guards against runaway simulations.
+const maxEvents = 2e9
+
 // Options configures a Network.
 type Options struct {
-	// Profile supplies latency/bandwidth between regions. Required.
+	// Profile supplies latency/bandwidth between regions. Nil makes every
+	// link instantaneous: a message arrives at the moment it is sent, with
+	// no jitter, whatever the regions of its endpoints.
 	Profile *config.Profile
 	// Seed for all randomness (jitter). Runs with equal seeds are identical.
 	Seed int64
@@ -52,8 +63,6 @@ type Options struct {
 	// each delivery, so quorum waits see realistic arrival spread. Zero
 	// selects the default of 0.05; a negative value disables jitter.
 	JitterFrac float64
-	// MaxEvents guards against runaway simulations. Default 2e9.
-	MaxEvents int64
 }
 
 // Network is a discrete-event simulation of a set of nodes.
@@ -66,12 +75,19 @@ type Network struct {
 	order    []types.NodeID
 	dir      *crypto.Directory
 	events   int64
-	blocked  map[[2]types.NodeID]bool
 	started  bool
 	flowFree map[[2]types.NodeID]time.Duration
 
-	// TraceSend, if set, observes every message accepted for transmission.
+	// TraceSend, if set, observes every message accepted for transmission
+	// (after Intercept).
 	TraceSend func(from, to types.NodeID, msg types.Message, size int, sameRegion bool)
+	// Intercept, if set, is offered every send first, exactly as
+	// transport.Tap offers it (byzantine.Fleet.Intercept plugs in
+	// unchanged): it returns the deliveries to make instead and true, or
+	// false to let the message through. Each delivery still passes the crash
+	// checks and the link model. A test holds a message by returning
+	// (nil, true) and re-injects it later through At.
+	Intercept transport.InterceptFn
 }
 
 type node struct {
@@ -121,36 +137,30 @@ func (h *eventHeap) Pop() interface{} {
 
 // New creates an empty network.
 func New(opt Options) *Network {
-	if opt.Profile == nil {
-		panic("simnet: Options.Profile is required")
-	}
 	if opt.JitterFrac == 0 {
 		opt.JitterFrac = 0.05
 	} else if opt.JitterFrac < 0 {
 		opt.JitterFrac = 0
 	}
-	if opt.MaxEvents == 0 {
-		opt.MaxEvents = 2e9
-	}
 	return &Network{
 		opt:      opt,
 		nodes:    make(map[types.NodeID]*node),
-		blocked:  make(map[[2]types.NodeID]bool),
 		flowFree: make(map[[2]types.NodeID]time.Duration),
 	}
 }
 
 // AddNode registers a handler as node id living in the given region index of
-// the profile. Must be called before Start.
+// the profile (any region when the profile is nil). Must be called before
+// Start.
 func (n *Network) AddNode(id types.NodeID, region int, h Handler) {
 	if n.started {
-		panic("simnet: AddNode after Start")
+		panic("detsim: AddNode after Start")
 	}
 	if _, dup := n.nodes[id]; dup {
-		panic(fmt.Sprintf("simnet: duplicate node %v", id))
+		panic(fmt.Sprintf("detsim: duplicate node %v", id))
 	}
-	if region < 0 || region >= len(n.opt.Profile.Names) {
-		panic(fmt.Sprintf("simnet: node %v region %d out of profile range", id, region))
+	if p := n.opt.Profile; p != nil && (region < 0 || region >= len(p.Names)) {
+		panic(fmt.Sprintf("detsim: node %v region %d out of profile range", id, region))
 	}
 	nd := &node{
 		id:      id,
@@ -163,7 +173,8 @@ func (n *Network) AddNode(id types.NodeID, region int, h Handler) {
 	n.order = append(n.order, id)
 }
 
-// Start provisions key material and runs every handler's Init. Idempotent.
+// Start provisions key material and runs every handler's InitEnv.
+// Idempotent.
 func (n *Network) Start() {
 	if n.started {
 		return
@@ -173,19 +184,12 @@ func (n *Network) Start() {
 	for _, id := range n.order {
 		nd := n.nodes[id]
 		nd.env.suite = crypto.NewSuite(n.dir, id, n.opt.Costs, nd.env.Charge)
-		nd.handler.Init(nd.env)
+		nd.handler.InitEnv(nd.env)
 	}
 }
 
-// Directory exposes the key directory (for out-of-band verification in
-// tests).
-func (n *Network) Directory() *crypto.Directory { return n.dir }
-
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.now }
-
-// Node returns the handler registered for id.
-func (n *Network) Node(id types.NodeID) Handler { return n.nodes[id].handler }
 
 // Crash makes a node silently drop all future events, messages in flight to
 // it, and timers — a crash fault.
@@ -195,17 +199,6 @@ func (n *Network) Crash(id types.NodeID) {
 	nd.backlog = nil
 }
 
-// Crashed reports whether a node is crashed.
-func (n *Network) Crashed(id types.NodeID) bool { return n.nodes[id].crashed }
-
-// BlockLink drops all messages from → to until UnblockLink. It models a
-// Byzantine sender that selectively withholds messages, or an asymmetric
-// partition.
-func (n *Network) BlockLink(from, to types.NodeID) { n.blocked[[2]types.NodeID{from, to}] = true }
-
-// UnblockLink restores the link.
-func (n *Network) UnblockLink(from, to types.NodeID) { delete(n.blocked, [2]types.NodeID{from, to}) }
-
 // schedule inserts an event at absolute virtual time at.
 func (n *Network) schedule(at time.Duration, nid types.NodeID, fire func()) {
 	n.seq++
@@ -214,12 +207,15 @@ func (n *Network) schedule(at time.Duration, nid types.NodeID, fire func()) {
 
 // At schedules fn to run in the context of node id at absolute time at — an
 // external fault-injection hook used by experiments (e.g. "crash the Oregon
-// primary after 900 transactions").
+// primary after 900 transactions") and by tests that inject or re-inject a
+// message.
 func (n *Network) At(at time.Duration, id types.NodeID, fn func()) {
 	n.schedule(at, id, fn)
 }
 
-// RunFor advances the simulation by d of virtual time.
+// RunFor advances the simulation by d of virtual time; RunFor(0) runs
+// everything due now, such as the whole exchange a send over instantaneous
+// links sets off.
 func (n *Network) RunFor(d time.Duration) { n.RunUntil(n.now + d) }
 
 // RunUntil processes events until virtual time t (inclusive) or until the
@@ -260,8 +256,8 @@ func (n *Network) RunUntil(t time.Duration) {
 // runEvent executes ev in node nd's context at virtual time at.
 func (n *Network) runEvent(nd *node, ev *event, at time.Duration) {
 	n.events++
-	if n.events > n.opt.MaxEvents {
-		panic(fmt.Sprintf("simnet: exceeded MaxEvents=%d at t=%v (runaway protocol?)", n.opt.MaxEvents, n.now))
+	if n.events > maxEvents {
+		panic(fmt.Sprintf("detsim: exceeded %d events at t=%v (runaway protocol?)", int64(maxEvents), n.now))
 	}
 	n.now = at
 	nd.env.charged = 0
@@ -292,48 +288,58 @@ func (n *Network) scheduleDrain(nd *node, at time.Duration) {
 // Events returns the number of events processed so far.
 func (n *Network) Events() int64 { return n.events }
 
-// send models the full transmission path of one message.
+// send offers one message to Intercept, then transmits what it returns.
 func (n *Network) send(from *node, to types.NodeID, msg types.Message) {
+	if n.Intercept != nil {
+		if deliveries, intercepted := n.Intercept(from.id, to, msg); intercepted {
+			for _, d := range deliveries {
+				n.transmit(from, d.To, d.Msg)
+			}
+			return
+		}
+	}
+	n.transmit(from, to, msg)
+}
+
+// transmit models the full transmission path of one message.
+func (n *Network) transmit(from *node, to types.NodeID, msg types.Message) {
 	dst, ok := n.nodes[to]
 	if !ok {
 		return // unknown destination: silently dropped, like a dead address
 	}
-	if from.crashed || dst.crashed || n.blocked[[2]types.NodeID{from.id, to}] {
+	if from.crashed || dst.crashed {
 		return
 	}
 	size := msg.WireSize()
-	p := n.opt.Profile
 	sameRegion := from.region == dst.region
 	if n.TraceSend != nil {
 		n.TraceSend(from.id, to, msg, size, sameRegion)
 	}
-
-	sendTime := n.now + from.env.charged
-
 	// The message begins transmission once both the sender NIC and the
-	// region-pair flow are free.
-	key := [2]types.NodeID{from.id, to}
-	start := sendTime
-	if from.uplinkFree > start {
-		start = from.uplinkFree
-	}
-	if ff := n.flowFree[key]; ff > start {
-		start = ff
-	}
-	up := p.Uplink[from.region]
-	bw := p.Bandwidth[from.region][dst.region]
-	txUp := bytesDelay(size, up)
-	txFlow := bytesDelay(size, bw)
-	from.uplinkFree = start + txUp
-	n.flowFree[key] = start + txFlow
+	// region-pair flow are free, unless links are instantaneous.
+	arrival := n.now + from.env.charged
+	if p := n.opt.Profile; p != nil {
+		key := [2]types.NodeID{from.id, to}
+		start := arrival
+		if from.uplinkFree > start {
+			start = from.uplinkFree
+		}
+		if ff := n.flowFree[key]; ff > start {
+			start = ff
+		}
+		txUp := bytesDelay(size, p.Uplink[from.region])
+		txFlow := bytesDelay(size, p.Bandwidth[from.region][dst.region])
+		from.uplinkFree = start + txUp
+		n.flowFree[key] = start + txFlow
 
-	lat := p.OneWay(from.region, dst.region)
-	jitter := time.Duration(0)
-	if n.opt.JitterFrac > 0 {
-		span := float64(lat)*n.opt.JitterFrac + float64(100*time.Microsecond)
-		jitter = time.Duration(from.rng.Float64() * span)
+		lat := p.OneWay(from.region, dst.region)
+		jitter := time.Duration(0)
+		if n.opt.JitterFrac > 0 {
+			span := float64(lat)*n.opt.JitterFrac + float64(100*time.Microsecond)
+			jitter = time.Duration(from.rng.Float64() * span)
+		}
+		arrival = start + txFlow + lat + jitter
 	}
-	arrival := start + txFlow + lat + jitter
 	src := from.id
 	n.schedule(arrival, to, func() {
 		d := n.nodes[to]
@@ -351,9 +357,10 @@ func bytesDelay(size int, bytesPerSec float64) time.Duration {
 	return time.Duration(float64(size) / bytesPerSec * float64(time.Second))
 }
 
-// Env is a node's interface to the simulation: identity, clock, messaging,
-// timers, CPU charging, and cryptography. Exactly one Env exists per node;
-// it must only be used from within that node's event handlers.
+// Env is a node's interface to the simulation — identity, clock, messaging,
+// timers, CPU charging and cryptography — and implements proto.Env. Exactly
+// one Env exists per node; it must only be used from within that node's
+// event handlers.
 type Env struct {
 	net     *Network
 	node    *node
@@ -374,15 +381,6 @@ func (e *Env) Send(to types.NodeID, msg types.Message) {
 	e.net.send(e.node, to, msg)
 }
 
-// Multicast sends msg to each listed node (self included only if listed).
-func (e *Env) Multicast(to []types.NodeID, msg types.Message) {
-	for _, id := range to {
-		if id != e.node.id {
-			e.Send(id, msg)
-		}
-	}
-}
-
 // Charge advances this node's virtual CPU by d. All subsequent work in this
 // event, and all future events, are delayed accordingly.
 func (e *Env) Charge(d time.Duration) {
@@ -398,17 +396,17 @@ func (e *Env) Suite() *crypto.Suite { return e.suite }
 // Rand returns the node's deterministic random source.
 func (e *Env) Rand() *rand.Rand { return e.node.rng }
 
-// Timer is a cancellable one-shot timer.
-type Timer struct {
+// timer is a cancellable one-shot timer.
+type timer struct {
 	stopped bool
 }
 
 // Stop cancels the timer; a stopped timer's function never runs.
-func (t *Timer) Stop() { t.stopped = true }
+func (t *timer) Stop() { t.stopped = true }
 
 // SetTimer schedules fn to run on this node after delay d of virtual time.
-func (e *Env) SetTimer(d time.Duration, fn func()) *Timer {
-	t := &Timer{}
+func (e *Env) SetTimer(d time.Duration, fn func()) proto.Timer {
+	t := &timer{}
 	at := e.Now() + d
 	e.net.schedule(at, e.node.id, func() {
 		if !t.stopped {

@@ -1,11 +1,14 @@
-package simnet
+package detsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"resilientdb/internal/config"
 	"resilientdb/internal/crypto"
+	"resilientdb/internal/proto"
+	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
 
@@ -23,10 +26,10 @@ type recorder struct {
 	onRecv func(*Env, types.NodeID, types.Message)
 }
 
-func (r *recorder) Init(env *Env) {
-	r.env = env
+func (r *recorder) InitEnv(env proto.Env) {
+	r.env = env.(*Env)
 	if r.onInit != nil {
-		r.onInit(env)
+		r.onInit(r.env)
 	}
 }
 
@@ -190,21 +193,74 @@ func TestCrashSilencesNode(t *testing.T) {
 	}
 }
 
-func TestBlockLinkDropsSelectively(t *testing.T) {
+func TestInterceptSuppressesRewritesAndHolds(t *testing.T) {
 	net, a, b := twoRegionNet(-1)
+	c := &recorder{}
+	net.AddNode(2, 1, c)
+	var held []transport.Delivery
+	net.Intercept = func(from, to types.NodeID, msg types.Message) ([]transport.Delivery, bool) {
+		switch msg.(*ping).size {
+		case 1: // suppressed
+			return nil, true
+		case 2: // redirected and duplicated
+			return []transport.Delivery{{To: 2, Msg: msg}, {To: 2, Msg: &ping{size: 3}}}, true
+		case 4: // held
+			held = append(held, transport.Delivery{To: to, Msg: msg})
+			return nil, true
+		}
+		return nil, false
+	}
+	var traced []int
+	net.TraceSend = func(_, _ types.NodeID, msg types.Message, _ int, _ bool) {
+		traced = append(traced, msg.WireSize())
+	}
 	a.onInit = func(env *Env) {
-		env.Send(1, &ping{size: 10})
+		for size := 1; size <= 5; size++ {
+			env.Send(1, &ping{size: size})
+		}
 	}
-	net.BlockLink(0, 1)
 	net.RunUntil(time.Second)
-	if len(b.got) != 0 {
-		t.Errorf("blocked link delivered %d messages", len(b.got))
+	if len(b.got) != 2 || len(c.got) != 2 || len(held) != 1 {
+		t.Fatalf("b got %d, c got %d, held %d; want 2, 2, 1", len(b.got), len(c.got), len(held))
 	}
-	net.UnblockLink(0, 1)
-	net.At(net.Now(), 0, func() { net.nodes[0].env.Send(1, &ping{size: 10}) })
-	net.RunUntil(2 * time.Second)
-	if len(b.got) != 1 {
-		t.Errorf("unblocked link delivered %d messages, want 1", len(b.got))
+	if got, want := fmt.Sprint(traced), "[2 3 3 5]"; got != want {
+		t.Errorf("traced sizes %s, want %s (what is transmitted, after the intercept)", got, want)
+	}
+	net.Intercept = nil
+	for _, d := range held {
+		d := d
+		net.At(net.Now(), d.To, func() { b.Receive(0, d.Msg) })
+	}
+	net.RunFor(0)
+	if len(b.got) != 3 || b.got[2] != time.Second {
+		t.Errorf("released message: b got %v, want a third delivery at 1s", b.got)
+	}
+}
+
+func TestNilProfileIsInstantaneous(t *testing.T) {
+	net := New(Options{Seed: 1})
+	a, b := &recorder{}, &recorder{}
+	net.AddNode(0, 0, a)
+	net.AddNode(1, 7, b)
+	b.onRecv = func(env *Env, from types.NodeID, _ types.Message) {
+		if len(b.got) < 3 {
+			env.Send(from, &ping{size: 1 << 20})
+		}
+	}
+	a.onRecv = func(env *Env, from types.NodeID, _ types.Message) { env.Send(from, &ping{size: 1 << 20}) }
+	a.onInit = func(env *Env) { env.SetTimer(5*time.Millisecond, func() { env.Send(1, &ping{size: 1 << 20}) }) }
+	net.RunFor(0)
+	if len(b.got) != 0 {
+		t.Fatalf("delivered before the timer fired")
+	}
+	net.RunFor(5 * time.Millisecond)
+	if len(b.got) != 3 || len(a.got) != 2 {
+		t.Fatalf("b got %d, a got %d; want the whole exchange, 3 and 2", len(b.got), len(a.got))
+	}
+	for _, at := range append(a.got, b.got...) {
+		if at != 5*time.Millisecond {
+			t.Errorf("delivery at %v, want 5ms: no latency, bandwidth or jitter", at)
+		}
 	}
 }
 
@@ -251,7 +307,7 @@ func TestTraceSendObserver(t *testing.T) {
 	}
 	a.onInit = func(env *Env) {
 		env.Send(1, &ping{size: 10}) // cross-region
-		env.Send(0, &ping{size: 10}) // self/local: not sent (self excluded by Multicast, but direct Send works)
+		env.Send(0, &ping{size: 10}) // to self: a local send
 	}
 	net.RunUntil(time.Second)
 	if globalN != 1 {

@@ -1,95 +1,26 @@
 package pbft_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"resilientdb/internal/config"
 	"resilientdb/internal/crypto"
+	"resilientdb/internal/detsim"
 	"resilientdb/internal/pbft"
 	"resilientdb/internal/proto"
-	"resilientdb/internal/simnet"
 	"resilientdb/internal/types"
-	"resilientdb/internal/ycsb"
 )
 
-// testClient drives a PBFT group closed-loop: a window of outstanding
-// batches, f+1 matching replies to complete, rebroadcast-to-all on timeout
-// (the standard PBFT client liveness mechanism).
-type testClient struct {
-	members   []types.NodeID
-	primary   types.NodeID
-	f         int
-	batchSize int
-	total     int
-	window    int
-
-	env       *simnet.Env
-	wl        *ycsb.Workload
-	nextSeq   uint64
-	acks      map[uint64]map[types.NodeID]bool
-	done      map[uint64]bool
-	batches   map[uint64]types.Batch
-	completed int
-}
-
-func (c *testClient) Init(env *simnet.Env) {
-	c.env = env
-	c.wl = ycsb.NewWorkload(10_000, ycsb.DefaultTheta, int64(env.ID()))
-	c.acks = make(map[uint64]map[types.NodeID]bool)
-	c.done = make(map[uint64]bool)
-	c.batches = make(map[uint64]types.Batch)
-	for i := 0; i < c.window && int(c.nextSeq) < c.total; i++ {
-		c.submit()
-	}
-}
-
-func (c *testClient) submit() {
-	c.nextSeq++
-	seq := c.nextSeq
-	b := c.wl.MakeBatch(c.env.ID(), seq, c.batchSize)
-	c.batches[seq] = b
-	c.env.Send(c.primary, &pbft.Request{Batch: b, Sig: c.env.Suite().Sign(pbft.RequestPayload(&b))})
-	c.armRetry(seq)
-}
-
-func (c *testClient) armRetry(seq uint64) {
-	c.env.SetTimer(3*time.Second, func() {
-		if c.done[seq] {
-			return
-		}
-		b := c.batches[seq]
-		for _, m := range c.members {
-			c.env.Send(m, &pbft.Request{Batch: b})
-		}
-		c.armRetry(seq)
-	})
-}
-
-func (c *testClient) Receive(from types.NodeID, msg types.Message) {
-	rep, ok := msg.(*proto.Reply)
-	if !ok || c.done[rep.ClientSeq] {
-		return
-	}
-	set := c.acks[rep.ClientSeq]
-	if set == nil {
-		set = make(map[types.NodeID]bool)
-		c.acks[rep.ClientSeq] = set
-	}
-	set[from] = true
-	if len(set) >= c.f+1 {
-		c.done[rep.ClientSeq] = true
-		delete(c.batches, rep.ClientSeq)
-		c.completed++
-		if int(c.nextSeq) < c.total {
-			c.submit()
-		}
-	}
-}
-
-// cluster builds n standalone PBFT replicas plus one client in a single
-// region and returns the network and parts.
-func cluster(t *testing.T, n int, opts simnet.Options) (*simnet.Network, []*pbft.Standalone, *testClient) {
+// deploy builds n standalone PBFT replicas on the deterministic simulator —
+// replica i in region i mod the profile's regions, member 0 the primary — and
+// one closed-loop client in region 0. cfg supplies the timeouts and the
+// checkpoint interval (Members, Self and F are filled in); load supplies the
+// client's window, batch size and total (its Group is filled in). A nil
+// opts.Profile selects one region of 1 Gbit/s links, seed 0 selects 7. A
+// non-nil primary takes member 0's place, and reps[0] stays nil.
+func deploy(t *testing.T, n int, opts detsim.Options, cfg pbft.Config, load detsim.Client, primary detsim.Handler) (*detsim.Network, []*pbft.Standalone, *detsim.Client) {
 	t.Helper()
 	if opts.Profile == nil {
 		opts.Profile = config.UniformProfile(1, 0, 1000)
@@ -97,26 +28,35 @@ func cluster(t *testing.T, n int, opts simnet.Options) (*simnet.Network, []*pbft
 	if opts.Seed == 0 {
 		opts.Seed = 7
 	}
-	net := simnet.New(opts)
+	net := detsim.New(opts)
 	members := make([]types.NodeID, n)
 	for i := range members {
 		members[i] = types.NodeID(i)
 	}
-	f := (n - 1) / 3
+	cfg.Members, cfg.F = members, (n-1)/3
 	reps := make([]*pbft.Standalone, n)
-	for i := 0; i < n; i++ {
-		reps[i] = pbft.NewStandalone(pbft.Config{
-			Members: members, Self: members[i], F: f,
-			CheckpointInterval: 4, ViewChangeTimeout: time.Second,
-		}, 1000)
-		net.AddNode(members[i], 0, reps[i])
+	for i, id := range members {
+		region := i % len(opts.Profile.Names)
+		if i == 0 && primary != nil {
+			net.AddNode(id, region, primary)
+			continue
+		}
+		cfg.Self = id
+		reps[i] = pbft.NewStandalone(cfg, 1000)
+		net.AddNode(id, region, reps[i])
 	}
-	client := &testClient{
-		members: members, primary: members[0], f: f,
-		batchSize: 10, total: 30, window: 4,
-	}
+	client := &load
+	client.Group = members
 	net.AddNode(config.ClientID(0), 0, client)
 	return net, reps, client
+}
+
+// local is the replica configuration of the single-region tests.
+var local = pbft.Config{CheckpointInterval: 4, ViewChangeTimeout: time.Second}
+
+// load is the single-region tests' client: four batches of ten outstanding.
+func load(total int) detsim.Client {
+	return detsim.Client{Window: 4, BatchSize: 10, Total: total}
 }
 
 func assertConvergence(t *testing.T, reps []*pbft.Standalone, skip map[int]bool, wantBatches int) {
@@ -149,55 +89,54 @@ func assertConvergence(t *testing.T, reps []*pbft.Standalone, skip map[int]bool,
 }
 
 func TestNormalCaseFourReplicas(t *testing.T) {
-	net, reps, client := cluster(t, 4, simnet.Options{})
+	net, reps, client := deploy(t, 4, detsim.Options{}, local, load(30), nil)
 	net.RunUntil(60 * time.Second)
-	if client.completed != client.total {
-		t.Fatalf("client completed %d/%d batches", client.completed, client.total)
+	if client.Completed() != client.Total {
+		t.Fatalf("client completed %d/%d batches", client.Completed(), client.Total)
 	}
-	assertConvergence(t, reps, nil, client.total)
+	assertConvergence(t, reps, nil, client.Total)
 }
 
 func TestNormalCaseSevenReplicas(t *testing.T) {
-	net, reps, client := cluster(t, 7, simnet.Options{Seed: 11})
+	net, reps, client := deploy(t, 7, detsim.Options{Seed: 11}, local, load(30), nil)
 	net.RunUntil(60 * time.Second)
-	if client.completed != client.total {
-		t.Fatalf("client completed %d/%d batches", client.completed, client.total)
+	if client.Completed() != client.Total {
+		t.Fatalf("client completed %d/%d batches", client.Completed(), client.Total)
 	}
-	assertConvergence(t, reps, nil, client.total)
+	assertConvergence(t, reps, nil, client.Total)
 }
 
 func TestRealCryptoNormalCase(t *testing.T) {
-	net, reps, client := cluster(t, 4, simnet.Options{Mode: crypto.Real})
+	net, reps, client := deploy(t, 4, detsim.Options{Mode: crypto.Real}, local, load(30), nil)
 	net.RunUntil(60 * time.Second)
-	if client.completed != client.total {
-		t.Fatalf("client completed %d/%d batches", client.completed, client.total)
+	if client.Completed() != client.Total {
+		t.Fatalf("client completed %d/%d batches", client.Completed(), client.Total)
 	}
-	assertConvergence(t, reps, nil, client.total)
+	assertConvergence(t, reps, nil, client.Total)
 }
 
 func TestBackupFailureDoesNotStall(t *testing.T) {
-	net, reps, client := cluster(t, 4, simnet.Options{})
-	net.At(0, 3, func() {}) // ensure node known
+	net, reps, client := deploy(t, 4, detsim.Options{}, local, load(30), nil)
 	net.Crash(3)
 	net.RunUntil(60 * time.Second)
-	if client.completed != client.total {
-		t.Fatalf("client completed %d/%d with one backup down", client.completed, client.total)
+	if client.Completed() != client.Total {
+		t.Fatalf("client completed %d/%d with one backup down", client.Completed(), client.Total)
 	}
-	assertConvergence(t, reps, map[int]bool{3: true}, client.total)
+	assertConvergence(t, reps, map[int]bool{3: true}, client.Total)
 }
 
 func TestPrimaryFailureTriggersViewChange(t *testing.T) {
-	net, reps, client := cluster(t, 4, simnet.Options{})
+	net, reps, client := deploy(t, 4, detsim.Options{}, local, load(30), nil)
 	// Let a few batches commit, then kill the primary mid-run (client work
 	// outstanding forces the backups to depose it).
 	net.RunUntil(5 * time.Millisecond)
-	if client.completed == client.total {
+	if client.Completed() == client.Total {
 		t.Fatal("test setup: workload finished before the crash point")
 	}
 	net.Crash(0)
 	net.RunUntil(240 * time.Second)
-	if client.completed != client.total {
-		t.Fatalf("client completed %d/%d after primary failure", client.completed, client.total)
+	if client.Completed() != client.Total {
+		t.Fatalf("client completed %d/%d after primary failure", client.Completed(), client.Total)
 	}
 	for i := 1; i < 4; i++ {
 		if reps[i].Core().View() == 0 {
@@ -207,14 +146,14 @@ func TestPrimaryFailureTriggersViewChange(t *testing.T) {
 			t.Errorf("replica %d still believes r0 is primary", i)
 		}
 	}
-	assertConvergence(t, reps, map[int]bool{0: true}, client.total)
+	assertConvergence(t, reps, map[int]bool{0: true}, client.Total)
 }
 
 func TestCheckpointsAdvanceStableSeq(t *testing.T) {
-	net, reps, client := cluster(t, 4, simnet.Options{})
+	net, reps, client := deploy(t, 4, detsim.Options{}, local, load(30), nil)
 	net.RunUntil(60 * time.Second)
-	if client.completed != client.total {
-		t.Fatalf("completed %d/%d", client.completed, client.total)
+	if client.Completed() != client.Total {
+		t.Fatalf("completed %d/%d", client.Completed(), client.Total)
 	}
 	for i, r := range reps {
 		if r.Core().StableSeq() == 0 {
@@ -230,11 +169,9 @@ func TestCheckpointsAdvanceStableSeq(t *testing.T) {
 // sequence number to the two halves of the cluster.
 type byzantinePrimary struct {
 	members []types.NodeID
-	env     *simnet.Env
 }
 
-func (b *byzantinePrimary) Init(env *simnet.Env) {
-	b.env = env
+func (b *byzantinePrimary) InitEnv(env proto.Env) {
 	env.SetTimer(100*time.Millisecond, func() {
 		batchA := types.Batch{Client: config.ClientID(0), Seq: 1,
 			Txns: []types.Transaction{{Key: 1, Value: 100}}}
@@ -258,27 +195,10 @@ func (b *byzantinePrimary) Init(env *simnet.Env) {
 func (b *byzantinePrimary) Receive(from types.NodeID, msg types.Message) {}
 
 func TestEquivocatingPrimaryCannotCauseDivergence(t *testing.T) {
-	opts := simnet.Options{Profile: config.UniformProfile(1, 0, 1000), Seed: 3, Mode: crypto.Real}
-	net := simnet.New(opts)
 	n := 4
-	members := make([]types.NodeID, n)
-	for i := range members {
-		members[i] = types.NodeID(i)
-	}
-	byz := &byzantinePrimary{members: members}
-	net.AddNode(members[0], 0, byz)
-	reps := make([]*pbft.Standalone, n)
-	for i := 1; i < n; i++ {
-		reps[i] = pbft.NewStandalone(pbft.Config{
-			Members: members, Self: members[i], F: 1,
-			ViewChangeTimeout: time.Second,
-		}, 100)
-		net.AddNode(members[i], 0, reps[i])
-	}
-	client := &testClient{members: members, primary: members[0], f: 1,
-		batchSize: 5, total: 5, window: 2}
-	net.AddNode(config.ClientID(0), 0, client)
-
+	members := []types.NodeID{0, 1, 2, 3}
+	net, reps, client := deploy(t, n, detsim.Options{Seed: 3, Mode: crypto.Real}, pbft.Config{ViewChangeTimeout: time.Second},
+		detsim.Client{Window: 2, BatchSize: 5, Total: 5}, &byzantinePrimary{members: members})
 	net.RunUntil(120 * time.Second)
 
 	// Safety: no two honest replicas executed different batches at the same
@@ -298,8 +218,8 @@ func TestEquivocatingPrimaryCannotCauseDivergence(t *testing.T) {
 		}
 	}
 	// Liveness: the equivocator was deposed and client work completed.
-	if client.completed != client.total {
-		t.Errorf("client completed %d/%d under equivocating primary", client.completed, client.total)
+	if client.Completed() != client.Total {
+		t.Errorf("client completed %d/%d under equivocating primary", client.Completed(), client.Total)
 	}
 	for i := 1; i < n; i++ {
 		if reps[i].Core().View() == 0 {
@@ -312,74 +232,29 @@ func TestEquivocatingPrimaryCannotCauseDivergence(t *testing.T) {
 // agreement with a random backup crashed mid-run.
 func TestSafetyAcrossSeedsProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		n := 4 + int(seed%2)*3 // 4 or 7
-		opts := simnet.Options{Profile: config.UniformProfile(1, 0, 1000), Seed: seed}
-		net, reps, client := clusterN(t, n, opts)
-		crash := 1 + int(seed)%(n-1)
-		net.At(time.Duration(seed)*300*time.Millisecond, types.NodeID(crash), func() {})
-		net.RunUntil(time.Duration(seed) * 300 * time.Millisecond)
-		net.Crash(types.NodeID(crash))
-		net.RunUntil(120 * time.Second)
-		if client.completed != client.total {
-			t.Errorf("seed %d: completed %d/%d", seed, client.completed, client.total)
-		}
-		assertConvergence(t, reps, map[int]bool{crash: true}, 0)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			n := 4 + int(seed%2)*3 // 4 or 7
+			net, reps, client := deploy(t, n, detsim.Options{Seed: seed}, local, load(20), nil)
+			crash := 1 + int(seed)%(n-1)
+			net.RunUntil(time.Duration(seed) * 300 * time.Millisecond)
+			net.Crash(types.NodeID(crash))
+			net.RunUntil(120 * time.Second)
+			if client.Completed() != client.Total {
+				t.Errorf("seed %d: completed %d/%d", seed, client.Completed(), client.Total)
+			}
+			assertConvergence(t, reps, map[int]bool{crash: true}, 0)
+		})
 	}
-}
-
-func clusterN(t *testing.T, n int, opts simnet.Options) (*simnet.Network, []*pbft.Standalone, *testClient) {
-	t.Helper()
-	return cluster2(t, n, opts)
-}
-
-func cluster2(t *testing.T, n int, opts simnet.Options) (*simnet.Network, []*pbft.Standalone, *testClient) {
-	t.Helper()
-	net := simnet.New(opts)
-	members := make([]types.NodeID, n)
-	for i := range members {
-		members[i] = types.NodeID(i)
-	}
-	f := (n - 1) / 3
-	reps := make([]*pbft.Standalone, n)
-	for i := 0; i < n; i++ {
-		reps[i] = pbft.NewStandalone(pbft.Config{
-			Members: members, Self: members[i], F: f,
-			CheckpointInterval: 4, ViewChangeTimeout: time.Second,
-		}, 1000)
-		net.AddNode(members[i], 0, reps[i])
-	}
-	client := &testClient{
-		members: members, primary: members[0], f: f,
-		batchSize: 10, total: 20, window: 4,
-	}
-	net.AddNode(config.ClientID(0), 0, client)
-	return net, reps, client
 }
 
 func TestGeoDistributedPBFT(t *testing.T) {
 	// PBFT over four regions: latency dominated by WAN round trips but the
 	// protocol still converges.
-	prof := config.GoogleCloudProfile(4)
-	net := simnet.New(simnet.Options{Profile: prof, Seed: 9})
-	n := 8
-	members := make([]types.NodeID, n)
-	for i := range members {
-		members[i] = types.NodeID(i)
-	}
-	reps := make([]*pbft.Standalone, n)
-	for i := 0; i < n; i++ {
-		reps[i] = pbft.NewStandalone(pbft.Config{
-			Members: members, Self: members[i], F: 2,
-			ViewChangeTimeout: 5 * time.Second,
-		}, 1000)
-		net.AddNode(members[i], i%4, reps[i])
-	}
-	client := &testClient{members: members, primary: members[0], f: 2,
-		batchSize: 10, total: 10, window: 2}
-	net.AddNode(config.ClientID(0), 0, client)
+	net, reps, client := deploy(t, 8, detsim.Options{Profile: config.GoogleCloudProfile(4), Seed: 9},
+		pbft.Config{ViewChangeTimeout: 5 * time.Second}, detsim.Client{Window: 2, BatchSize: 10, Total: 10}, nil)
 	net.RunUntil(120 * time.Second)
-	if client.completed != client.total {
-		t.Fatalf("completed %d/%d across regions", client.completed, client.total)
+	if client.Completed() != client.Total {
+		t.Fatalf("completed %d/%d across regions", client.Completed(), client.Total)
 	}
-	assertConvergence(t, reps, nil, client.total)
+	assertConvergence(t, reps, nil, client.Total)
 }

@@ -4,7 +4,6 @@ import (
 	"resilientdb/internal/kvstore"
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/proto"
-	"resilientdb/internal/simnet"
 	"resilientdb/internal/types"
 )
 
@@ -28,11 +27,8 @@ func NewStandalone(cfg Config, records int) *Standalone {
 	return &Standalone{cfg: cfg, records: records}
 }
 
-// Init implements simnet.Handler.
-func (s *Standalone) Init(env *simnet.Env) { s.InitEnv(proto.WrapSim(env)) }
-
-// InitEnv wires the replica to any protocol environment (simulator or
-// fabric).
+// InitEnv wires the replica to any protocol environment (the deterministic
+// simulator or the fabric).
 func (s *Standalone) InitEnv(env proto.Env) {
 	s.env = env
 	s.store = kvstore.New(s.records)
@@ -40,7 +36,7 @@ func (s *Standalone) InitEnv(env proto.Env) {
 	s.core = NewReplica(env, s.cfg, Hooks{Committed: s.onCommitted})
 }
 
-// Receive implements simnet.Handler.
+// Receive delivers one inbound message.
 func (s *Standalone) Receive(from types.NodeID, msg types.Message) {
 	if req, ok := msg.(*Request); ok && from.IsClient() {
 		s.core.SubmitLocal(req.Batch, req.Sig, false)

@@ -1,11 +1,12 @@
 // Package proto defines the environment abstraction shared by every
 // consensus protocol implementation. A protocol core is a deterministic
 // state machine that reacts to messages and timers; the Env interface is its
-// only window to the world. Two implementations exist: the discrete-event
-// simulator (package simnet) used by all experiments, and the multi-threaded
-// pipelined fabric (package fabric) used for real-time deployments — the
-// same separation ResilientDB draws between protocol logic and its threaded
-// architecture (paper Section 3).
+// only window to the world. Two implementations exist: the deterministic
+// simulator (package detsim), on which every simulated experiment and every
+// whole-deployment test runs, and the multi-threaded pipelined fabric
+// (package fabric) used for real-time deployments — the same separation
+// ResilientDB draws between protocol logic and its threaded architecture
+// (paper Section 3).
 package proto
 
 import (
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/simnet"
 	"resilientdb/internal/types"
 )
 
@@ -72,18 +72,6 @@ func Multicast(env Env, ids []types.NodeID, m types.Message) {
 		}
 	}
 }
-
-// simEnv adapts *simnet.Env to Env (the SetTimer return type differs).
-type simEnv struct {
-	*simnet.Env
-}
-
-func (s simEnv) SetTimer(d time.Duration, fn func()) Timer {
-	return s.Env.SetTimer(d, fn)
-}
-
-// WrapSim adapts a simulator environment to the protocol Env interface.
-func WrapSim(e *simnet.Env) Env { return simEnv{e} }
 
 // Reply is the uniform execution reply a replica sends to the client that
 // submitted a batch. Clients consider a batch complete once f+1 replicas

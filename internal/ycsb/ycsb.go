@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 
 	"resilientdb/internal/types"
 )
@@ -38,11 +39,19 @@ func NewZipfian(items uint64, theta float64) *Zipfian {
 	return z
 }
 
+// zetas memoizes zeta: it sums n powers, and every client of a deployment
+// builds its generator over the same n.
+var zetas sync.Map // [2]float64{n, theta} → float64
+
 func zeta(n uint64, theta float64) float64 {
+	if v, ok := zetas.Load([2]float64{float64(n), theta}); ok {
+		return v.(float64)
+	}
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1.0 / math.Pow(float64(i), theta)
 	}
+	zetas.Store([2]float64{float64(n), theta}, sum)
 	return sum
 }
 
