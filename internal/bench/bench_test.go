@@ -49,20 +49,26 @@ func TestRunDeterministic(t *testing.T) {
 // CPU model, the client or the protocol's message pattern shows here. A
 // change that moves the model on purpose updates these values and says so.
 func TestModelGolden(t *testing.T) {
+	// The crash-primary row runs the view change: a new primary adopting,
+	// and backups re-forwarding, the requests they supervised.
+	crash := tiny(GeoBFT)
+	crash.Measure, crash.CrashPrimary = 3*time.Second, true
 	for _, g := range []struct {
-		p          Protocol
+		name       string
+		s          Scenario
 		throughput float64
 		events     int64
 		globalMsgs int64
 		batches    int64
 	}{
-		{GeoBFT, 127800, 72174, 2544, 1278},
-		{PBFT, 69300, 122215, 53633, 693},
+		{"geobft", tiny(GeoBFT), 127800, 72174, 2544, 1278},
+		{"pbft", tiny(PBFT), 69300, 122215, 53633, 693},
+		{"geobft crash-primary", crash, 5733.333333333333, 12291, 305, 172},
 	} {
-		r := Run(tiny(g.p))
+		r := Run(g.s)
 		if r.Throughput != g.throughput || r.Events != g.events || r.Messages.GlobalMsgs != g.globalMsgs || r.Batches != g.batches {
 			t.Errorf("%s: (throughput, events, global msgs, batches) = (%v, %d, %d, %d), golden (%v, %d, %d, %d)",
-				g.p, r.Throughput, r.Events, r.Messages.GlobalMsgs, r.Batches, g.throughput, g.events, g.globalMsgs, g.batches)
+				g.name, r.Throughput, r.Events, r.Messages.GlobalMsgs, r.Batches, g.throughput, g.events, g.globalMsgs, g.batches)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func CorpusMessages() []types.Message {
 	out = append(out, far, forgedVC, forgedRvc, staleRvc)
 
 	// The rogue client's wire-borne attacks on the admission boundary: a
-	// validly signed request (what Precheck and the verify stage decode), a
+	// validly signed request (what Precheck and PreVerify decode), a
 	// forged-signature copy, and an equivocating payload for the same
 	// (client, seq) — signed single-transaction batches, the shapes
 	// RogueClient floods.

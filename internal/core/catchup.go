@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"resilientdb/internal/ledger"
@@ -224,11 +225,19 @@ func (r *Replica) stashRange(blocks []*ledger.Block) {
 }
 
 // drainStash applies every stashed range that now connects to the chain head,
-// repeating until no range fits (each application may unblock another).
+// lowest first, repeating until no range fits (each application may unblock
+// another). The order is the ranges', never the map's: which range lands
+// decides what is verified and executed when.
 func (r *Replica) drainStash() {
 	for {
 		applied := false
-		for first, rng := range r.cuStash {
+		firsts := make([]uint64, 0, len(r.cuStash))
+		for first := range r.cuStash {
+			firsts = append(firsts, first)
+		}
+		slices.Sort(firsts)
+		for _, first := range firsts {
+			rng := r.cuStash[first]
 			h := r.ledger.Height()
 			last := first + uint64(len(rng)) - 1
 			if last <= h {

@@ -68,7 +68,7 @@ type Config struct {
 	// digest mismatch, spoofed identity, an unimportable catch-up range) —
 	// never merely stale or duplicate traffic. The fabric counts these into
 	// Fabric.Stats so forged messages land in the drop statistics whether
-	// they are rejected by the parallel verify pool or inline on the worker.
+	// an input goroutine's PreVerify or the worker rejects them.
 	OnVerifyReject func()
 }
 

@@ -18,16 +18,14 @@ import (
 // signatures, and, via pbft.PreVerify, the local PBFT checks. It reads only
 // construction-time immutable state (topology, membership, quorum size) and
 // the atomic executed round, never the replica's other protocol state, so the
-// fabric's verify pool calls it concurrently with the worker from many
-// goroutines.
+// fabric's input goroutines call it concurrently with the worker.
 //
 // It is the only place these checks run. Receive runs it inline on the
-// replica's own suite (the deterministic simulator, package detsim, and the
-// fabric's serial configuration, whose input threads run it for client
-// requests); the verify pool runs it ahead of the worker. Either way a
-// message it does not reject goes to ReceiveVerified, where
-// every stateful guard — staleness, duplication, vouching — runs and no
-// check runs again. Cheap routing guards come before the crypto, so traffic
+// replica's own suite (the deterministic simulator, package detsim); the
+// fabric's admission step runs it on an input goroutine, ahead of the
+// worker. Either way a message it does not reject goes to ReceiveVerified,
+// where every stateful guard — staleness, duplication, vouching — runs and
+// no check runs again. Cheap routing guards come before the crypto, so traffic
 // the worker would drop for free never costs a signature check.
 //
 // Client requests carry a real per-client signature over the batch

@@ -98,7 +98,7 @@ type pendingShare struct {
 }
 
 // isLocalPeer reports whether id can vouch: another replica of this cluster.
-// It reads only construction-time state (PreVerify calls it from the pool).
+// It reads only construction-time state (PreVerify calls it off the worker).
 func (r *Replica) isLocalPeer(id types.NodeID) bool {
 	if id == r.cfg.Self || id.IsClient() {
 		return false

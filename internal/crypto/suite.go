@@ -74,8 +74,8 @@ func pairKey(a, b types.NodeID) []byte {
 // goroutines provided the charge callback (if any) is itself concurrent-safe.
 // Sign, Verify and Hash touch only immutable key material; MAC and VerifyMAC
 // build per-peer CMAC states lazily, guarded by an internal mutex (a CMAC is
-// immutable once built). The fabric relies on this: its verify pool shares
-// one Suite per node across all verifier goroutines and the worker.
+// immutable once built). The fabric relies on this: a node's input
+// goroutines and its worker share one Suite.
 type Suite struct {
 	dir    *Directory
 	id     types.NodeID

@@ -116,7 +116,7 @@ func TestDirectoryDeterministicKeys(t *testing.T) {
 
 // TestSuiteConcurrentUse exercises the Suite's concurrency contract: many
 // goroutines signing, verifying and MACing through one suite (the fabric's
-// verify pool does exactly this). Run under -race, it catches regressions in
+// input goroutines do exactly this). Run under -race, it catches regressions in
 // the lazily-built CMAC cache.
 func TestSuiteConcurrentUse(t *testing.T) {
 	for _, mode := range []Mode{Real, Fast} {

@@ -2,19 +2,20 @@
 // multi-threaded, pipelined architecture of the paper's Figure 9 built from
 // goroutines and bounded channels. Each replica runs
 //
-//	input → verify pool → (batching) → worker → output
+//	input → (batching) → worker → output
 //
-// stages: the input goroutine receives messages from the transport and fans
-// them out to a pool of verify goroutines that run every state-independent
-// check (core.Replica.PreVerify: client request signatures, remote
-// certificates, Rvc signatures, catch-up ranges, snapshot manifests,
-// preprepare digests) concurrently; a sequencer re-establishes arrival order
-// — preserving per-sender FIFO — before handing what passed to the worker,
-// which owns the deterministic GeoBFT state machine (local replication,
-// certification, ordering and execution) and runs no check twice
-// (ReceiveVerified). Without the pool the same PreVerify runs inline (see
-// Config.VerifyWorkers); the batching stage (primaries only) groups client
-// transactions into consensus batches; and output goroutines drain the send
+// stages: a few input goroutines receive messages from the transport, and
+// each runs the node's one admission step on what it receives — the mempool
+// shed of client-request retries, every state-independent check
+// (core.Replica.PreVerify: client request signatures, remote certificates,
+// Rvc signatures, catch-up ranges, snapshot manifests, preprepare digests),
+// and mempool admission of authenticated requests — before handing what
+// passed to the worker, which owns the deterministic GeoBFT state machine
+// (local replication, certification, ordering and execution) and runs no
+// check twice (ReceiveVerified). The input goroutines deliver concurrently,
+// so two messages on one link may reach the worker in either order, as on a
+// reordering network. The batching stage (primaries only) groups client
+// transactions into consensus batches, and output goroutines drain the send
 // queue to the transport. Timers are real (time.AfterFunc) and re-enter the
 // worker queue, so the protocol cores stay single-threaded and identical to
 // the ones the simulator drives.
@@ -48,9 +49,8 @@ import (
 // second place to declare deployment knobs: each knob is one
 // config.ClusterSpec key mapped onto one field here (resilientdb.Open does
 // the mapping, emulate_wan becoming Latency). The fields with no spec key
-// (Records, Mode, OnExecute, Transport, Local, VerifyWorkers) are what
-// tests, the chaos harness and the benchmark set when they build a Config
-// directly.
+// (Records, Mode, OnExecute, Transport, Local) are what tests, the chaos
+// harness and the benchmark set when they build a Config directly.
 type Config struct {
 	// Topo is the clustered deployment shape.
 	Topo config.Topology
@@ -118,19 +118,6 @@ type Config struct {
 	// window, rate limiting, capacity); zero fields select the
 	// internal/mempool defaults.
 	Mempool mempool.Config
-	// VerifyWorkers sizes each node's pool of verify goroutines — the
-	// parallel input stage of Figure 9 that performs all cryptographic
-	// checks before a message reaches the worker. 0 auto-sizes the pool by
-	// dividing GOMAXPROCS across the replicas this process hosts, capped at
-	// 8 workers per node; when that leaves a node less than 2 dedicated
-	// cores' worth of parallelism (a single-CPU host, or an in-process
-	// deployment hosting more nodes than cores — the shapes where the pool's
-	// queueing overhead measurably regressed throughput) the stage is
-	// disabled for that deployment. A negative value disables the stage
-	// explicitly: the same checks run inline, client requests on the input
-	// goroutines and everything else on the worker (serial); a positive value
-	// forces that per-node pool size.
-	VerifyWorkers int
 }
 
 // Fabric is a running deployment: this process's replicas plus the shared
@@ -139,6 +126,8 @@ type Fabric struct {
 	cfg Config
 	tr  transport.Transport
 	dir *crypto.Directory
+	// inputs is how many input goroutines each node runs (inputWorkers).
+	inputs int
 
 	mu      sync.Mutex // guards nodes and stopped (per-node restarts mutate the map)
 	nodes   map[types.NodeID]*Node
@@ -180,29 +169,23 @@ func Open(cfg Config) (*Fabric, error) {
 	if cfg.RetainSegments == 0 {
 		cfg.RetainSegments = config.DefaultRetainSegments
 	}
-	if cfg.VerifyWorkers == 0 {
-		hosted := len(cfg.Local)
-		if cfg.Local == nil {
-			hosted = cfg.Topo.TotalReplicas()
-		}
-		cfg.VerifyWorkers = autoVerifyWorkers(runtime.GOMAXPROCS(0), hosted)
-	}
 	tr := cfg.Transport
 	if tr == nil {
 		mem := transport.NewMem()
 		mem.Latency = cfg.Latency
 		tr = mem
 	}
-	f := &Fabric{cfg: cfg, tr: tr, nodes: make(map[types.NodeID]*Node)}
+	local := cfg.Local
+	if local == nil {
+		local = cfg.Topo.AllReplicas()
+	}
+	f := &Fabric{cfg: cfg, tr: tr, nodes: make(map[types.NodeID]*Node),
+		inputs: inputWorkers(runtime.GOMAXPROCS(0), len(local))}
 
 	// Key material covers the whole topology regardless of which replicas
 	// run here: it is derived deterministically per node, so every process
 	// of a multi-process deployment provisions identical directories.
 	f.dir = crypto.NewDirectory(cfg.Mode, append(cfg.Topo.AllReplicas(), clientIDs(cfg.Clients)...))
-	local := cfg.Local
-	if local == nil {
-		local = cfg.Topo.AllReplicas()
-	}
 	// Two phases: create (and register) every node before starting any, so
 	// no node's first sends can race a sibling's transport registration.
 	boots := make(map[types.NodeID]func(r *core.Replica), len(local))
@@ -233,28 +216,13 @@ func Open(cfg Config) (*Fabric, error) {
 	return f, nil
 }
 
-// autoVerifyWorkers sizes one node's verify pool for Config.VerifyWorkers == 0:
-// the machine's cores are divided across the replicas this process hosts, so
-// an in-process z×n deployment no longer spawns z×n×GOMAXPROCS verifier
-// goroutines fighting over GOMAXPROCS cores — the oversubscription behind the
-// ROADMAP-noted mem/z2n4 regression, where every shape pegged its pool to
-// GOMAXPROCS regardless of how many siblings shared the host. A node left
-// with fewer than 2 cores' worth of parallelism runs serial (-1): without a
-// spare core the pool's hand-off and sequencing overhead is pure loss. The
-// per-node cap of 8 bounds hand-off fan-in on very wide hosts; measured
-// pool speedups flatten well before that (README, Performance).
-func autoVerifyWorkers(procs, hostedNodes int) int {
-	if hostedNodes < 1 {
-		hostedNodes = 1
-	}
-	per := procs / hostedNodes
-	if per < 2 {
-		return -1
-	}
-	if per > 8 {
-		per = 8
-	}
-	return per
+// inputWorkers sizes one node's input stage: the machine's cores divided
+// across the replicas this process hosts, so an in-process z×n deployment
+// does not spawn z×n×GOMAXPROCS input goroutines fighting over GOMAXPROCS
+// cores. The floor of 2 is Figure 9's two input threads; the cap of 8 bounds
+// contention on the inbox of a very wide host.
+func inputWorkers(procs, hostedNodes int) int {
+	return min(max(procs/max(hostedNodes, 1), 2), 8)
 }
 
 // nodeDir is one replica's slice of the deployment's data directory.
@@ -539,12 +507,10 @@ type Node struct {
 	replica *core.Replica
 	env     *nodeEnv
 
-	inbox   <-chan transport.Envelope
-	verifyQ chan *verifyJob // fan-out to the verify pool
-	orderQ  chan *verifyJob // same jobs in arrival order, for the sequencer
-	workQ   chan func()
-	outQ    chan transport.Envelope
-	batchQ  chan types.Transaction
+	inbox  <-chan transport.Envelope
+	workQ  chan func()
+	outQ   chan transport.Envelope
+	batchQ chan types.Transaction
 
 	pool  *mempool.Pool
 	drops metrics.Drops
@@ -573,29 +539,6 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// verifyJob carries one inbound message through the verify pool. The intake
-// goroutine enqueues the job on orderQ (arrival order) and verifyQ (any
-// order); a pool goroutine fills verdict and signals done; the sequencer
-// consumes orderQ, waits on done, and posts surviving messages to the worker
-// — so messages enter the state machine in exactly the order they arrived,
-// regardless of how verification interleaved.
-//
-// Jobs are pooled: the sequencer is the last toucher (its receive on done
-// happens-after the verifier's send), so it alone recycles them, and done —
-// one-buffered, so the verifier never blocks — is drained by that receive
-// and reusable as-is. On shutdown paths in-flight jobs are simply abandoned
-// to the GC.
-type verifyJob struct {
-	from    types.NodeID
-	msg     types.Message
-	verdict proto.Verdict
-	done    chan struct{}
-}
-
-var verifyJobPool = sync.Pool{
-	New: func() any { return &verifyJob{done: make(chan struct{}, 1)} },
-}
-
 // archiveRetain is how many checkpoint snapshots each node's archive keeps.
 const archiveRetain = 2
 
@@ -618,10 +561,6 @@ func newNode(f *Fabric, id types.NodeID) (*Node, error) {
 		archive: arch,
 		quit:    make(chan struct{}),
 	}
-	if f.cfg.VerifyWorkers > 0 {
-		n.verifyQ = make(chan *verifyJob, 4096)
-		n.orderQ = make(chan *verifyJob, 4096)
-	}
 	n.env = &nodeEnv{node: n, start: time.Now()}
 	n.env.suite = crypto.NewSuite(f.dir, id, crypto.FreeCosts(), nil)
 	n.env.rng = rand.New(rand.NewSource(int64(id) + 1))
@@ -635,9 +574,9 @@ func newNode(f *Fabric, id types.NodeID) (*Node, error) {
 		ClientCluster: func(cl types.NodeID) int {
 			return int(cl-types.ClientIDBase) % f.cfg.Topo.Clusters
 		},
-		// Forged messages rejected inline on the worker (the serial path, or
-		// checks the verify pool cannot run statelessly) land in the same
-		// counter as pool rejections: nothing vanishes uncounted.
+		// Forged messages the worker's stateful checks reject land in the
+		// same counter as the input stage's rejections: nothing vanishes
+		// uncounted.
 		OnVerifyReject:   func() { n.drops.VerifyReject.Add(1) },
 		SnapshotInterval: f.cfg.SnapshotInterval,
 		Archive:          arch,
@@ -668,11 +607,11 @@ func newNode(f *Fabric, id types.NodeID) (*Node, error) {
 	// Every execution feeds the mempool's replay window, so a retry of an
 	// already-executed request is answered from the ledger instead of
 	// re-entering consensus; the user hook (if any) rides along.
-	// The window's answer is an acknowledgement like the reply itself —
-	// shedRequest, admitRequest and the RPC front door all serve "executed"
-	// from it — so on a disk-backed node the outcome enters the window only
-	// once its block is durable; until then a retry classifies as a duplicate
-	// of pending work and the held reply answers it.
+	// The window's answer is an acknowledgement like the reply itself — the
+	// admission step serves "executed" from it, to the transport and the RPC
+	// front door alike — so on a disk-backed node the outcome enters the
+	// window only once its block is durable; until then a retry classifies as
+	// a duplicate of pending work and the held reply answers it.
 	hook := f.cfg.OnExecute
 	ccfg.OnExecute = func(round uint64, cluster types.ClusterID, batch types.Batch) {
 		if !batch.NoOp {
@@ -714,39 +653,23 @@ func (n *Node) start(boot func(r *core.Replica)) {
 		}
 	}()
 
-	if n.verifyQ != nil {
-		n.startVerifyPipeline()
-	} else {
-		// Serial: input threads receive and enqueue directly (two threads, as
-		// the seed pipeline had), and PreVerify runs inline — on the worker,
-		// inside Receive, except for client requests, whose signature check
-		// and mempool admission happen right here on the input thread:
-		// admission is not worker state (the pool has its own lock), and
-		// shedding duplicates before the worker is the point of the layer.
-		for i := 0; i < 2; i++ {
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				for {
-					select {
-					case env, ok := <-n.inbox:
-						if !ok {
-							return
-						}
-						from, msg := env.From, env.Msg
-						if req, isReq := msg.(*pbft.Request); isReq {
-							if !n.shedRequest(req) {
-								n.deliver(from, msg, n.replica.PreVerify(n.env.suite, from, msg))
-							}
-							continue
-						}
-						n.post(func() { n.replica.Receive(from, msg) })
-					case <-n.quit:
+	// Input threads: each runs the admission step on what it receives.
+	for i := 0; i < n.fab.inputs; i++ {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			for {
+				select {
+				case env, ok := <-n.inbox:
+					if !ok {
 						return
 					}
+					n.receive(env.From, env.Msg)
+				case <-n.quit:
+					return
 				}
-			}()
-		}
+			}
+		}()
 	}
 
 	// Batching thread (primaries group client transactions into batches).
@@ -804,158 +727,58 @@ func (n *Node) start(boot func(r *core.Replica)) {
 	}
 }
 
-// startVerifyPipeline launches the parallel verification stage: one intake
-// goroutine, VerifyWorkers verifier goroutines, and one sequencer. Crypto
-// runs concurrently; delivery order into the worker is the arrival order, so
-// per-sender FIFO (and the whole-node arrival order) is preserved and the
-// state machine behaves exactly as if it had verified inline.
-func (n *Node) startVerifyPipeline() {
-	// Intake: receive and enqueue in arrival order.
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			select {
-			case env, ok := <-n.inbox:
-				if !ok {
-					return
-				}
-				// Shed decidable client-request copies here, before they
-				// consume a verify-pool slot: under a retry storm the
-				// duplicates would otherwise monopolize the pool with
-				// signature checks whose outcome cannot matter.
-				if req, isReq := env.Msg.(*pbft.Request); isReq && n.shedRequest(req) {
-					continue
-				}
-				j := verifyJobPool.Get().(*verifyJob)
-				j.from, j.msg, j.verdict = env.From, env.Msg, proto.VerdictPass
-				select {
-				case n.orderQ <- j:
-				case <-n.quit:
-					return
-				}
-				select {
-				case n.verifyQ <- j:
-				case <-n.quit:
-					return
-				}
-			case <-n.quit:
-				return
-			}
-		}
-	}()
-
-	// Verify pool: all cryptographic checks, concurrently.
-	for i := 0; i < n.fab.cfg.VerifyWorkers; i++ {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			for {
-				select {
-				case j := <-n.verifyQ:
-					j.verdict = n.replica.PreVerify(n.env.suite, j.from, j.msg)
-					j.done <- struct{}{}
-				case <-n.quit:
-					return
-				}
-			}
-		}()
-	}
-
-	// Sequencer: re-establish arrival order and feed the worker.
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			select {
-			case j := <-n.orderQ:
-				select {
-				case <-j.done:
-				case <-n.quit:
-					return
-				}
-				from, msg, verdict := j.from, j.msg, j.verdict
-				j.msg = nil
-				verifyJobPool.Put(j)
-				// Delivered from this one goroutine, so admission order is
-				// delivery order.
-				n.deliver(from, msg, verdict)
-			case <-n.quit:
-				return
-			}
-		}
-	}()
-}
-
-// deliver is the one step from PreVerify's verdict to the worker, shared by
-// the serial input threads (client requests) and the verify pool's
-// sequencer (everything): a rejected message is counted and dropped, an
-// authenticated client request passes the admission layer, and the rest is
-// applied by ReceiveVerified.
-func (n *Node) deliver(from types.NodeID, msg types.Message, verdict proto.Verdict) {
-	if verdict == proto.VerdictReject {
-		n.drops.VerifyReject.Add(1)
-		return
-	}
-	if req, isReq := msg.(*pbft.Request); isReq && !n.admitRequest(req) {
-		return
-	}
-	n.post(func() { n.replica.ReceiveVerified(from, msg) })
-}
-
-// shedRequest runs the unauthenticated admission fast path (mempool.Precheck)
-// on one inbound client request and reports whether it was fully handled:
-// duplicates of verified in-flight work are dropped, and replays whose
-// contents match the executed batch are re-answered from the certified
-// ledger — all without a signature verification, which is what keeps a
-// retry storm from starving consensus traffic of verification capacity.
-// Requests it declines to decide continue to signature verification and
-// Admit.
-func (n *Node) shedRequest(req *pbft.Request) bool {
-	b := &req.Batch
-	verdict, exec, decided := n.pool.Precheck(b.Client, b.Seq, b.Digest())
-	if !decided {
-		return false
-	}
+// receive is what an input thread does with one inbound message: the
+// admission step, and for a retry of executed work the re-reply the paper's
+// retrying client needs to converge, answered from the replay window instead
+// of re-entering consensus.
+func (n *Node) receive(from types.NodeID, msg types.Message) {
+	verdict, exec, _ := n.admit(from, msg)
 	if verdict == mempool.Replayed && exec != nil {
-		n.env.Send(b.Client, &proto.Reply{
-			Client:    b.Client,
+		client := msg.(*pbft.Request).Batch.Client
+		n.env.Send(client, &proto.Reply{
+			Client:    client,
 			ClientSeq: exec.Seq,
 			Replica:   n.id,
 			TxnCount:  exec.TxnCount,
 			Result:    exec.Digest,
 		})
 	}
-	return true
 }
 
-// admitRequest runs one authenticated client request through the node's
-// mempool and reports whether it should enter the state machine. Duplicates
-// of in-flight work and rate-limited spam are dropped (the pbft layer
-// already supervises the admitted original); replays of executed work are
-// answered from the certified ledger — the re-reply the paper's retrying
-// client needs to converge — when the replay window still remembers the
-// outcome. Callers must have verified the client signature first: admission
-// writes per-client state, and only authentication keeps a spoofed Client
-// field from poisoning another client's dedup window.
-func (n *Node) admitRequest(req *pbft.Request) bool {
-	b := &req.Batch
-	verdict, exec := n.pool.Admit(b.Client, b.Seq, b.Digest())
-	switch verdict {
-	case mempool.Admitted:
-		return true
-	case mempool.Replayed:
-		if exec != nil {
-			n.env.Send(b.Client, &proto.Reply{
-				Client:    b.Client,
-				ClientSeq: exec.Seq,
-				Replica:   n.id,
-				TxnCount:  exec.TxnCount,
-				Result:    exec.Digest,
-			})
+// admit is the node's one admission step, run by the input threads on every
+// inbound message and by SubmitRequest on front-door requests. A client
+// request first meets mempool.Precheck, which decides retries of pending or
+// executed work without a signature check: that keeps a retry storm from
+// starving consensus traffic of verification capacity. What it leaves
+// undecided meets PreVerify, which counts and drops a forged message
+// (ErrBadSignature). An authenticated client request then meets
+// mempool.Admit — dedup, replay window, rate limit — which must come after
+// the signature check: admission writes per-client state, and only
+// authentication keeps a spoofed Client field from poisoning another
+// client's dedup window. What passes goes to the worker's ReceiveVerified
+// with the verdict Admitted; for a request the verdict, and the replay
+// window's record when it is Replayed, say what else happened to it.
+func (n *Node) admit(from types.NodeID, msg types.Message) (mempool.Verdict, *mempool.Executed, error) {
+	req, isReq := msg.(*pbft.Request)
+	var digest types.Digest
+	if isReq {
+		b := &req.Batch
+		digest = b.Digest()
+		if verdict, exec, decided := n.pool.Precheck(b.Client, b.Seq, digest); decided {
+			return verdict, exec, nil
 		}
 	}
-	return false
+	if n.replica.PreVerify(n.env.suite, from, msg) == proto.VerdictReject {
+		n.drops.VerifyReject.Add(1)
+		return 0, nil, ErrBadSignature
+	}
+	if isReq {
+		if verdict, exec := n.pool.Admit(req.Batch.Client, req.Batch.Seq, digest); verdict != mempool.Admitted {
+			return verdict, exec, nil
+		}
+	}
+	n.post(func() { n.replica.ReceiveVerified(from, msg) })
+	return mempool.Admitted, nil, nil
 }
 
 // MempoolLen returns the node's count of pending (admitted, not yet

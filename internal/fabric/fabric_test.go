@@ -3,6 +3,7 @@ package fabric_test
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -24,27 +25,38 @@ func startFabric(t *testing.T, z, n int) *fabric.Fabric {
 	})
 }
 
-// TestFabricEndToEnd runs with the verify stage off (every check inline on the
-// worker) and on (a pool of two per node): ledgers, stores and the signature
-// counters come out the same, because a share is handled one way.
+// withInputWorkers gives each of hosted nodes workers cores of GOMAXPROCS
+// until t ends, so each node's input stage, sized from GOMAXPROCS / hosted
+// and clamped to [2, 8], runs that many goroutines within the clamp.
+// workers -1 keeps the running GOMAXPROCS, which go test -cpu sets.
+func withInputWorkers(t *testing.T, hosted, workers int) {
+	t.Helper()
+	if workers < 0 {
+		return
+	}
+	prev := runtime.GOMAXPROCS(workers * hosted)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestFabricEndToEnd drives two clients through a z=2, n=4 deployment and
+// checks what the replicas agree on — ledgers, stores, round accounting —
+// and the signature counters each of them ran up. It runs at the input
+// stage's two extremes: "serial" at the floor of two input goroutines per
+// node, the layout of Figure 9, and "pool" at the cap of eight.
 func TestFabricEndToEnd(t *testing.T) {
-	for name, workers := range map[string]int{"serial": -1, "pool": 2} {
-		workers := workers
-		t.Run(name, func(t *testing.T) {
-			f := fabric.New(fabric.Config{
-				Topo:          config.NewTopology(2, 4),
-				BatchSize:     5,
-				Records:       256,
-				LocalTimeout:  400 * time.Millisecond,
-				RemoteTimeout: 700 * time.Millisecond,
-				VerifyWorkers: workers,
-			})
-			testFabricEndToEnd(t, f, workers > 0)
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 2}, {"pool", 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			withInputWorkers(t, 8, tc.workers)
+			testFabricEndToEnd(t)
 		})
 	}
 }
 
-func testFabricEndToEnd(t *testing.T, f *fabric.Fabric, pooled bool) {
+func testFabricEndToEnd(t *testing.T) {
+	f := startFabric(t, 2, 4)
 	defer f.Stop()
 
 	var wg sync.WaitGroup
@@ -130,33 +142,18 @@ func testFabricEndToEnd(t *testing.T, f *fabric.Fabric, pooled bool) {
 		if topo.LocalIndex(id) == 0 {
 			own = 2*rounds + 6
 		}
-		accepted := cs.SharesVouched + cs.SharesSelfVerified // of the copies members forwarded
-		if !pooled {
-			// Every check runs on the worker, so the relation is exact, and so
-			// is where a copy was counted: a replica the share was sent to has
-			// that copy in its queue before any forward of it exists, so it
-			// holds forwards only in the rounds it was skipped — all of them,
-			// unless it fetched blocks instead.
-			if want := 3*(rounds-cs.SharesVouched) + own; cs.Verifies != want {
-				t.Errorf("%v after %d rounds: %d verifies, want exactly %d (%+v)", id, rounds, cs.Verifies, want, cs)
-			}
-			if f.Replica(id).CatchUpBlocks() == 0 && accepted != skipped {
-				t.Errorf("%v after %d rounds: %d shares vouched + %d self-verified, want exactly the %d rounds it was skipped", id, rounds, cs.SharesVouched, cs.SharesSelfVerified, skipped)
-			}
-		} else {
-			// The pool can add one thing on a loaded host: a copy sent to this
-			// replica that arrives after the certificate was already accepted
-			// from forwards is still verified by the pool, which cannot see
-			// that, before the worker drops it — at most one such copy per
-			// round the replica was sent.
-			lo := 3 * (rounds - cs.SharesVouched)
-			hi := max(lo, 3*(rounds-skipped+cs.SharesSelfVerified))
-			if cs.Verifies < lo+own || cs.Verifies > hi+own {
-				t.Errorf("%v after %d rounds: %d verifies, want %d to %d (%+v)", id, rounds, cs.Verifies, lo+own, hi+own, cs)
-			}
-			if accepted < skipped {
-				t.Errorf("%v after %d rounds: %d shares vouched, %d self-verified; it was skipped in %d rounds", id, rounds, cs.SharesVouched, cs.SharesSelfVerified, skipped)
-			}
+		// The input stage can add one thing on a loaded host: a copy sent to
+		// this replica that arrives after the certificate was already
+		// accepted from forwards is still verified there, before the worker
+		// can see that, and then dropped — at most one such copy per round
+		// the replica was sent.
+		lo := 3 * (rounds - cs.SharesVouched)
+		hi := max(lo, 3*(rounds-skipped+cs.SharesSelfVerified))
+		if cs.Verifies < lo+own || cs.Verifies > hi+own {
+			t.Errorf("%v after %d rounds: %d verifies, want %d to %d (%+v)", id, rounds, cs.Verifies, lo+own, hi+own, cs)
+		}
+		if accepted := cs.SharesVouched + cs.SharesSelfVerified; accepted < skipped {
+			t.Errorf("%v after %d rounds: %d shares vouched, %d self-verified; it was skipped in %d rounds", id, rounds, cs.SharesVouched, cs.SharesSelfVerified, skipped)
 		}
 		if want := 2*rounds + rounds/6; cs.Signs != want || cs.BadVoteSigs != 0 || cs.Unprovable != 0 {
 			t.Errorf("%v after %d rounds: %+v, want %d signs and no bad or unprovable votes", id, rounds, cs, want)
@@ -168,6 +165,8 @@ func testFabricEndToEnd(t *testing.T, f *fabric.Fabric, pooled bool) {
 	if got := f.Stats().Crypto; got != sum {
 		t.Errorf("Stats().Crypto = %+v, nodes sum to %+v", got, sum)
 	}
+	t.Logf("%.2f verifies per executed round, summed over the nodes", float64(sum.Verifies)/float64(ref.ExecutedRound()))
+	checkNoLeaks(t)
 }
 
 func TestFabricExecuteHook(t *testing.T) {
@@ -302,6 +301,8 @@ func TestFabricNodeLifecycle(t *testing.T) {
 	if err := f.StartNode(victim, false); err == nil {
 		t.Fatal("StartNode after Fabric.Stop must fail")
 	}
+	cl.Close()
+	checkNoLeaks(t)
 }
 
 // TestFabricStartNodeKeepLedger restarts a crashed replica from its retained

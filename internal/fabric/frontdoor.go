@@ -10,7 +10,6 @@ import (
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/mempool"
 	"resilientdb/internal/pbft"
-	"resilientdb/internal/proto"
 	"resilientdb/internal/types"
 )
 
@@ -108,30 +107,18 @@ func (n *Node) ShowBlock(h uint64, timeout time.Duration) (*ledger.Block, error)
 }
 
 // SubmitRequest admits one signed client request arriving from outside the
-// replica transport (the RPC front door). It runs the exact admission path
-// transport-delivered requests take — read-only Precheck to shed retry
-// storms before paying signature verification, ed25519 verification of the
-// client's signature, then Admit for dedup/replay/rate-limit classification
-// — and hands admitted requests to the worker loop. The verdict tells the
-// caller what happened (Admitted, Duplicate, Replayed, RateLimited); for
-// Replayed the returned entry, when non-nil, is the replay window's record
-// of the original execution, from which a reply can be re-served without
-// re-executing.
+// replica transport (the RPC front door). It runs the node's one admission
+// step, the one transport-delivered messages take on the input threads —
+// read-only Precheck to shed retry storms before paying signature
+// verification, ed25519 verification of the client's signature, then Admit
+// for dedup/replay/rate-limit classification — and admitted requests go to
+// the worker loop. The verdict goes to the caller instead of a transport
+// reply: it tells what happened (Admitted, Duplicate, Replayed,
+// RateLimited); for Replayed the returned entry, when non-nil, is the replay
+// window's record of the original execution, from which a reply can be
+// re-served without re-executing.
 func (n *Node) SubmitRequest(req *pbft.Request) (mempool.Verdict, *mempool.Executed, error) {
-	b := &req.Batch
-	digest := b.Digest()
-	if verdict, exec, decided := n.pool.Precheck(b.Client, b.Seq, digest); decided {
-		return verdict, exec, nil
-	}
-	if n.replica.PreVerify(n.env.suite, b.Client, req) != proto.VerdictVerified {
-		n.drops.VerifyReject.Add(1)
-		return 0, nil, ErrBadSignature
-	}
-	verdict, exec := n.pool.Admit(b.Client, b.Seq, digest)
-	if verdict == mempool.Admitted {
-		n.post(func() { n.replica.ReceiveVerified(b.Client, req) })
-	}
-	return verdict, exec, nil
+	return n.admit(req.Batch.Client, req)
 }
 
 // RequestStatus reports what this node knows about one (client, seq): still

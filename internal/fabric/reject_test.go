@@ -16,27 +16,30 @@ import (
 )
 
 // TestRejectsCountedOnceEitherWay sends one forged or mis-routed message at a
-// time to a replica of an idle z=2, n=4 deployment, serial and with a verify
-// pool of two, and reads what Stats counted: each is one verify reject, and
-// the snapshot material also one snapshot reject, in both configurations —
-// the checks and their accounting are PreVerify's, wherever it runs.
+// time to a replica of an idle z=2, n=4 deployment and reads what Stats
+// counted: each is one verify reject, and the snapshot material also one
+// snapshot reject, whichever of the node's input goroutines runs the
+// admission step and whatever its stateful checks on the worker see — the
+// checks and their accounting are PreVerify's. Each subtest gives every node
+// the named number of cores (-1: the running GOMAXPROCS, which go test -cpu
+// sets).
 func TestRejectsCountedOnceEitherWay(t *testing.T) {
 	for _, workers := range []int{-1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			testRejectsCountedOnce(t, workers)
+			withInputWorkers(t, 8, workers)
+			testRejectsCountedOnce(t)
 		})
 	}
 }
 
-func testRejectsCountedOnce(t *testing.T, workers int) {
+func testRejectsCountedOnce(t *testing.T) {
 	topo := config.NewTopology(2, 4)
 	tr := transport.NewMem()
 	f := fabric.New(fabric.Config{
-		Topo:          topo,
-		BatchSize:     2,
-		Records:       64,
-		Transport:     tr,
-		VerifyWorkers: workers,
+		Topo:      topo,
+		BatchSize: 2,
+		Records:   64,
+		Transport: tr,
 	})
 	defer f.Stop()
 	cl := f.NewClient(0)

@@ -112,6 +112,7 @@ func TestFabricOverTCP(t *testing.T) {
 	}
 	time.Sleep(time.Second) // let stragglers execute the last rounds
 	stopAll()
+	checkNoLeaks(t)
 
 	ref := fabrics[ids[0]].Replica(ids[0])
 	if ref.Ledger().Height() == 0 {

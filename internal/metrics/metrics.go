@@ -33,10 +33,10 @@ type Drops struct {
 	// NoRoute counts messages dropped because the destination had no known
 	// address.
 	NoRoute atomic.Uint64
-	// VerifyReject counts inbound messages discarded by the verify stage:
-	// failed cryptographic checks, but also malformed or mis-routed
-	// messages the state machine would discard unconditionally (the stage
-	// rejects those before paying for crypto).
+	// VerifyReject counts inbound messages discarded by the admission
+	// step's checks: failed cryptographic checks, but also malformed or
+	// mis-routed messages the state machine would discard unconditionally
+	// (the step rejects those before paying for crypto).
 	VerifyReject atomic.Uint64
 	// AuthReject counts transport frames discarded because their
 	// authentication tag did not verify against the claimed sender — a

@@ -10,8 +10,8 @@ import (
 // batch/digest binding of a preprepare and of every proposal a new-view
 // carries, and the rule that a prepare or commit vote names its sender and
 // carries a signature to retain. It touches no replica state, so the fabric's
-// verify pool calls it concurrently from many goroutines (suite must honor
-// crypto.Suite's concurrency contract). It is the only place these checks
+// input goroutines call it concurrently (suite must honor crypto.Suite's
+// concurrency contract). It is the only place these checks
 // run: HandleMessage runs it inline, and HandleVerified assumes it passed.
 //
 // No vote signature is checked on receipt: prepare, commit and checkpoint

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"sort"
 
 	"resilientdb/internal/types"
@@ -413,12 +414,10 @@ func (r *Replica) applyNewView(nv *NewView) {
 	// and a replica that just became primary adopts what it was
 	// supervising.
 	if r.IsPrimary() {
-		for _, q := range r.forwarded {
-			r.queue = append(r.queue, q)
-		}
+		r.queue = append(r.queue, r.supervised()...)
 		r.forwarded = make(map[types.Digest]signedBatch)
 	} else {
-		for _, q := range r.forwarded {
+		for _, q := range r.supervised() {
 			r.env.Suite().ChargeMAC()
 			r.env.Send(r.Primary(), &Request{Batch: q.b, Sig: q.sig, Forwarded: true})
 		}
@@ -436,4 +435,28 @@ func (r *Replica) applyNewView(nv *NewView) {
 	}
 	r.tryPropose()
 	r.rearmProgressTimer()
+}
+
+// supervised returns the client requests this backup supervises in (client,
+// seq) order, digest breaking ties, for a view change to re-forward or adopt.
+// Each client's requests keep their order — a seq adopted behind a later seq
+// of its client would be proposed after clientHWM passed it, and dropped as
+// executed — and what a replica sends does not hang on map iteration order.
+func (r *Replica) supervised() []signedBatch {
+	out := make([]signedBatch, 0, len(r.forwarded))
+	for _, q := range r.forwarded {
+		out = append(out, q)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i].b, &out[j].b
+		if a.Client != b.Client {
+			return a.Client < b.Client
+		}
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
+		}
+		da, db := a.Digest(), b.Digest()
+		return bytes.Compare(da[:], db[:]) < 0
+	})
+	return out
 }

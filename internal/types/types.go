@@ -107,7 +107,7 @@ type Batch struct {
 	// goroutine — at wire-decode time (DecodeBatch) or via an explicit
 	// PrimeDigest before the batch is shared. Digest never memoizes lazily:
 	// messages travel by pointer through the in-process transport, and a
-	// lazy write would race between nodes' verify pools.
+	// lazy write would race between nodes' input goroutines.
 	digest    Digest
 	hasDigest bool
 }
