@@ -124,10 +124,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer db.Close()
-	batchSize := spec.BatchSize
-	if batchSize == 0 {
-		batchSize = config.DefaultBatchSize
-	}
+	batchSize := spec.ClientBatchSize()
 	switch role.Kind {
 	case resilientdb.ReplicaProcess:
 		return runReplica(out, db, *id, *serve)

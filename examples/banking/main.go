@@ -20,7 +20,6 @@ func main() {
 	db, err := resilientdb.Open(resilientdb.Options{
 		Clusters:           2,
 		ReplicasPerCluster: 4,
-		BatchSize:          8,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -16,7 +16,6 @@ func main() {
 	db, err := resilientdb.Open(resilientdb.Options{
 		Clusters:           2,
 		ReplicasPerCluster: 4,
-		BatchSize:          4,
 		LocalTimeout:       resilientdb.Duration(400 * time.Millisecond),
 		RemoteTimeout:      resilientdb.Duration(600 * time.Millisecond),
 	})

@@ -15,7 +15,6 @@ func main() {
 	db, err := resilientdb.Open(resilientdb.Options{
 		Clusters:           2,
 		ReplicasPerCluster: 4,
-		BatchSize:          10,
 	})
 	if err != nil {
 		log.Fatal(err)

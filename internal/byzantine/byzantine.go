@@ -38,8 +38,8 @@ import (
 // outbound message from the compromised replica and returns the deliveries
 // to perform instead (plus true), or false to send the original untouched.
 // Returning (nil, true) suppresses the message. Rewrite is called
-// concurrently from the node's output goroutines; implementations guard
-// their state with their own mutex.
+// concurrently from the node's worker, input and persister goroutines;
+// implementations guard their state with their own mutex.
 type Script interface {
 	// Name identifies the attack in logs and scenario descriptions.
 	Name() string

@@ -123,7 +123,6 @@ func Run(s Scenario, seed int64, logf func(format string, args ...any)) error {
 	}
 	cfg := fabric.Config{
 		Topo:             topo,
-		BatchSize:        4,
 		Records:          128,
 		LocalTimeout:     400 * time.Millisecond,
 		RemoteTimeout:    700 * time.Millisecond,

@@ -45,10 +45,11 @@ func (d Duration) Std() time.Duration { return time.Duration(d) }
 // The defaults an omitted (zero) spec key selects. fabric.Open applies them
 // to the zero fields of a fabric.Config, so every way of starting a
 // deployment — a spec file, the root API, a fabric.Config built directly —
-// gets the same ones.
+// gets the same ones. DefaultBatchSize is the exception: only the
+// command-line client reads it, through ClientBatchSize.
 const (
-	// DefaultBatchSize is the number of client transactions per consensus
-	// batch, as in the paper.
+	// DefaultBatchSize is the number of transactions per batch the
+	// command-line client signs and submits, as in the paper.
 	DefaultBatchSize = 100
 	// DefaultLocalTimeout is the local view-change timeout.
 	DefaultLocalTimeout = 2 * time.Second
@@ -105,8 +106,9 @@ type ClusterSpec struct {
 	// ReplicasPerCluster is n per region (n ≥ 4; tolerates f = ⌊(n−1)/3⌋
 	// Byzantine replicas per cluster).
 	ReplicasPerCluster int `json:"replicas_per_cluster"`
-	// BatchSize groups client transactions per consensus decision (0:
-	// DefaultBatchSize).
+	// BatchSize is the number of transactions per batch the command-line
+	// client (cmd/resilientdb) submits (0: DefaultBatchSize). Replicas do not
+	// read it: a client's signed batch is the unit of consensus as sent.
 	BatchSize int `json:"batch_size,omitempty"`
 	// LocalTimeout tunes local view-change failure detection (0:
 	// DefaultLocalTimeout).
@@ -206,6 +208,15 @@ func (s *ClusterSpec) ProvisionedClients() int {
 		return s.ProvisionClients
 	}
 	return DefaultProvisionClients
+}
+
+// ClientBatchSize is the number of transactions per batch the command-line
+// client submits: BatchSize, or DefaultBatchSize when that is zero.
+func (s *ClusterSpec) ClientBatchSize() int {
+	if s.BatchSize > 0 {
+		return s.BatchSize
+	}
+	return DefaultBatchSize
 }
 
 // Topology returns the spec's deployment shape.

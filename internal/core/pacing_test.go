@@ -7,6 +7,7 @@ import (
 	"resilientdb/internal/config"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/detsim"
+	"resilientdb/internal/pbft"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
@@ -366,5 +367,63 @@ func TestPacingOneTimerAndFullWindow(t *testing.T) {
 	}
 	if noops, _ := net.noOpsAfter(1, 6); noops != 0 {
 		t.Errorf("round 7 of cluster 1 is a no-op")
+	}
+}
+
+// TestNoOpFillBoundedByPipeline: a validly signed certificate of cluster 1
+// for a round far ahead of execution — what a Byzantine primary gets when its
+// honest backups commit whatever lies inside the PBFT watermarks — reaches
+// cluster 0's primary. The fill it asks for is capped at the pipeline depth
+// past execution, as feedPrimary is, so no more than the depth ever waits in
+// PBFT's queue; and the fill resumes when a round executes, here on cluster
+// 0's own local commit, with no later share to set it off, so execution still
+// reaches the evidenced round.
+func TestNoOpFillBoundedByPipeline(t *testing.T) {
+	const ahead = 1000
+	net := newTestNet(t, 2, 4, Config{PipelineDepth: 2})
+	p0, p1 := net.primary(0), net.primary(1)
+	depth := int(p0.pipelineDepth())
+
+	batch := types.Batch{Client: p1.cfg.Self, Seq: ahead, NoOp: true}
+	cert := &pbft.Certificate{Seq: ahead, Digest: batch.Digest(), Batch: batch}
+	payload := pbft.CommitPayload(0, ahead, cert.Digest)
+	for _, id := range net.topo.ClusterMembers(1)[:net.topo.PerCluster-net.topo.F()] {
+		cert.Signers = append(cert.Signers, id)
+		cert.Sigs = append(cert.Sigs, net.reps[id].env.Suite().Sign(payload))
+	}
+
+	maxQueue := 0
+	net.observe(func(_, _ types.NodeID, _ types.Message) {
+		maxQueue = max(maxQueue, p0.Local().QueueLen())
+	})
+	// Cluster 0's backups do not hear its primary's proposals until cluster
+	// 1's certificates for them are in.
+	net.hold(func(from, to types.NodeID, m types.Message) bool {
+		_, share := m.(*GlobalShare)
+		return from == p0.cfg.Self && to != from && !to.IsClient() && net.topo.ClusterOf(to) == 0 && !share
+	})
+	share := &GlobalShare{Cluster: 1, Round: ahead, Cert: cert}
+	net.At(net.Now(), p0.cfg.Self, func() { p0.Receive(p1.cfg.Self, share) })
+	net.RunFor(0)
+	if p0.evidencedRound != ahead {
+		t.Fatalf("setup: evidence of round %d, want %d", p0.evidencedRound, ahead)
+	}
+	if got := p0.assignedRounds(); got != uint64(depth) {
+		t.Errorf("the fill assigned %d rounds past execution, want the pipeline depth %d", got, depth)
+	}
+	net.submit(net.client(1), net.client(3)) // cluster 1 certifies rounds 1 and 2
+	net.RunFor(0)
+	net.release() // cluster 0 commits them last
+	for i := 0; i < 3; i++ {
+		net.RunFor(noopGrace) // cluster 1's clients just executed: one grace
+	}
+
+	if maxQueue > depth {
+		t.Errorf("cluster 0's primary queued up to %d fills in PBFT, want at most the pipeline depth %d", maxQueue, depth)
+	}
+	for _, id := range net.topo.ClusterMembers(0) {
+		if got := net.reps[id].ExecutedRound(); got != ahead {
+			t.Errorf("replica %v executed round %d, want %d", id, got, ahead)
+		}
 	}
 }

@@ -390,16 +390,10 @@ type signedBatch struct {
 	sig []byte
 }
 
-// SubmitBatch admits a locally originated batch, e.g. one assembled by the
-// fabric's batching stage, with the originator's signature over
-// pbft.RequestPayload (nil in cost-modelled deployments). It follows the
-// same admission path as a client request.
-func (r *Replica) SubmitBatch(b types.Batch, sig []byte) { r.submitClient(b, sig) }
-
-// submitClient admits a client batch whose signature PreVerify checked, or
-// one this node originated. The primary feeds PBFT subject to the pipeline
-// bound; backups forward to the primary via PBFT's supervision mechanism
-// (which also arms the anti-censorship timer).
+// submitClient admits a client batch whose signature PreVerify checked. The
+// primary feeds PBFT subject to the pipeline bound; backups forward to the
+// primary via PBFT's supervision mechanism (which also arms the
+// anti-censorship timer).
 func (r *Replica) submitClient(b types.Batch, sig []byte) {
 	if r.IsPrimary() {
 		r.pending = append(r.pending, signedBatch{b, sig})
@@ -446,7 +440,10 @@ func (r *Replica) proposePending() {
 
 // proposeNoOps fills rounds up to target with no-op batches, used when other
 // clusters have advanced to rounds this cluster has no client load for
-// (Section 2.5).
+// (Section 2.5). The fill stops at the pipeline bound feedPrimary applies:
+// evidence of a round far ahead (a Byzantine primary's cluster commits
+// whatever lies inside its PBFT watermarks) must not queue fills in PBFT
+// without bound. tryExecute resumes a fill the bound cut short.
 func (r *Replica) proposeNoOps(target uint64) {
 	// Mid-view-change, SubmitLocal routes to the backup path (supervise and
 	// forward) and assigns no round, so proposing here would spin forever
@@ -455,6 +452,7 @@ func (r *Replica) proposeNoOps(target uint64) {
 	if !r.IsPrimary() || r.local.InViewChange() {
 		return
 	}
+	target = min(target, r.executedRound.Load()+r.pipelineDepth())
 	for r.assignedRounds() < target {
 		before := r.assignedRounds()
 		if len(r.pending) > 0 {
@@ -806,6 +804,11 @@ func (r *Replica) tryExecute() {
 		r.maybeCaptureSnapshot(next)
 		r.gcRemoteState(next)
 		r.feedPrimary()
+		if r.evidencedRound >= next+r.pipelineDepth() {
+			// The last fill stopped at the pipeline bound short of the
+			// evidence; the bound just moved.
+			r.paceNoOps()
+		}
 		r.rearmDetection()
 	}
 }

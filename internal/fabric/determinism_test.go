@@ -47,7 +47,6 @@ func testVerifyPoolDeterminism(t *testing.T) {
 	topo := config.NewTopology(z, n)
 	f := fabric.New(fabric.Config{
 		Topo:          topo,
-		BatchSize:     txnsPerBatch,
 		Records:       256,
 		LocalTimeout:  2 * time.Second,
 		RemoteTimeout: 3 * time.Second,

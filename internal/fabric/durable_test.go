@@ -40,7 +40,6 @@ func wrapStoreFor(t *testing.T, id types.NodeID, wrap func(*disk.Store) ledger.S
 func durableConfig(dir string, tr transport.Transport) Config {
 	return Config{
 		Topo:          config.NewTopology(2, 4),
-		BatchSize:     5,
 		Records:       256,
 		LocalTimeout:  2 * time.Second,
 		RemoteTimeout: 3 * time.Second,

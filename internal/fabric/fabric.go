@@ -2,7 +2,7 @@
 // multi-threaded, pipelined architecture of the paper's Figure 9 built from
 // goroutines and bounded channels. Each replica runs
 //
-//	input → (batching) → worker → output
+//	input → worker → transport
 //
 // stages: a few input goroutines receive messages from the transport, and
 // each runs the node's one admission step on what it receives — the mempool
@@ -14,9 +14,9 @@
 // (local replication, certification, ordering and execution) and runs no
 // check twice (ReceiveVerified). The input goroutines deliver concurrently,
 // so two messages on one link may reach the worker in either order, as on a
-// reordering network. The batching stage (primaries only) groups client
-// transactions into consensus batches, and output goroutines drain the send
-// queue to the transport. Timers are real (time.AfterFunc) and re-enter the
+// reordering network. What the node sends goes straight to the transport,
+// whose Send never blocks; the transport's own per-peer writers are Figure
+// 9's output threads. Timers are real (time.AfterFunc) and re-enter the
 // worker queue, so the protocol cores stay single-threaded and identical to
 // the ones the simulator drives.
 package fabric
@@ -46,16 +46,17 @@ import (
 )
 
 // Config parameterizes a fabric deployment. It is the runtime's input, not a
-// second place to declare deployment knobs: each knob is one
-// config.ClusterSpec key mapped onto one field here (resilientdb.Open does
-// the mapping, emulate_wan becoming Latency). The fields with no spec key
+// second place to declare deployment knobs: each knob the replicas read is
+// one config.ClusterSpec key mapped onto one field here (resilientdb.Open
+// does the mapping, emulate_wan becoming Latency; batch_size, which only the
+// command-line client reads, maps onto none). The fields with no spec key
 // (Records, Mode, OnExecute, Transport, Local) are what tests, the chaos
 // harness and the benchmark set when they build a Config directly.
 type Config struct {
 	// Topo is the clustered deployment shape.
 	Topo config.Topology
-	// BatchSize is the number of client transactions per consensus batch
-	// (0: config.DefaultBatchSize).
+	// BatchSize is ignored: clients send signed batches of their own size.
+	// It is kept because benchmark/workload.go sets it.
 	BatchSize int
 	// Records sizes the YCSB-style table.
 	Records int
@@ -71,8 +72,11 @@ type Config struct {
 	// (core.Config); 0 selects config.DefaultRemoteTimeout.
 	RemoteTimeout time.Duration
 	// Latency, if set, injects one-way delays between nodes (emulating a
-	// geo-distributed deployment in-process). Ignored when Transport is
-	// provided — set the latency on the transport itself instead.
+	// geo-distributed deployment): Open wraps the transport the deployment
+	// runs on, its own Mem or a provided one, in a transport.Faulty that
+	// delays every send by Latency(from, to). Over TCP a delayed frame is
+	// then encoded on the Faulty's timer goroutine, once the delay has
+	// elapsed, not by the caller of Send.
 	Latency func(from, to types.NodeID) time.Duration
 	// Transport carries messages between nodes. Nil selects an in-process
 	// Mem transport (every replica runs in this process); a transport.TCP
@@ -151,9 +155,6 @@ func New(cfg Config) *Fabric {
 // recovers its persisted chain — torn tails truncated, every commit
 // certificate re-verified — before joining the network.
 func Open(cfg Config) (*Fabric, error) {
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = config.DefaultBatchSize
-	}
 	if cfg.Records == 0 {
 		cfg.Records = 1024
 	}
@@ -171,9 +172,12 @@ func Open(cfg Config) (*Fabric, error) {
 	}
 	tr := cfg.Transport
 	if tr == nil {
-		mem := transport.NewMem()
-		mem.Latency = cfg.Latency
-		tr = mem
+		tr = transport.NewMem()
+	}
+	if cfg.Latency != nil {
+		delayed := transport.NewFaulty(tr, 0)
+		delayed.SetDelay(cfg.Latency)
+		tr = delayed
 	}
 	local := cfg.Local
 	if local == nil {
@@ -479,12 +483,12 @@ func (f *Fabric) StartNode(id types.NodeID, keepLedger bool) error {
 
 // Stats returns a snapshot of the deployment's loss counters — transport-
 // level drops (full mailboxes, full send queues, codec failures) plus this
-// process's per-node output-queue drops and verify-stage rejections — and
-// the aggregated mempool admission counters (admitted, duplicate, replayed,
-// rate-limited, evicted), checkpoint/GC counters and round-filling counters
-// (client vs no-op batches executed, no-op pacing) and signature counters
-// (ed25519 operations run, badly signed votes found, shows declined) of every
-// hosted replica. Safe to call while the fabric is running.
+// process's per-node verify rejections — and the aggregated mempool
+// admission counters (admitted, duplicate, replayed, rate-limited, evicted),
+// checkpoint/GC counters and round-filling counters (client vs no-op batches
+// executed, no-op pacing) and signature counters (ed25519 operations run,
+// badly signed votes found, shows declined) of every hosted replica. Safe to
+// call while the fabric is running.
 func (f *Fabric) Stats() metrics.DropStats {
 	st := f.tr.Stats()
 	f.mu.Lock()
@@ -507,10 +511,8 @@ type Node struct {
 	replica *core.Replica
 	env     *nodeEnv
 
-	inbox  <-chan transport.Envelope
-	workQ  chan func()
-	outQ   chan transport.Envelope
-	batchQ chan types.Transaction
+	inbox <-chan transport.Envelope
+	workQ chan func()
 
 	pool  *mempool.Pool
 	drops metrics.Drops
@@ -556,8 +558,6 @@ func newNode(f *Fabric, id types.NodeID) (*Node, error) {
 		id:      id,
 		inbox:   f.tr.Register(id),
 		workQ:   make(chan func(), 8192),
-		outQ:    make(chan transport.Envelope, 8192),
-		batchQ:  make(chan types.Transaction, 65536),
 		archive: arch,
 		quit:    make(chan struct{}),
 	}
@@ -571,9 +571,6 @@ func newNode(f *Fabric, id types.NodeID) (*Node, error) {
 		Records:       f.cfg.Records,
 		LocalTimeout:  f.cfg.LocalTimeout,
 		RemoteTimeout: f.cfg.RemoteTimeout,
-		ClientCluster: func(cl types.NodeID) int {
-			return int(cl-types.ClientIDBase) % f.cfg.Topo.Clusters
-		},
 		// Forged messages the worker's stateful checks reject land in the
 		// same counter as the input stage's rejections: nothing vanishes
 		// uncounted.
@@ -665,60 +662,6 @@ func (n *Node) start(boot func(r *core.Replica)) {
 						return
 					}
 					n.receive(env.From, env.Msg)
-				case <-n.quit:
-					return
-				}
-			}
-		}()
-	}
-
-	// Batching thread (primaries group client transactions into batches).
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		var buf []types.Transaction
-		var seq uint64
-		flush := func() {
-			if len(buf) == 0 {
-				return
-			}
-			seq++
-			b := types.Batch{Client: n.id, Seq: seq, Txns: buf}
-			b.PrimeDigest() // cache before the batch crosses goroutines
-			buf = nil
-			// Sign as this node: when the node is a backup the batch is
-			// forwarded to the primary as a pbft.Request, and the primary's
-			// admission layer verifies the originator's signature like any
-			// client's.
-			sig := n.env.suite.Sign(pbft.RequestPayload(&b))
-			n.post(func() { n.replica.SubmitBatch(b, sig) })
-		}
-		ticker := time.NewTicker(5 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case t := <-n.batchQ:
-				buf = append(buf, t)
-				if len(buf) >= n.fab.cfg.BatchSize {
-					flush()
-				}
-			case <-ticker.C:
-				flush()
-			case <-n.quit:
-				return
-			}
-		}
-	}()
-
-	// Output threads (two, as in Figure 9).
-	for i := 0; i < 2; i++ {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			for {
-				select {
-				case env := <-n.outQ:
-					n.fab.tr.Send(n.id, env.From, env.Msg) // From repurposed as dest
 				case <-n.quit:
 					return
 				}
@@ -856,19 +799,6 @@ func (n *Node) post(fn func()) {
 	}
 }
 
-// SubmitTxns hands raw client transactions to this node's batching stage
-// (application-embedded clients; networked clients go through the
-// transport).
-func (n *Node) SubmitTxns(txns []types.Transaction) {
-	for _, t := range txns {
-		select {
-		case n.batchQ <- t:
-		case <-n.quit:
-			return
-		}
-	}
-}
-
 // nodeEnv adapts the pipeline to proto.Env for the state machine.
 type nodeEnv struct {
 	node  *Node
@@ -883,16 +813,11 @@ func (e *nodeEnv) ID() types.NodeID { return e.node.id }
 // Now implements proto.Env.
 func (e *nodeEnv) Now() time.Duration { return time.Since(e.start) }
 
-// Send implements proto.Env: non-blocking enqueue to the output stage. A
-// full output queue behaves like a dropped datagram — but the drop is
-// counted, so benchmark runs can report loss.
-func (e *nodeEnv) Send(to types.NodeID, m types.Message) {
-	select {
-	case e.node.outQ <- transport.Envelope{From: to, Msg: m}:
-	default:
-		e.node.drops.OutQ.Add(1)
-	}
-}
+// Send implements proto.Env: the worker, the input goroutines (replay
+// re-replies) and the persister (held replies) hand a message straight to
+// the transport, whose Send never blocks — a full mailbox or per-peer queue
+// drops it, counted in the transport's Stats.
+func (e *nodeEnv) Send(to types.NodeID, m types.Message) { e.node.fab.tr.Send(e.node.id, to, m) }
 
 // SetTimer implements proto.Env with a real timer that re-enters the worker
 // queue.

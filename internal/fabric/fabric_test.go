@@ -18,7 +18,6 @@ func startFabric(t *testing.T, z, n int) *fabric.Fabric {
 	t.Helper()
 	return fabric.New(fabric.Config{
 		Topo:          config.NewTopology(z, n),
-		BatchSize:     5,
 		Records:       256,
 		LocalTimeout:  400 * time.Millisecond,
 		RemoteTimeout: 700 * time.Millisecond,
@@ -173,9 +172,8 @@ func TestFabricExecuteHook(t *testing.T) {
 	var mu sync.Mutex
 	executed := make(map[types.NodeID]int)
 	f := fabric.New(fabric.Config{
-		Topo:      config.NewTopology(1, 4),
-		BatchSize: 4,
-		Records:   64,
+		Topo:    config.NewTopology(1, 4),
+		Records: 64,
 		OnExecute: func(replica types.NodeID, _ uint64, _ types.ClusterID, batch types.Batch) {
 			if !batch.NoOp {
 				mu.Lock()
@@ -368,27 +366,6 @@ func TestFabricStartNodeKeepLedger(t *testing.T) {
 	}
 }
 
-func TestFabricBatchingViaSubmitTxns(t *testing.T) {
-	f := startFabric(t, 1, 4)
-	defer f.Stop()
-	topo := config.NewTopology(1, 4)
-	node := f.Node(topo.ReplicaID(0, 0))
-	txns := make([]types.Transaction, 20)
-	for i := range txns {
-		txns[i] = types.Transaction{Key: uint64(i), Value: uint64(i)}
-	}
-	node.SubmitTxns(txns)
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.Replica(topo.ReplicaID(0, 1)).ExecutedTxns() >= 20 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("batching stage did not drive execution: %d txns",
-		f.Replica(topo.ReplicaID(0, 1)).ExecutedTxns())
-}
-
 // TestFabricSnapshotGC runs a disk-backed deployment with aggressive
 // checkpointing (snapshot every 2 rounds, tiny segments) under enough load
 // to cross several checkpoints, then asserts the bounded-history loop end
@@ -402,7 +379,6 @@ func TestFabricSnapshotGC(t *testing.T) {
 	dataDir := t.TempDir()
 	f := fabric.New(fabric.Config{
 		Topo:             topo,
-		BatchSize:        2,
 		Records:          256,
 		LocalTimeout:     400 * time.Millisecond,
 		RemoteTimeout:    700 * time.Millisecond,

@@ -37,7 +37,6 @@ func testRejectsCountedOnce(t *testing.T) {
 	tr := transport.NewMem()
 	f := fabric.New(fabric.Config{
 		Topo:      topo,
-		BatchSize: 2,
 		Records:   64,
 		Transport: tr,
 	})

@@ -48,7 +48,6 @@ func TestRetryStormExactlyOnce(t *testing.T) {
 	execs := make(map[execKey]int)
 	f := fabric.New(fabric.Config{
 		Topo:          config.NewTopology(1, 4),
-		BatchSize:     4,
 		Records:       64,
 		LocalTimeout:  400 * time.Millisecond,
 		RemoteTimeout: 700 * time.Millisecond,
@@ -118,7 +117,6 @@ func TestExecutedRequestReReplies(t *testing.T) {
 	execs := make(map[types.NodeID]int)
 	f := fabric.New(fabric.Config{
 		Topo:      config.NewTopology(1, 4),
-		BatchSize: 4,
 		Records:   64,
 		Transport: tr,
 		OnExecute: func(replica types.NodeID, _ uint64, _ types.ClusterID, batch types.Batch) {

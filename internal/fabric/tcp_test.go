@@ -13,8 +13,8 @@ import (
 
 // TestFabricOverTCP runs a z=2, n=4 deployment where every replica (and the
 // clients) lives on its own TCP transport, so all protocol traffic crosses
-// real loopback sockets through the wire codec, with injected cross-cluster
-// latency. All ledgers must converge to identical verified heads.
+// real loopback sockets through the wire codec, with cross-cluster latency
+// injected through Config.Latency. All ledgers must converge to identical verified heads.
 func TestFabricOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
@@ -45,7 +45,6 @@ func TestFabricOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.Latency = latency
 		mu.Lock()
 		book[id] = tr.Addr()
 		mu.Unlock()
@@ -65,10 +64,10 @@ func TestFabricOverTCP(t *testing.T) {
 	mkCfg := func(tr transport.Transport, local []types.NodeID) fabric.Config {
 		return fabric.Config{
 			Topo:          topo,
-			BatchSize:     5,
 			Records:       256,
 			LocalTimeout:  2 * time.Second,
 			RemoteTimeout: 3 * time.Second,
+			Latency:       latency,
 			Transport:     tr,
 			Local:         local,
 		}

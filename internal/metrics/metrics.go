@@ -23,9 +23,6 @@ type Drops struct {
 	// SendQueue counts frames dropped because a peer connection's outgoing
 	// queue was full (TCP transport).
 	SendQueue atomic.Uint64
-	// OutQ counts messages dropped because a node's output-stage queue was
-	// full (fabric).
-	OutQ atomic.Uint64
 	// Encode counts messages dropped because they could not be wire-encoded.
 	Encode atomic.Uint64
 	// Decode counts frames dropped because they could not be decoded.
@@ -50,7 +47,6 @@ func (d *Drops) Snapshot() DropStats {
 	return DropStats{
 		Mailbox:      d.Mailbox.Load(),
 		SendQueue:    d.SendQueue.Load(),
-		OutQ:         d.OutQ.Load(),
 		Encode:       d.Encode.Load(),
 		Decode:       d.Decode.Load(),
 		NoRoute:      d.NoRoute.Load(),
@@ -66,7 +62,7 @@ func (d *Drops) Snapshot() DropStats {
 type DropStats struct {
 	Mailbox      uint64        `json:"mailbox"`
 	SendQueue    uint64        `json:"send_queue"`
-	OutQ         uint64        `json:"out_queue"`
+	OutQ         uint64        `json:"out_queue"` // always 0 (no output queue); kept because benchmark/layers.go reads it
 	Encode       uint64        `json:"encode"`
 	Decode       uint64        `json:"decode"`
 	NoRoute      uint64        `json:"no_route"`
@@ -82,7 +78,6 @@ type DropStats struct {
 func (s *DropStats) Add(o DropStats) {
 	s.Mailbox += o.Mailbox
 	s.SendQueue += o.SendQueue
-	s.OutQ += o.OutQ
 	s.Encode += o.Encode
 	s.Decode += o.Decode
 	s.NoRoute += o.NoRoute
@@ -97,7 +92,7 @@ func (s *DropStats) Add(o DropStats) {
 // Total returns the sum of all drop classes. Mempool admission outcomes are
 // not drops and are excluded.
 func (s DropStats) Total() uint64 {
-	return s.Mailbox + s.SendQueue + s.OutQ + s.Encode + s.Decode + s.NoRoute + s.VerifyReject + s.AuthReject
+	return s.Mailbox + s.SendQueue + s.Encode + s.Decode + s.NoRoute + s.VerifyReject + s.AuthReject
 }
 
 // MempoolStats counts client-request admission outcomes at one replica's

@@ -20,7 +20,6 @@ func startRPC(t *testing.T) (*fabric.Fabric, config.Topology, *Server, string) {
 	topo := config.NewTopology(1, 4)
 	f := fabric.New(fabric.Config{
 		Topo:          topo,
-		BatchSize:     5,
 		Records:       256,
 		LocalTimeout:  400 * time.Millisecond,
 		RemoteTimeout: 700 * time.Millisecond,

@@ -20,7 +20,8 @@ type Delivery struct {
 // returns the deliveries to perform instead and true to intercept, or false
 // to let the original message through untouched. Returning (nil, true)
 // suppresses the message entirely. The function is called concurrently from
-// every sender's output goroutines and must be safe for concurrent use.
+// every sender's worker, input and persister goroutines and must be safe for
+// concurrent use.
 type InterceptFn func(from, to types.NodeID, msg types.Message) ([]Delivery, bool)
 
 // Tap wraps any Transport with a send-side interception hook: the scripted
@@ -33,7 +34,12 @@ type InterceptFn func(from, to types.NodeID, msg types.Message) ([]Delivery, boo
 // Faults and taps compose outside-in: a Tap wrapping a Faulty rewrites the
 // message first and then subjects each resulting delivery to the injector's
 // drop/delay/partition decisions, exactly as a compromised process's traffic
-// would experience the same network as everyone else's.
+// would experience the same network as everyone else's. The delay a
+// deployment's Latency injects (fabric.Config) is a Faulty the fabric puts
+// outside whatever transport it is given, so an adversary's Tap sits inside
+// that delay: it sees a message once the delay has elapsed, and every
+// delivery it makes of it, one rewritten to another node included, arrives
+// after the delay of the link the message was sent on.
 type Tap struct {
 	inner Transport
 	fn    InterceptFn

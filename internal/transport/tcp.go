@@ -28,10 +28,6 @@ import (
 // node local, and the address book maps every other node to its process's
 // listen address.
 type TCP struct {
-	// Latency, if set, injects a one-way delay before a message is handed
-	// to a local mailbox or the outgoing queue (emulating a geo-distributed
-	// deployment over loopback). It must be set before the first Send.
-	Latency func(from, to types.NodeID) time.Duration
 	// Auth, if set, appends an authentication tag to every outgoing frame
 	// and verifies the tag of every inbound one against the sender identity
 	// the frame claims, closing the connection on a mismatch (counted as an
@@ -56,7 +52,6 @@ type TCP struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup // accept loop, readers, peer writers
-	timers sync.WaitGroup // latency-injection timers
 	drops  metrics.Drops
 }
 
@@ -145,69 +140,33 @@ func (t *TCP) Stats() metrics.DropStats { return t.drops.Snapshot() }
 // remote ones are framed with the wire codec and queued on the connection
 // to their hosting process.
 func (t *TCP) Send(from, to types.NodeID, msg types.Message) {
-	lat := time.Duration(0)
-	if t.Latency != nil {
-		lat = t.Latency(from, to)
-	}
 	t.mu.RLock()
 	if t.closed {
 		t.mu.RUnlock()
 		return
 	}
 	box := t.boxes[to]
-	if lat > 0 {
-		// Add while holding the lock that guards closed: Close sets closed
-		// under the write lock before calling timers.Wait, so the Add is
-		// always ordered before the Wait (racing them panics).
-		t.timers.Add(1)
-	}
 	t.mu.RUnlock()
 	if box != nil {
-		if lat <= 0 {
-			box.put(Envelope{From: from, Msg: msg})
-			return
-		}
-		time.AfterFunc(lat, func() {
-			defer t.timers.Done()
-			box.put(Envelope{From: from, Msg: msg})
-		})
+		box.put(Envelope{From: from, Msg: msg})
 		return
 	}
 	dest := t.addr(to)
 	if dest == "" {
-		if lat > 0 {
-			t.timers.Done()
-		}
 		t.drops.NoRoute.Add(1)
 		return // unknown node: drop, as Mem does
 	}
 	frame, err := t.encodeFrame(from, to, msg)
 	if err != nil {
-		if lat > 0 {
-			t.timers.Done()
-		}
 		t.drops.Encode.Add(1)
 		t.logf("transport: dropping %s to %v: %v", msg.MsgType(), to, err)
 		return
 	}
-	if lat <= 0 {
-		if peer := t.peerFor(dest); peer != nil {
-			peer.enqueue(frame)
-		} else {
-			frame.Release()
-		}
-		return
+	if peer := t.peerFor(dest); peer != nil {
+		peer.enqueue(frame)
+	} else {
+		frame.Release()
 	}
-	time.AfterFunc(lat, func() {
-		defer t.timers.Done()
-		// peerFor re-checks closed, so a timer firing during shutdown is a
-		// clean drop.
-		if peer := t.peerFor(dest); peer != nil {
-			peer.enqueue(frame)
-		} else {
-			frame.Release()
-		}
-	})
 }
 
 // encodeFrame builds one wire frame: 4-byte big-endian payload length, then
@@ -288,7 +247,6 @@ func (t *TCP) Close() {
 	for _, p := range peers {
 		p.closeConn() // unblocks a writer stuck mid-write
 	}
-	t.timers.Wait()
 	t.wg.Wait()
 	for _, box := range boxes {
 		box.close()

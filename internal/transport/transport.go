@@ -1,7 +1,6 @@
 // Package transport provides the message transports used by the real-time
 // ResilientDB fabric (package fabric): an in-process transport connecting
-// node mailboxes with optional injected one-way latency, and a real TCP
-// transport with a length-prefixed wire format so a deployment can span
+// node mailboxes, and a real TCP transport with a length-prefixed wire format so a deployment can span
 // separate OS processes and machines. Both share UDP-like semantics: sends
 // never block, and a full mailbox or disconnected peer drops the message
 // (consensus protocols tolerate loss; timers recover).
@@ -9,7 +8,6 @@ package transport
 
 import (
 	"sync"
-	"time"
 
 	"resilientdb/internal/metrics"
 	"resilientdb/internal/types"
@@ -17,8 +15,7 @@ import (
 
 // Envelope is a routed message.
 type Envelope struct {
-	// From is the sending node (the fabric's output stage repurposes it as
-	// the destination while an envelope sits in a send queue).
+	// From is the sending node.
 	From types.NodeID
 	// Msg is the message itself.
 	Msg types.Message
@@ -104,17 +101,12 @@ func (b *mailbox) close() {
 	}
 }
 
-// Mem is an in-memory transport. Latency, if set, returns the injected
-// one-way delay between two nodes (for example from the Table 1 profile).
+// Mem is an in-memory transport: a send puts the message straight into the
+// destination's mailbox (wrap it in a Faulty to inject one-way delay).
 type Mem struct {
-	// Latency injects a one-way delay per (from, to) pair; nil delivers
-	// immediately. Set it before the first Send.
-	Latency func(from, to types.NodeID) time.Duration
-
 	mu     sync.RWMutex
 	boxes  map[types.NodeID]*mailbox
 	closed bool
-	wg     sync.WaitGroup
 	drops  metrics.Drops
 }
 
@@ -153,34 +145,17 @@ func (m *Mem) Stats() metrics.DropStats { return m.drops.Snapshot() }
 // message is dropped, which keeps the pipeline non-blocking like a
 // UDP-style transport.
 func (m *Mem) Send(from, to types.NodeID, msg types.Message) {
-	lat := time.Duration(0)
-	if m.Latency != nil {
-		lat = m.Latency(from, to)
-	}
 	m.mu.RLock()
 	box := m.boxes[to]
-	if box == nil || m.closed {
-		if box == nil && !m.closed {
+	closed := m.closed
+	m.mu.RUnlock()
+	if box == nil {
+		if !closed {
 			m.drops.NoRoute.Add(1)
 		}
-		m.mu.RUnlock()
 		return
 	}
-	if lat > 0 {
-		// Add while holding the lock that guards closed: Close sets closed
-		// under the write lock before calling wg.Wait, so the Add is always
-		// ordered before the Wait (racing them panics).
-		m.wg.Add(1)
-	}
-	m.mu.RUnlock()
-	if lat <= 0 {
-		box.put(Envelope{From: from, Msg: msg})
-		return
-	}
-	time.AfterFunc(lat, func() {
-		defer m.wg.Done()
-		box.put(Envelope{From: from, Msg: msg})
-	})
+	box.put(Envelope{From: from, Msg: msg})
 }
 
 // Close implements Transport.
@@ -194,7 +169,6 @@ func (m *Mem) Close() {
 	boxes := m.boxes
 	m.boxes = map[types.NodeID]*mailbox{}
 	m.mu.Unlock()
-	m.wg.Wait()
 	for _, box := range boxes {
 		box.close()
 	}

@@ -17,7 +17,8 @@ func (*msg) WireSize() int   { return 8 }
 
 // conformance runs the Transport contract against one implementation. Both
 // Mem and TCP must pass it unchanged: register/send/close semantics,
-// latency injection, and drop-on-full are part of the interface.
+// drop-on-full, and delay injection by a Faulty composed over the
+// implementation are part of the interface.
 func conformance(t *testing.T, name string, mk func(t *testing.T) Transport) {
 	t.Run(name+"/Delivery", func(t *testing.T) {
 		tr := mk(t)
@@ -44,8 +45,14 @@ func conformance(t *testing.T, name string, mk func(t *testing.T) Transport) {
 
 	t.Run(name+"/InjectedLatency", func(t *testing.T) {
 		tr := mk(t)
+		delay := func(from, to types.NodeID) time.Duration { return 50 * time.Millisecond }
+		if !setLatency(tr, delay) {
+			// Only a Faulty injects delay: compose one over the transport.
+			f := NewFaulty(tr, 1)
+			f.SetDelay(delay)
+			tr = f
+		}
 		defer tr.Close()
-		setLatency(tr, func(from, to types.NodeID) time.Duration { return 50 * time.Millisecond })
 		a := tr.Register(1)
 		tr.Register(2)
 		start := time.Now()
@@ -172,17 +179,17 @@ func conformance(t *testing.T, name string, mk func(t *testing.T) Transport) {
 	})
 }
 
-func setLatency(tr Transport, fn func(from, to types.NodeID) time.Duration) {
+// setLatency installs fn as the one-way delay of the Faulty in tr, if tr is
+// one or a Tap over one, and reports whether it found one.
+func setLatency(tr Transport, fn func(from, to types.NodeID) time.Duration) bool {
 	switch impl := tr.(type) {
-	case *Mem:
-		impl.Latency = fn
-	case *TCP:
-		impl.Latency = fn
 	case *Tap:
-		setLatency(impl.inner, fn)
+		return setLatency(impl.inner, fn)
 	case *Faulty:
 		impl.SetDelay(fn)
+		return true
 	}
+	return false
 }
 
 func TestConformance(t *testing.T) {
@@ -197,6 +204,13 @@ func TestConformance(t *testing.T) {
 	// A fault injector with no faults configured must be a transparent
 	// Transport: the whole contract holds through the wrapper.
 	conformance(t, "FaultyMem", func(t *testing.T) Transport { return NewFaulty(NewMem(), 42) })
+	conformance(t, "FaultyTCP", func(t *testing.T) Transport {
+		tr, err := NewTCP("127.0.0.1:0", func(types.NodeID) string { return "" })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewFaulty(tr, 42)
+	})
 }
 
 // newTCPPair builds two TCP transports whose address books point node 1 at

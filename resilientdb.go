@@ -154,7 +154,6 @@ func OpenRole(o Options, r Role) (*DB, error) {
 		// derived from the same deterministic provisioning as the signing
 		// keys, so every process of the deployment agrees.
 		tcp.Auth = crypto.NewFrameMAC(cfg.Mode)
-		tcp.Latency, cfg.Latency = cfg.Latency, nil
 		cfg.Transport, cfg.Local = tcp, local
 		db.tcp, rpcListen = tcp, rpcAddr
 	}
@@ -192,7 +191,6 @@ func fabricConfig(o *Options) fabric.Config {
 	topo := o.Topology()
 	cfg := fabric.Config{
 		Topo:             topo,
-		BatchSize:        o.BatchSize,
 		LocalTimeout:     o.LocalTimeout.Std(),
 		RemoteTimeout:    o.RemoteTimeout.Std(),
 		DataDir:          o.Retention.DataDir,
@@ -273,11 +271,8 @@ func attachAdversary(cfg *fabric.Config, name string) error {
 	inner := cfg.Transport
 	if inner == nil {
 		// The fabric would build its own Mem transport; build it here instead
-		// so the tap can wrap it (carrying over any injected latency).
-		mem := transport.NewMem()
-		mem.Latency = cfg.Latency
-		cfg.Latency = nil
-		inner = mem
+		// so the tap can wrap it.
+		inner = transport.NewMem()
 	}
 	cfg.Transport = transport.NewTap(inner, fleet.Intercept)
 	return nil

@@ -23,7 +23,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	db, err := resilientdb.Open(resilientdb.Options{
 		Clusters:           2,
 		ReplicasPerCluster: 4,
-		BatchSize:          4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,8 +39,9 @@ func fullSpec(t *testing.T) *Options {
 
 // TestEverySpecKeyReachesTheRuntime sets every spec key to a non-default
 // value and checks that it arrives where the runtime reads it: a
-// fabric.Config field (mempool.Config included), or the address a joining
-// process listens at or dials. Every key must have a row, so a key that is
+// fabric.Config field (mempool.Config included), the address a joining
+// process listens at or dials, or the batch size the command-line client
+// submits. Every key must have a row, so a key that is
 // parsed but not wired fails here, and every row's check must fail on a
 // spec that leaves its key out.
 func TestEverySpecKeyReachesTheRuntime(t *testing.T) {
@@ -54,7 +55,7 @@ func TestEverySpecKeyReachesTheRuntime(t *testing.T) {
 	rows := map[string]func(o *Options, cfg fabric.Config) bool{
 		"clusters":             func(_ *Options, cfg fabric.Config) bool { return cfg.Topo.Clusters == 2 },
 		"replicas_per_cluster": func(_ *Options, cfg fabric.Config) bool { return cfg.Topo.PerCluster == 5 },
-		"batch_size":           func(_ *Options, cfg fabric.Config) bool { return cfg.BatchSize == 7 },
+		"batch_size":           func(o *Options, _ fabric.Config) bool { return o.ClientBatchSize() == 7 },
 		"local_timeout":        func(_ *Options, cfg fabric.Config) bool { return cfg.LocalTimeout == 1500*time.Millisecond },
 		"remote_timeout":       func(_ *Options, cfg fabric.Config) bool { return cfg.RemoteTimeout == 2500*time.Millisecond },
 		"emulate_wan": func(_ *Options, cfg fabric.Config) bool {
