@@ -1,7 +1,9 @@
 // Command docscheck is the documentation gate run by `make docs-check` and
 // CI: it fails when an exported identifier in the given package directories
 // lacks a doc comment, so `go doc` output stays a usable reference instead
-// of rotting one undocumented export at a time.
+// of rotting one undocumented export at a time, and when a Markdown heading
+// in one of those directories names a PR: documents are organised by how
+// the system works, not by when a part of it landed.
 //
 //	go run ./cmd/docscheck ./internal/ledger ./internal/ledger/disk .
 //
@@ -18,6 +20,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -40,13 +43,14 @@ func main() {
 		}
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d exported identifier(s) lack doc comments\n", bad)
+		fmt.Fprintf(os.Stderr, "docscheck: %d undocumented export(s) or PR-named heading(s)\n", bad)
 		os.Exit(1)
 	}
 }
 
 // checkDir parses one package directory (tests excluded) and returns a
-// "file:line: identifier" line for every undocumented export.
+// "file:line: identifier" line for every undocumented export, followed by
+// checkHeadings' lines for the directory's Markdown files.
 func checkDir(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -72,8 +76,7 @@ func checkDir(dir string) ([]string, error) {
 		}
 		if !hasPkgDoc {
 			// Attribute the missing package comment to any one file.
-			for name, f := range pkg.Files {
-				_ = name
+			for _, f := range pkg.Files {
 				report(f.Package, "package "+pkg.Name+" has no package comment")
 				break
 			}
@@ -84,7 +87,32 @@ func checkDir(dir string) ([]string, error) {
 			}
 		}
 	}
-	return missing, nil
+	headings, err := checkHeadings(dir)
+	return append(missing, headings...), err
+}
+
+// prHeading matches a Markdown heading that names a PR ("## Foo (PR 3)").
+var prHeading = regexp.MustCompile(`^#{1,6}\s.*\bPRs?\s*#?\d`)
+
+// checkHeadings returns a "file:line: heading" line for every heading of
+// dir's Markdown files that names a PR; fenced code blocks are skipped.
+func checkHeadings(dir string) ([]string, error) {
+	var bad []string
+	files, _ := filepath.Glob(filepath.Join(dir, "*.md")) // the pattern is well formed
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			return nil, err
+		}
+		fenced := false
+		for i, line := range strings.Split(string(raw), "\n") {
+			fenced = fenced != strings.HasPrefix(line, "```")
+			if !fenced && prHeading.MatchString(line) {
+				bad = append(bad, fmt.Sprintf("%s:%d: heading names a PR: %s", filepath.ToSlash(name), i+1, line))
+			}
+		}
+	}
+	return bad, nil
 }
 
 // checkDecl reports undocumented exports in one top-level declaration.

@@ -171,6 +171,20 @@ func runReplica(out io.Writer, db *resilientdb.DB, id int, serve time.Duration) 
 // runClient submits batches to the client's home cluster and reports how
 // many committed.
 func runClient(out io.Writer, db *resilientdb.DB, idx, batches, batchSize int) error {
+	start := time.Now()
+	ok := submitAll(out, db, idx, batches, batchSize)
+	fmt.Fprintf(out, "client %d: committed %d/%d batches in %v\n",
+		idx, ok, batches, time.Since(start).Round(time.Millisecond))
+	if ok < batches {
+		return fmt.Errorf("client %d: only %d/%d batches committed", idx, ok, batches)
+	}
+	return nil
+}
+
+// submitAll submits batches batches of batchSize transactions as client idx,
+// one at a time, and returns how many committed. It reports the first
+// commit on out.
+func submitAll(out io.Writer, db *resilientdb.DB, idx, batches, batchSize int) int {
 	client := db.Client(idx)
 	defer client.Close()
 	start := time.Now()
@@ -184,15 +198,12 @@ func runClient(out io.Writer, db *resilientdb.DB, idx, batches, batchSize int) e
 			}
 		}
 		if err := client.Submit(txns, 30*time.Second); err == nil {
-			ok++
+			if ok++; ok == 1 {
+				fmt.Fprintf(out, "client %d: first commit after %v\n", idx, time.Since(start).Round(time.Millisecond))
+			}
 		}
 	}
-	fmt.Fprintf(out, "client %d: committed %d/%d batches in %v\n",
-		idx, ok, batches, time.Since(start).Round(time.Millisecond))
-	if ok < batches {
-		return fmt.Errorf("client %d: only %d/%d batches committed", idx, ok, batches)
-	}
-	return nil
+	return ok
 }
 
 // runInProcess is the single-process demo over an open deployment. With an
@@ -209,22 +220,7 @@ func runInProcess(out io.Writer, db *resilientdb.DB, wan bool, batches, batchSiz
 
 	done := make(chan int, z)
 	for c := 0; c < z; c++ {
-		c := c
-		go func() {
-			client := db.Client(c)
-			defer client.Close()
-			ok := 0
-			for i := 0; i < batches; i++ {
-				txns := make([]resilientdb.Transaction, batchSize)
-				for j := range txns {
-					txns[j] = resilientdb.Transaction{Key: uint64(c*1_000_000 + i*batchSize + j), Value: uint64(i)}
-				}
-				if err := client.Submit(txns, 30*time.Second); err == nil {
-					ok++
-				}
-			}
-			done <- ok
-		}()
+		go func(c int) { done <- submitAll(io.Discard, db, c, batches, batchSize) }(c)
 	}
 
 	if crash {

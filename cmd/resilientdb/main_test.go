@@ -59,7 +59,26 @@ func reserveAddrs(t *testing.T, n int) []string {
 
 type proc struct {
 	cmd *exec.Cmd
-	out *bytes.Buffer
+	out *syncBuffer
+}
+
+// syncBuffer holds a process's output; the test may read it while the
+// process still writes.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func startProc(t *testing.T, args ...string) *proc {
@@ -68,7 +87,7 @@ func startProc(t *testing.T, args ...string) *proc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &proc{cmd: exec.Command(exe, args...), out: &bytes.Buffer{}}
+	p := &proc{cmd: exec.Command(exe, args...), out: &syncBuffer{}}
 	p.cmd.Env = append(os.Environ(), "RESDB_ROLE=proc")
 	p.cmd.Stdout = p.out
 	p.cmd.Stderr = p.out
@@ -93,6 +112,16 @@ func waitProc(t *testing.T, p *proc, what string, timeout time.Duration) {
 		p.cmd.Process.Kill()
 		<-done
 		t.Fatalf("%s did not finish within %v\noutput:\n%s", what, timeout, p.out.String())
+	}
+}
+
+// waitOutput waits until a running process has printed want.
+func waitOutput(t *testing.T, p *proc, want string, timeout time.Duration) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); !strings.Contains(p.out.String(), want); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %q within %v\noutput:\n%s", want, timeout, p.out.String())
+		}
 	}
 }
 
@@ -329,14 +358,24 @@ func TestPrimaryKillAndRejoin(t *testing.T) {
 		}
 	}()
 
-	// Load the cluster, then kill the primary mid-run. Commits can only
-	// resume after the remaining replicas complete a view change, so the
-	// client finishing all its batches IS the liveness assertion.
-	client0 := client(0, 40)
-	time.Sleep(800 * time.Millisecond)
+	// Load the cluster and kill the primary once the client has committed
+	// its first batch, so the kill lands mid-load. Commits can only resume
+	// after the remaining replicas complete a view change, so the client
+	// finishing all its batches IS the liveness assertion. Its replies then
+	// name the new primary, and the remaining batches go straight to it: a
+	// client that kept sending to the dead one would wait a retry interval
+	// (1 s or more) for each of them, far past the bound.
+	const batches = 200
+	client0 := client(0, batches)
+	waitOutput(t, client0, "client 0: first commit", 60*time.Second)
 	replicas[0].cmd.Process.Kill()
 	replicas[0].cmd.Wait()
-	waitProc(t, client0, "client 0 (across primary kill)", 180*time.Second)
+	killed := time.Now()
+	if strings.Contains(client0.out.String(), "committed") {
+		t.Fatalf("client 0 finished before the primary was killed:\n%s", client0.out.String())
+	}
+	waitProc(t, client0, "client 0 (across primary kill)", 30*time.Second)
+	t.Logf("client 0 finished %v after the kill", time.Since(killed).Round(time.Millisecond))
 
 	// Rejoin: same binary, same command line, fresh process. All it has is its
 	// data directory — the SIGKILLed process took its memory with it — so
@@ -370,9 +409,9 @@ func TestPrimaryKillAndRejoin(t *testing.T) {
 				i, heights[i], heads[i], heights[0], heads[0])
 		}
 	}
-	// 48 client batches committed; every one is its own consensus round.
-	if heights[0] < 48 {
-		t.Errorf("ledger height %d < 48 committed batches", heights[0])
+	// Every client batch committed is its own consensus round.
+	if heights[0] < batches+8 {
+		t.Errorf("ledger height %d < %d committed batches", heights[0], batches+8)
 	}
 
 	// Durability proof: relaunch replica 0 alone, every peer down. It has

@@ -46,10 +46,11 @@ func main() {
 	fmt.Println("\nphase 2: crashing the primary of cluster 0 (replica r0)")
 	db.CrashReplica(0, 0)
 
-	// The client keeps submitting; its retries broadcast to the whole local
-	// cluster, the backups detect the silence, and cluster 1's remote
-	// view-change pressure guarantees a new primary even if cluster 0's own
-	// timers were somehow suppressed.
+	// The client keeps submitting. Its first batch goes to the dead primary;
+	// the retry broadcasts it to the whole local cluster, the backups detect
+	// the silence, and cluster 1's remote view-change pressure guarantees a
+	// new primary even if cluster 0's own timers were somehow suppressed.
+	// The replies name the new view, so later batches go to the new primary.
 	start := time.Now()
 	submit("post-crash", 100, 5)
 	fmt.Printf("recovered and committed under a new primary in %v\n",

@@ -179,9 +179,6 @@ type Adversary struct {
 // ID returns the compromised replica's identifier.
 func (a *Adversary) ID() types.NodeID { return a.id }
 
-// Topo returns the deployment topology the adversary operates in.
-func (a *Adversary) Topo() config.Topology { return a.topo }
-
 // Cluster returns the compromised replica's cluster.
 func (a *Adversary) Cluster() types.ClusterID { return a.topo.ClusterOf(a.id) }
 
@@ -200,9 +197,6 @@ func (a *Adversary) Arm() { a.armed.Store(true) }
 
 // Disarm deactivates the script.
 func (a *Adversary) Disarm() { a.armed.Store(false) }
-
-// Armed reports whether the script is active.
-func (a *Adversary) Armed() bool { return a.armed.Load() }
 
 // Rewrite offers one outbound message to the script (the per-adversary leg
 // of Fleet.Intercept). Disarmed adversaries pass everything through.

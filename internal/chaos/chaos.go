@@ -431,51 +431,44 @@ func (e *Env) MaxHeight() uint64 {
 	return max
 }
 
-// WaitHeight polls until the replica's ledger reaches target blocks.
-func (e *Env) WaitHeight(cluster, idx int, target uint64, timeout time.Duration) error {
+// waitFor calls check every period until it returns nil, or returns its
+// last error once timeout has elapsed.
+func waitFor(timeout, period time.Duration, check func() error) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if h := e.Height(cluster, idx); h >= target {
-			return nil
+		err := check()
+		if err == nil || time.Now().After(deadline) {
+			return err
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: replica (%d,%d) stuck at height %d, want ≥ %d",
-				cluster, idx, e.Height(cluster, idx), target)
-		}
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(period)
 	}
+}
+
+// WaitHeight polls until the replica's ledger reaches target blocks.
+func (e *Env) WaitHeight(cluster, idx int, target uint64, timeout time.Duration) error {
+	return waitFor(timeout, 25*time.Millisecond, func() error {
+		if h := e.Height(cluster, idx); h < target {
+			return fmt.Errorf("chaos: replica (%d,%d) stuck at height %d, want ≥ %d", cluster, idx, h, target)
+		}
+		return nil
+	})
 }
 
 // WaitCommitted polls until the loader has committed at least target batches.
 func (e *Env) WaitCommitted(l *Loader, target uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if l.Committed() >= target {
-			return nil
+	return waitFor(timeout, 25*time.Millisecond, func() error {
+		if n := l.Committed(); n < target {
+			return fmt.Errorf("chaos: load stuck at %d committed batches, want ≥ %d", n, target)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: load stuck at %d committed batches, want ≥ %d", l.Committed(), target)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+		return nil
+	})
 }
 
 // WaitConverged polls until every live honest replica reports the same
 // non-zero ledger height and head, then verifies every chain. This is the
 // combined safety+liveness postcondition of each scenario.
 func (e *Env) WaitConverged(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var last error
-	for {
-		last = e.converged()
-		if last == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return last
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	return waitFor(timeout, 50*time.Millisecond, e.converged)
 }
 
 // WaitQuiet polls until the deployment is converged and has stayed at the
@@ -484,24 +477,20 @@ func (e *Env) WaitConverged(timeout time.Duration) error {
 // within a few milliseconds, and executing it moves every ledger). Scenarios
 // use it before a fault that must not coincide with a decision being made.
 func (e *Env) WaitQuiet(quiet, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
 	var height uint64
 	var since time.Time
-	for {
+	return waitFor(timeout, 25*time.Millisecond, func() error {
 		err := e.converged()
 		if h := e.MaxHeight(); err != nil || h != height {
 			height, since = h, time.Now()
 		} else if time.Since(since) >= quiet {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			if err == nil {
-				err = fmt.Errorf("chaos: height still moving at %d", height)
-			}
-			return err
+		if err == nil {
+			err = fmt.Errorf("chaos: height still moving at %d", height)
 		}
-		time.Sleep(25 * time.Millisecond)
-	}
+		return err
+	})
 }
 
 func (e *Env) converged() error {
@@ -604,37 +593,25 @@ func (e *Env) StopAll() {
 // stopped, tolerating per-batch timeouts (faults are expected to fail some
 // submissions; the stream continues so liveness is observable).
 type Loader struct {
-	client    int
 	cl        *fabric.Client
 	committed atomic.Uint64
-	quit      chan struct{}
+	stopped   atomic.Bool
 	done      chan struct{}
-	stopOnce  sync.Once
 }
 
 // StartLoad opens client index i (home cluster i mod z) and starts its
 // submission loop.
 func (e *Env) StartLoad(client int) *Loader {
-	l := &Loader{
-		client: client,
-		cl:     e.Fab.NewClient(client),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	l := &Loader{cl: e.Fab.NewClient(client), done: make(chan struct{})}
 	e.mu.Lock()
 	e.loaders = append(e.loaders, l)
 	e.mu.Unlock()
 	go func() {
 		defer close(l.done)
-		for k := 0; ; k++ {
-			select {
-			case <-l.quit:
-				return
-			default:
-			}
+		for k := 0; !l.stopped.Load(); k++ {
 			txns := []types.Transaction{
-				{Key: uint64(l.client)<<32 | uint64(2*k), Value: uint64(k)},
-				{Key: uint64(l.client)<<32 | uint64(2*k+1), Value: uint64(k)},
+				{Key: uint64(client)<<32 | uint64(2*k), Value: uint64(k)},
+				{Key: uint64(client)<<32 | uint64(2*k+1), Value: uint64(k)},
 			}
 			if err := l.cl.Submit(txns, 8*time.Second); err == nil {
 				l.committed.Add(1)
@@ -650,10 +627,8 @@ func (l *Loader) Committed() uint64 { return l.committed.Load() }
 // Stop halts the loader, unblocking any in-flight submission, and returns
 // the number of committed batches. Idempotent.
 func (l *Loader) Stop() uint64 {
-	l.stopOnce.Do(func() {
-		close(l.quit)
-		l.cl.Close() // idempotent; unblocks a Submit in flight
-		<-l.done
-	})
+	l.stopped.Store(true)
+	l.cl.Close() // idempotent; unblocks a Submit in flight
+	<-l.done
 	return l.committed.Load()
 }

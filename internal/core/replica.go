@@ -140,7 +140,10 @@ type Replica struct {
 	// worker goroutine is the only writer, but monitoring code reads it while
 	// the fabric is running (like execTxns).
 	executedRound atomic.Uint64
-	localUpTo     uint64 // local PBFT rounds committed (own cluster)
+	// localView mirrors local.View() for the input goroutines' replay
+	// re-replies (set in onLocalViewChange; atomic like executedRound).
+	localView atomic.Uint64
+	localUpTo uint64 // local PBFT rounds committed (own cluster)
 
 	// ledger catch-up (see catchup.go)
 	catchupTimer   proto.Timer
@@ -342,6 +345,10 @@ func (r *Replica) Local() *pbft.Replica { return r.local }
 // ExecutedRound returns the last fully executed global round. It is safe to
 // call while the replica is running.
 func (r *Replica) ExecutedRound() uint64 { return r.executedRound.Load() }
+
+// LocalView returns the installed view of the replica's own cluster. It is
+// safe to call while the replica is running.
+func (r *Replica) LocalView() uint64 { return r.localView.Load() }
 
 // ExecutedTxns returns the number of transactions executed. It is safe to
 // call while the replica is running.
@@ -790,6 +797,7 @@ func (r *Replica) tryExecute() {
 					Client:    batch.Client,
 					ClientSeq: batch.Seq,
 					Replica:   r.cfg.Self,
+					View:      r.local.View(),
 					TxnCount:  batch.Len(),
 					Result:    cert.Digest,
 				}
@@ -1049,6 +1057,7 @@ func (r *Replica) onRvc(m *Rvc) {
 // needs to send requests").
 func (r *Replica) onLocalViewChange(view uint64, primary types.NodeID) {
 	r.lastInstalled = r.env.Now()
+	r.localView.Store(view)
 	if primary != r.cfg.Self {
 		return
 	}

@@ -555,10 +555,6 @@ func (r *Replica) noteSnapReject() {
 	r.noteReject()
 }
 
-// SnapshotRound returns the round of the replica's current serving snapshot
-// (0 when none). Safe to call while the replica is running.
-func (r *Replica) SnapshotRound() uint64 { return r.snapRound.Load() }
-
 // SnapshotsWritten returns how many checkpoints this replica captured and
 // published itself. Safe to call while the replica is running.
 func (r *Replica) SnapshotsWritten() uint64 { return r.snapsWritten.Load() }

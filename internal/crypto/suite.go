@@ -53,9 +53,6 @@ func NewDirectory(mode Mode, nodes []types.NodeID) *Directory {
 	return d
 }
 
-// Mode returns the directory's operating mode.
-func (d *Directory) Mode() Mode { return d.mode }
-
 // pairKey derives the symmetric AES-128 key shared by nodes a and b.
 func pairKey(a, b types.NodeID) []byte {
 	if a > b {
@@ -206,6 +203,3 @@ func (s *Suite) ChargeVerifyMAC() { s.bill(s.costs.VerifyMAC) }
 
 // ChargeExec charges the cost of applying n transactions to the store.
 func (s *Suite) ChargeExec(n int) { s.bill(s.costs.ExecTxn * time.Duration(n)) }
-
-// Costs exposes the suite's cost model.
-func (s *Suite) Costs() Costs { return s.costs }

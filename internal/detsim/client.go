@@ -14,17 +14,10 @@ import (
 // behaviour).
 const Records = 10_000
 
-// clientRetry is how long a batch may go unanswered before the client
-// rebroadcasts it to the whole group.
-const clientRetry = 1500 * time.Millisecond
-
 // Client is the closed-loop load generator of every simulated deployment,
-// GeoBFT or PBFT. It keeps Window signed YCSB batches outstanding, submits
-// each to Group[0] (the primary it expects), and completes a batch once f+1
-// members of Group — f = (len(Group)−1)/3 — replied to it; replies from
-// outside Group are ignored. A batch unanswered for 1.5 s is rebroadcast to
-// the whole Group, and so is every later submission (the configured target
-// may be a crashed primary; the replicas route to whoever leads now).
+// GeoBFT or PBFT. It keeps Window signed YCSB batches outstanding; sending
+// them, counting the f+1 replies that complete one, following the leader
+// and retrying are proto.Client's, over the replicas of Group.
 type Client struct {
 	// Group is the replica group the client submits to: a GeoBFT client's
 	// own cluster, or the whole PBFT group.
@@ -43,30 +36,18 @@ type Client struct {
 	// submitted and how many transactions it carried.
 	OnComplete func(now, submitted time.Duration, txns int)
 
-	env       proto.Env
-	wl        *ycsb.Workload
-	members   map[types.NodeID]bool
-	nextSeq   uint64
-	pending   map[uint64]*pendingEntry
-	broadcast bool // after a timeout: submit to the whole group
-	done      int
-}
-
-type pendingEntry struct {
-	req       *pbft.Request
-	submitted time.Duration
-	acks      map[types.NodeID]bool
+	env     proto.Env
+	wl      *ycsb.Workload
+	core    *proto.Client
+	nextSeq uint64
+	done    int
 }
 
 // InitEnv implements Handler: it fills the window.
 func (c *Client) InitEnv(env proto.Env) {
 	c.env = env
 	c.wl = ycsb.NewWorkload(Records, ycsb.DefaultTheta, int64(env.ID())*7919)
-	c.pending = make(map[uint64]*pendingEntry)
-	c.members = make(map[types.NodeID]bool, len(c.Group))
-	for _, m := range c.Group {
-		c.members[m] = true
-	}
+	c.core = proto.NewClient(env, c.Group)
 	for i := 0; i < c.Window && (c.Total == 0 || int(c.nextSeq) < c.Total); i++ {
 		c.Submit()
 	}
@@ -82,53 +63,22 @@ func (c *Client) Completed() int { return c.done }
 // client's own context: from its handlers, or through Network.At.
 func (c *Client) Submit() {
 	c.nextSeq++
-	seq := c.nextSeq
-	b := c.wl.MakeBatch(c.env.ID(), seq, c.BatchSize)
+	b := c.wl.MakeBatch(c.env.ID(), c.nextSeq, c.BatchSize)
 	req := &pbft.Request{Batch: b, Sig: c.env.Suite().Sign(pbft.RequestPayload(&b))}
-	c.pending[seq] = &pendingEntry{
-		req: req, submitted: c.env.Now(), acks: make(map[types.NodeID]bool),
-	}
-	if c.broadcast {
-		proto.Multicast(c.env, c.Group, req)
-	} else {
-		c.env.Send(c.Group[0], req)
-	}
-	c.armRetry(seq)
+	submitted := c.env.Now()
+	c.core.Submit(c.nextSeq, req, func() { c.complete(submitted, b.Len()) })
 }
 
-func (c *Client) armRetry(seq uint64) {
-	c.env.SetTimer(clientRetry, func() {
-		p := c.pending[seq]
-		if p == nil {
-			return
-		}
-		c.broadcast = true
-		proto.Multicast(c.env, c.Group, p.req)
-		c.armRetry(seq)
-	})
-}
+// Receive implements Handler.
+func (c *Client) Receive(from types.NodeID, msg types.Message) { c.core.Receive(from, msg) }
 
-// Receive implements Handler: it counts replies and refills the window.
-func (c *Client) Receive(from types.NodeID, msg types.Message) {
-	rep, ok := msg.(*proto.Reply)
-	if !ok {
-		return
-	}
-	p := c.pending[rep.ClientSeq]
-	if p == nil || p.acks[from] || !c.members[from] {
-		return
-	}
-	c.env.Suite().ChargeVerifyMAC()
-	p.acks[from] = true
-	if len(p.acks) <= (len(c.Group)-1)/3 { // f+1 replies complete it
-		return
-	}
-	delete(c.pending, rep.ClientSeq)
+// complete records a completed batch and refills the window.
+func (c *Client) complete(submitted time.Duration, txns int) {
 	c.done++
 	if c.OnComplete != nil {
-		c.OnComplete(c.env.Now(), p.submitted, p.req.Batch.Len())
+		c.OnComplete(c.env.Now(), submitted, txns)
 	}
-	if len(c.pending) >= c.Window || (c.Total > 0 && int(c.nextSeq) >= c.Total) {
+	if int(c.nextSeq)-c.done >= c.Window || (c.Total > 0 && int(c.nextSeq) >= c.Total) {
 		return
 	}
 	if c.Think == 0 {

@@ -7,37 +7,27 @@ import (
 	"time"
 
 	"resilientdb/internal/config"
-	"resilientdb/internal/crypto"
 	"resilientdb/internal/pbft"
 	"resilientdb/internal/proto"
-	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
 
 // Client is a networked fabric client: it submits transaction batches to
-// its local cluster and waits for f+1 matching replies, exactly like the
+// its local cluster and waits for replies from f+1 of its members, like the
 // paper's clients (Section 2.4). Every request is signed with the client's
-// provisioned key; replicas verify the signature before admission.
+// provisioned key; replicas verify the signature before admission. Whom a
+// batch goes to, when it is retried and when it is complete are the rules
+// of proto.Client, which runs under the client's mutex.
 type Client struct {
-	fab     *Fabric
-	id      types.NodeID
-	cluster int
-	suite   *crypto.Suite
-	inbox   <-chan transport.Envelope
+	env *nodeEnv
 
 	mu      sync.Mutex
 	nextSeq uint64
-	waiters map[uint64]*waiter
+	core    *proto.Client
 
 	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-}
-
-type waiter struct {
-	acks map[types.NodeID]bool
-	done chan struct{}
-	need int
 }
 
 // NewClient registers client index i (home cluster i mod z) on the fabric.
@@ -47,49 +37,33 @@ func (f *Fabric) NewClient(i int) *Client {
 	if i < 0 || i >= f.cfg.Clients {
 		panic(fmt.Sprintf("fabric: client index %d outside provisioned range [0,%d)", i, f.cfg.Clients))
 	}
-	c := &Client{
-		fab:     f,
-		id:      config.ClientID(i),
-		cluster: i % f.cfg.Topo.Clusters,
-		waiters: make(map[uint64]*waiter),
-		quit:    make(chan struct{}),
-	}
-	c.suite = crypto.NewSuite(f.dir, c.id, crypto.FreeCosts(), nil)
-	c.inbox = f.tr.Register(c.id)
+	c := &Client{quit: make(chan struct{})}
+	c.env = newEnv(f, config.ClientID(i), c.locked)
+	c.core = proto.NewClient(c.env, f.cfg.Topo.ClusterMembers(i%f.cfg.Topo.Clusters))
+	inbox := f.tr.Register(c.env.id)
 	c.wg.Add(1)
-	go c.loop()
+	go func() {
+		defer c.wg.Done()
+		for {
+			select {
+			case env, ok := <-inbox:
+				if !ok {
+					return
+				}
+				c.locked(func() { c.core.Receive(env.From, env.Msg) })
+			case <-c.quit:
+				return
+			}
+		}
+	}()
 	return c
 }
 
-func (c *Client) loop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case env, ok := <-c.inbox:
-			if !ok {
-				return
-			}
-			rep, isReply := env.Msg.(*proto.Reply)
-			if !isReply {
-				continue
-			}
-			if int(c.fab.cfg.Topo.ClusterOf(env.From)) != c.cluster {
-				continue // only the local cluster informs us
-			}
-			c.mu.Lock()
-			w := c.waiters[rep.ClientSeq]
-			if w != nil && !w.acks[env.From] {
-				w.acks[env.From] = true
-				if len(w.acks) == w.need {
-					close(w.done)
-					delete(c.waiters, rep.ClientSeq)
-				}
-			}
-			c.mu.Unlock()
-		case <-c.quit:
-			return
-		}
-	}
+// locked runs fn under the client's mutex: the one context of its core.
+func (c *Client) locked(fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fn()
 }
 
 // ErrTimeout is returned when a submission is not confirmed in time.
@@ -98,59 +72,25 @@ var ErrTimeout = errors.New("fabric: submission timed out")
 // Submit sends one batch of transactions to the client's local cluster and
 // blocks until f+1 replicas confirm execution or timeout elapses.
 func (c *Client) Submit(txns []types.Transaction, timeout time.Duration) error {
-	c.mu.Lock()
-	c.nextSeq++
-	seq := c.nextSeq
-	w := &waiter{
-		acks: make(map[types.NodeID]bool),
-		done: make(chan struct{}),
-		need: c.fab.cfg.Topo.F() + 1,
-	}
-	c.waiters[seq] = w
-	c.mu.Unlock()
-
-	b := types.Batch{Client: c.id, Seq: seq, Txns: txns}
+	b := types.Batch{Client: c.env.id, Txns: txns}
+	c.locked(func() { c.nextSeq++; b.Seq = c.nextSeq })
 	b.PrimeDigest() // cache before the batch is shared with replica pipelines
-	req := &pbft.Request{Batch: b, Sig: c.suite.Sign(pbft.RequestPayload(&b))}
-	primary := c.fab.cfg.Topo.ReplicaID(c.cluster, 0)
-	c.fab.tr.Send(c.id, primary, req)
+	req := &pbft.Request{Batch: b, Sig: c.env.suite.Sign(pbft.RequestPayload(&b))}
+	done := make(chan struct{})
+	c.locked(func() { c.core.Submit(b.Seq, req, func() { close(done) }) })
 
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	// A tenth of the timeout, clamped to [10ms, 1s]: NewTicker panics on a
-	// sub-nanosecond period, and sub-10ms retries would only storm the
-	// cluster with copies it deduplicates anyway.
-	retryEvery := timeout / 10
-	if retryEvery > time.Second {
-		retryEvery = time.Second
+	err := ErrTimeout
+	select {
+	case <-done:
+		return nil
+	case <-deadline.C:
+	case <-c.quit:
+		err = errors.New("fabric: client closed")
 	}
-	if retryEvery < 10*time.Millisecond {
-		retryEvery = 10 * time.Millisecond
-	}
-	retry := time.NewTicker(retryEvery)
-	defer retry.Stop()
-	for {
-		select {
-		case <-w.done:
-			return nil
-		case <-retry.C:
-			// Rebroadcast to the whole local cluster; backups forward to the
-			// current primary (handles primary failure).
-			for _, m := range c.fab.cfg.Topo.ClusterMembers(c.cluster) {
-				c.fab.tr.Send(c.id, m, req)
-			}
-		case <-deadline.C:
-			c.mu.Lock()
-			delete(c.waiters, seq)
-			c.mu.Unlock()
-			return ErrTimeout
-		case <-c.quit:
-			c.mu.Lock()
-			delete(c.waiters, seq)
-			c.mu.Unlock()
-			return errors.New("fabric: client closed")
-		}
-	}
+	c.locked(func() { c.core.Cancel(b.Seq) })
+	return err
 }
 
 // Close stops the client. It is idempotent: concurrent and repeated calls

@@ -561,9 +561,7 @@ func newNode(f *Fabric, id types.NodeID) (*Node, error) {
 		archive: arch,
 		quit:    make(chan struct{}),
 	}
-	n.env = &nodeEnv{node: n, start: time.Now()}
-	n.env.suite = crypto.NewSuite(f.dir, id, crypto.FreeCosts(), nil)
-	n.env.rng = rand.New(rand.NewSource(int64(id) + 1))
+	n.env = newEnv(f, id, n.post)
 	n.pool = mempool.New(f.cfg.Mempool)
 	ccfg := core.Config{
 		Topo:          f.cfg.Topo,
@@ -682,6 +680,7 @@ func (n *Node) receive(from types.NodeID, msg types.Message) {
 			Client:    client,
 			ClientSeq: exec.Seq,
 			Replica:   n.id,
+			View:      n.replica.LocalView(),
 			TxnCount:  exec.TxnCount,
 			Result:    exec.Digest,
 		})
@@ -728,9 +727,6 @@ func (n *Node) admit(from types.NodeID, msg types.Message) (mempool.Verdict, *me
 // executed) client requests — the quantity bounded by Config.Mempool's
 // capacity.
 func (n *Node) MempoolLen() int { return n.pool.Len() }
-
-// MempoolStats returns a snapshot of the node's admission counters.
-func (n *Node) MempoolStats() metrics.MempoolStats { return n.pool.Stats() }
 
 // CryptoStats returns the node's digital-signature counters: every Sign and
 // Verify its suite ran (on any of its goroutines), the votes its proofs found
@@ -799,48 +795,57 @@ func (n *Node) post(fn func()) {
 	}
 }
 
-// nodeEnv adapts the pipeline to proto.Env for the state machine.
+// nodeEnv adapts the runtime to proto.Env for a state machine that one
+// context runs at a time: a node's worker, or a client's mutex. Its timers
+// re-enter that context through post.
 type nodeEnv struct {
-	node  *Node
+	id    types.NodeID
+	tr    transport.Transport
+	post  func(func())
 	suite *crypto.Suite
 	rng   *rand.Rand
 	start time.Time
 }
 
+func newEnv(f *Fabric, id types.NodeID, post func(func())) *nodeEnv {
+	return &nodeEnv{
+		id: id, tr: f.tr, post: post, start: time.Now(),
+		suite: crypto.NewSuite(f.dir, id, crypto.FreeCosts(), nil),
+		rng:   rand.New(rand.NewSource(int64(id) + 1)),
+	}
+}
+
 // ID implements proto.Env.
-func (e *nodeEnv) ID() types.NodeID { return e.node.id }
+func (e *nodeEnv) ID() types.NodeID { return e.id }
 
 // Now implements proto.Env.
 func (e *nodeEnv) Now() time.Duration { return time.Since(e.start) }
 
 // Send implements proto.Env: the worker, the input goroutines (replay
-// re-replies) and the persister (held replies) hand a message straight to
-// the transport, whose Send never blocks — a full mailbox or per-peer queue
-// drops it, counted in the transport's Stats.
-func (e *nodeEnv) Send(to types.NodeID, m types.Message) { e.node.fab.tr.Send(e.node.id, to, m) }
+// re-replies), the persister (held replies) and a client hand a message
+// straight to the transport, whose Send never blocks — a full mailbox or
+// per-peer queue drops it, counted in the transport's Stats.
+func (e *nodeEnv) Send(to types.NodeID, m types.Message) { e.tr.Send(e.id, to, m) }
 
-// SetTimer implements proto.Env with a real timer that re-enters the worker
-// queue.
+// SetTimer implements proto.Env with a real timer that re-enters the
+// state machine's context.
 func (e *nodeEnv) SetTimer(d time.Duration, fn func()) proto.Timer {
-	var stopped sync.Once
-	done := make(chan struct{})
-	t := time.AfterFunc(d, func() {
-		select {
-		case <-done:
-		default:
-			e.node.post(fn)
+	t := &realTimer{}
+	t.t = time.AfterFunc(d, func() {
+		if !t.stopped.Load() {
+			e.post(fn)
 		}
 	})
-	return &realTimer{t: t, stop: func() { stopped.Do(func() { close(done) }) }}
+	return t
 }
 
 type realTimer struct {
-	t    *time.Timer
-	stop func()
+	t       *time.Timer
+	stopped atomic.Bool
 }
 
 func (r *realTimer) Stop() {
-	r.stop()
+	r.stopped.Store(true)
 	r.t.Stop()
 }
 

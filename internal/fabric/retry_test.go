@@ -73,8 +73,9 @@ func TestRetryStormExactlyOnce(t *testing.T) {
 		healed.Store(true)
 	}()
 
-	// timeout/10 = 800ms retry interval: well below the >2.5s commit latency
-	// imposed by the drop window, so the request is retried while in flight.
+	// The 1.5s retry interval (proto.ClientRetry) is below the >2.5s commit
+	// latency imposed by the drop window, so the request is retried while in
+	// flight.
 	if err := cl.Submit([]types.Transaction{{Key: 1, Value: 1}}, 8*time.Second); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -111,14 +112,17 @@ func TestRetryStormExactlyOnce(t *testing.T) {
 // re-reply path: a request retried after its execution must be answered from
 // the certified ledger (fresh f+1 replies) without executing again — the
 // convergence a real client needs when its first round of replies was lost.
+// The primary is down from the start, so the request executes in view 1, and
+// the re-replies must say so: a client learns whom to send to from them.
 func TestExecutedRequestReReplies(t *testing.T) {
 	tr := transport.NewMem()
 	var mu sync.Mutex
 	execs := make(map[types.NodeID]int)
 	f := fabric.New(fabric.Config{
-		Topo:      config.NewTopology(1, 4),
-		Records:   64,
-		Transport: tr,
+		Topo:         config.NewTopology(1, 4),
+		Records:      64,
+		LocalTimeout: 300 * time.Millisecond,
+		Transport:    tr,
 		OnExecute: func(replica types.NodeID, _ uint64, _ types.ClusterID, batch types.Batch) {
 			if !batch.NoOp {
 				mu.Lock()
@@ -154,6 +158,10 @@ func TestExecutedRequestReReplies(t *testing.T) {
 			case env := <-inbox:
 				if rep, ok := env.Msg.(*proto.Reply); ok && rep.ClientSeq == 1 {
 					acks[env.From] = true
+					if v := f.Replica(env.From).LocalView(); rep.View != v || v == 0 {
+						t.Errorf("%s: reply from %v carries view %d; the replica is in view %d, after the crash of view 0's primary",
+							phase, env.From, rep.View, v)
+					}
 				}
 			case <-deadline:
 				t.Fatalf("%s: %d replies, want %d", phase, len(acks), topo.F()+1)
@@ -161,6 +169,7 @@ func TestExecutedRequestReReplies(t *testing.T) {
 		}
 	}
 
+	f.Crash(topo.ReplicaID(0, 0))
 	broadcast()
 	awaitReplies("initial submission")
 	time.Sleep(500 * time.Millisecond) // let every replica execute and settle

@@ -766,37 +766,6 @@ func (s *Store) Base() uint64 {
 	return s.base
 }
 
-// SetBase anchors an empty store at base: the next append must carry height
-// base+1. This is the snapshot-bootstrap entry point — a node that installed
-// a verified checkpoint persists only the suffix above it, so its first
-// durable block sits far from height 1. The marker is written first, so a
-// reopened store demands exactly this start. Stores that already hold blocks
-// refuse, keeping append's contiguity check authoritative everywhere else.
-func (s *Store) SetBase(base uint64) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if err := s.writable(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	empty, same := len(s.index) == 0 && len(s.segs) == 0, base == s.base
-	s.mu.Unlock()
-	if !empty {
-		return fmt.Errorf("disk: cannot set base %d on a store holding blocks", base)
-	}
-	if same {
-		return nil
-	}
-	if err := s.writeBaseMarker(base); err != nil {
-		return s.fail(err)
-	}
-	s.mu.Lock()
-	s.base = base
-	s.mu.Unlock()
-	s.syncedTo = base
-	return nil
-}
-
 // Reanchor implements ledger.AnchorStore: it discards every persisted block
 // and re-bases the store at base, so the next append must carry base+1. A
 // node installing a verified checkpoint snapshot over a stale chain uses it —

@@ -233,9 +233,7 @@ func (r *Replica) unprovable() {
 }
 
 // PrimaryOf returns the primary of view v.
-func (r *Replica) PrimaryOf(v uint64) types.NodeID {
-	return r.cfg.Members[int(v)%r.n]
-}
+func (r *Replica) PrimaryOf(v uint64) types.NodeID { return proto.LeaderOf(r.cfg.Members, v) }
 
 // Primary returns the current primary.
 func (r *Replica) Primary() types.NodeID { return r.PrimaryOf(r.view) }
@@ -982,12 +980,4 @@ func (r *Replica) onProgressTimeout() {
 	}
 	dbg("%v TIMEOUT view=%d committed=%d fwd=%d", r.env.ID(), r.view, r.committedUpTo, len(r.forwarded))
 	r.startViewChange(r.view + 1)
-}
-
-// Stop cancels outstanding timers (used when tearing a replica down).
-func (r *Replica) Stop() {
-	if r.progressTimer != nil {
-		r.progressTimer.Stop()
-		r.progressTimer = nil
-	}
 }

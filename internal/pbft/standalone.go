@@ -57,6 +57,7 @@ func (s *Standalone) onCommitted(seq uint64, cert *Certificate) {
 		Client:    cert.Batch.Client,
 		ClientSeq: cert.Batch.Seq,
 		Replica:   s.env.ID(),
+		View:      s.core.View(),
 		TxnCount:  cert.Batch.Len(),
 		Result:    cert.Digest,
 	})

@@ -6,7 +6,8 @@
 // whole-deployment test runs, and the multi-threaded pipelined fabric
 // (package fabric) used for real-time deployments — the same separation
 // ResilientDB draws between protocol logic and its threaded architecture
-// (paper Section 3).
+// (paper Section 3). The client side of the protocol, Client, is written
+// against the same Env.
 package proto
 
 import (
@@ -84,6 +85,9 @@ type Reply struct {
 	ClientSeq uint64
 	// Replica is the replica that executed it and replies.
 	Replica types.NodeID
+	// View is the replying replica's local view: clients learn from it
+	// whom to send their next request to (see Client).
+	View uint64
 	// TxnCount is how many transactions the batch carried (it sizes the
 	// reply).
 	TxnCount int

@@ -9,6 +9,7 @@ func (r *Reply) EncodeBody(enc *types.Encoder) {
 	enc.I32(int32(r.Client))
 	enc.U64(r.ClientSeq)
 	enc.I32(int32(r.Replica))
+	enc.U64(r.View)
 	enc.U32(uint32(r.TxnCount))
 	enc.Digest(r.Result)
 }
@@ -18,6 +19,7 @@ func decodeReply(dec *types.Decoder) types.Message {
 	r.Client = types.NodeID(dec.I32())
 	r.ClientSeq = dec.U64()
 	r.Replica = types.NodeID(dec.I32())
+	r.View = dec.U64()
 	r.TxnCount = int(dec.U32())
 	r.Result = dec.Digest()
 	return r
@@ -31,6 +33,7 @@ func init() {
 				Client:    types.ClientIDBase + 1,
 				ClientSeq: 12,
 				Replica:   3,
+				View:      7,
 				TxnCount:  100,
 				Result:    types.Hash([]byte("result")),
 			},
