@@ -9,7 +9,7 @@ import (
 
 // ClientRetry is how long a request may go unanswered before the client
 // rebroadcasts it to its whole group, and again every ClientRetry until it
-// completes. It is a constant, not a knob: a driver's per-call timeout is
+// completes. It is a constant, not a knob: a caller's per-call timeout is
 // only the deadline at which it gives up.
 const ClientRetry = 1500 * time.Millisecond
 
@@ -22,7 +22,7 @@ func LeaderOf(members []types.NodeID, v uint64) types.NodeID {
 // Client is the one quorum client of the paper (Section 2.4): it sends each
 // request to the leader of its group and completes the request once f+1
 // members — f = (n−1)/3 — replied to it, so at least one reply is from a
-// non-faulty replica. It has no goroutine: a driver calls Submit, Cancel and
+// non-faulty replica. It has no goroutine: its owner calls Submit, Cancel and
 // Receive from the one context that also runs the Env's timers (the
 // simulator's event loop, or the fabric client's mutex).
 //
