@@ -25,7 +25,7 @@ fmt:
 # packages whose godoc is the operations/API reference (see ARCHITECTURE.md).
 docs-check: vet
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
-	$(GO) run ./cmd/docscheck ./internal/ledger ./internal/ledger/disk ./internal/snapshot ./internal/transport ./internal/chaos ./internal/byzantine ./internal/mempool ./internal/rpc ./internal/config ./internal/fabric ./internal/proto ./internal/detsim .
+	$(GO) run ./cmd/docscheck ./internal/crypto ./internal/kvstore ./internal/ledger ./internal/ledger/disk ./internal/snapshot ./internal/transport ./internal/chaos ./internal/byzantine ./internal/mempool ./internal/rpc ./internal/config ./internal/fabric ./internal/proto ./internal/detsim .
 
 # Short fuzz pass over the wire codec (decode must never panic), the ledger
 # importer (rejected ranges must leave the chain untouched), block-store

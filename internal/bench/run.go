@@ -13,10 +13,11 @@ import (
 	"resilientdb/internal/types"
 )
 
-// BenchCosts is the CPU cost model used by all experiments. It reflects the
-// paper's single-machine profile (Crypto++ on 8-core Skylake, a pipelined
-// but per-stage sequential implementation): signature work dominates, and
-// every sent or received message pays a fixed marshalling + MAC cost.
+// BenchCosts is the CPU cost model every experiment runs on, and the only
+// cost table outside tests. It is the paper's hardware profile (Crypto++ on
+// 8-core Skylake, a pipelined but per-stage sequential implementation), not
+// a measurement of the host the model runs on: signature work dominates,
+// and every sent or received message pays a fixed marshalling + MAC cost.
 func BenchCosts() crypto.Costs {
 	return crypto.Costs{
 		Sign:      50 * time.Microsecond,

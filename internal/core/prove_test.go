@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"resilientdb/internal/detsim"
 	"resilientdb/internal/pbft"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
@@ -19,23 +21,34 @@ func (n *testNet) ops(id types.NodeID) (signs, verifies uint64) {
 }
 
 // TestSignatureBudgetPerRound pins the exact number of signature operations
-// a fault-free round costs each replica at z=2, n=4 (f=1, quorum 3): every
-// replica signs its prepare and its commit; the other cluster's certificate
-// is verified (n−f signatures) by the f+1 replicas it was sent to, who rotate
-// with the round, and accepted by the rest on their f+1 forwards — so over a
-// multiple of n rounds each replica verifies (f+1)/n of them; the primary,
-// which forwards its own cluster's certificate, additionally verifies the
-// quorum−1 peer votes in it. A backup verifies no vote at all. One checkpoint
-// signature per interval comes on top. The harness's clients sign their
-// requests and send them to their cluster's primary, which verifies each one
-// it admits exactly once, as it does in the fabric: one more verify per round.
+// a fault-free round costs each replica at n=4 (f=1, quorum 3): every
+// replica signs its prepare and its commit. At z=2 the other cluster's
+// certificate is verified (n−f signatures) by the f+1 replicas it was sent
+// to, who rotate with the round, and accepted by the rest on their f+1
+// forwards — so over a multiple of n rounds each replica verifies (f+1)/n of
+// them; the primary, which forwards its own cluster's certificate,
+// additionally verifies the quorum−1 peer votes in it. At z=1 no certificate
+// leaves the cluster, so the primary proves nothing and verifies what a
+// backup does. A backup verifies no vote at all. One checkpoint signature per
+// interval comes on top. The harness's clients sign their requests and send
+// them to their cluster's primary, which verifies each one it admits exactly
+// once, as it does in the fabric: one more verify per round per cluster.
 func TestSignatureBudgetPerRound(t *testing.T) {
-	const z, n, f, rounds, interval = 2, 4, 1, 12, 6
+	for _, z := range []int{2, 1} {
+		t.Run(fmt.Sprintf("z=%d", z), func(t *testing.T) { signatureBudget(t, z) })
+	}
+}
+
+func signatureBudget(t *testing.T, z int) {
+	const n, f, rounds, interval = 4, 1, 12, 6
 	const quorum = n - f
 	net := newTestNet(t, z, n, Config{CheckpointInterval: interval})
-	a, b := net.client(0), net.client(1)
+	clients := make([]*detsim.Client, z) // one per cluster: identity i's home is cluster i mod z
+	for i := range clients {
+		clients[i] = net.client(i)
+	}
 	for round := uint64(1); round <= rounds; round++ {
-		net.submit(a, b)
+		net.submit(clients...)
 		net.RunFor(0)
 		net.assertExecuted(round)
 	}
@@ -47,7 +60,10 @@ func TestSignatureBudgetPerRound(t *testing.T) {
 		role := "backup"
 		if r.IsPrimary() {
 			role = "primary"
-			wantVerifies += rounds*(quorum-1) + rounds // + one client request per round
+			if z > 1 {
+				wantVerifies += rounds * (quorum - 1) // proving its own certificate
+			}
+			wantVerifies += rounds // one client request per round
 		}
 		if verifies != wantVerifies {
 			t.Errorf("%s %v: %d verifies in %d rounds (%.2f per round), want %d", role, id, verifies, rounds, float64(verifies)/rounds, wantVerifies)
@@ -58,8 +74,9 @@ func TestSignatureBudgetPerRound(t *testing.T) {
 		if bad, unprovable := r.ProofStats(); bad != 0 || unprovable != 0 {
 			t.Errorf("%s %v: fault-free run counted %d bad vote signatures, %d unprovable", role, id, bad, unprovable)
 		}
-		if vouched, self := r.ShareStats(); vouched != (z-1)*(rounds-received) || self != 0 {
-			t.Errorf("%s %v: %d certificates accepted on forwards, %d self-verified; want %d, 0", role, id, vouched, self, (z-1)*(rounds-received))
+		wantVouched := uint64((z - 1) * (rounds - received))
+		if vouched, self := r.ShareStats(); vouched != wantVouched || self != 0 {
+			t.Errorf("%s %v: %d certificates accepted on forwards, %d self-verified; want %d, 0", role, id, vouched, self, wantVouched)
 		}
 	}
 }

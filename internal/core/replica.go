@@ -165,9 +165,8 @@ type Replica struct {
 	sync        *snapSync               // in-flight snapshot bootstrap, nil when idle
 
 	// primary-side state
-	pending  []signedBatch // client batches awaiting admission to PBFT
-	noopSeq  uint64
-	sharedTo uint64 // rounds shared with other clusters
+	pending []signedBatch // client batches awaiting admission to PBFT
+	noopSeq uint64
 
 	// no-op pacing (see paceNoOps)
 	clientUpTo   uint64        // highest local round known to carry a client batch (assigned here or committed)
@@ -541,15 +540,17 @@ func (r *Replica) paceNoOps() {
 // onLocalCommit receives the local cluster's commit certificates in round
 // order (PBFT delivers them gap-free). cert is what the decision was counted
 // on: votes authenticated by their channels, signatures unchecked. That is
-// enough to order and execute the batch. The primary is about to show it to
-// other clusters, so the primary proves it, here, every round; if a vote in
-// it turns out bad the share waits for the next vote (onLocalProven).
+// enough to order and execute the batch. When there are other clusters, the
+// primary is about to show it to them, so the primary proves it, here, every
+// round; if a vote in it turns out bad the share waits for the next vote
+// (onLocalProven). With one cluster nothing is shown, so nothing is proven
+// until something leaves the replica (provenOwn).
 func (r *Replica) onLocalCommit(seq uint64, cert *pbft.Certificate) {
 	r.localUpTo = seq
 	if !cert.Batch.NoOp && seq > r.clientUpTo {
 		r.clientUpTo = seq // also seen by backups, so a new primary inherits it
 	}
-	if r.IsPrimary() {
+	if r.IsPrimary() && r.cfg.Topo.Clusters > 1 {
 		if proven, _ := r.local.Prove(seq); proven != nil {
 			cert = proven
 			r.shareRound(seq, cert)
@@ -627,9 +628,6 @@ func (r *Replica) ShowBlock(h uint64) *ledger.Block {
 // fixed at indices 0…f, the cost would sit on the same replicas every round,
 // the primary among them.
 func (r *Replica) shareRound(seq uint64, cert *pbft.Certificate) {
-	if seq > r.sharedTo {
-		r.sharedTo = seq
-	}
 	msg := &GlobalShare{Cluster: types.ClusterID(r.myCluster), Round: seq, Cert: cert}
 	n := r.cfg.Topo.PerCluster
 	for c := 0; c < r.cfg.Topo.Clusters; c++ {

@@ -27,30 +27,63 @@ const (
 
 // Directory holds the long-lived key material of every node in the system:
 // an ED25519 keypair per node and pairwise symmetric keys for authenticated
-// channels. In the permissioned setting all of this is provisioned up front.
+// channels. In the permissioned setting the set of nodes is provisioned up
+// front; each node's pair is resolved on first use — the first Sign by it or
+// Verify of it, or a Resolve — and is the same pair whenever and wherever it
+// is resolved. A process that hosts one replica of a large deployment thus
+// derives its own pair and those of the nodes it hears from, not all.
 type Directory struct {
 	mode Mode
-	pub  map[types.NodeID]ed25519.PublicKey
-	priv map[types.NodeID]ed25519.PrivateKey
+	keys map[types.NodeID]*nodeKeys // the provisioned nodes; immutable, nil in Fast mode
 }
 
-// NewDirectory provisions key material for the given nodes. In Fast mode no
-// real keys are generated.
+// nodeKeys is one provisioned node's pair, derived once, on first use.
+type nodeKeys struct {
+	id       types.NodeID
+	once     sync.Once
+	priv     ed25519.PrivateKey
+	pub      ed25519.PublicKey
+	resolves atomic.Int32 // derivations run: 0 or 1
+}
+
+func (k *nodeKeys) resolve() *nodeKeys {
+	k.once.Do(func() {
+		seed := sha256.Sum256([]byte(fmt.Sprintf("resilientdb-seed-%d", k.id)))
+		k.priv = ed25519.NewKeyFromSeed(seed[:])
+		k.pub = k.priv.Public().(ed25519.PublicKey)
+		k.resolves.Add(1)
+	})
+	return k
+}
+
+// NewDirectory provisions the given nodes. No key is derived here (see
+// Directory); in Fast mode none ever is.
 func NewDirectory(mode Mode, nodes []types.NodeID) *Directory {
-	d := &Directory{
-		mode: mode,
-		pub:  make(map[types.NodeID]ed25519.PublicKey, len(nodes)),
-		priv: make(map[types.NodeID]ed25519.PrivateKey, len(nodes)),
-	}
+	d := &Directory{mode: mode}
 	if mode == Real {
+		d.keys = make(map[types.NodeID]*nodeKeys, len(nodes))
 		for _, id := range nodes {
-			seed := sha256.Sum256([]byte(fmt.Sprintf("resilientdb-seed-%d", id)))
-			priv := ed25519.NewKeyFromSeed(seed[:])
-			d.priv[id] = priv
-			d.pub[id] = priv.Public().(ed25519.PublicKey)
+			d.keys[id] = &nodeKeys{id: id}
 		}
 	}
 	return d
+}
+
+// Resolve derives the pairs of ids now, so that no later Sign or Verify of
+// theirs pays for it; a node already resolved, or not provisioned, is
+// skipped.
+func (d *Directory) Resolve(ids ...types.NodeID) {
+	for _, id := range ids {
+		if k := d.keys[id]; k != nil {
+			k.resolve()
+		}
+	}
+}
+
+// Resolved reports whether id's pair has been derived yet.
+func (d *Directory) Resolved(id types.NodeID) bool {
+	k := d.keys[id]
+	return k != nil && k.resolves.Load() > 0
 }
 
 // pairKey derives the symmetric AES-128 key shared by nodes a and b.
@@ -76,6 +109,7 @@ func pairKey(a, b types.NodeID) []byte {
 type Suite struct {
 	dir    *Directory
 	id     types.NodeID
+	own    *nodeKeys // id's entry in dir; nil when unprovisioned or in Fast mode
 	costs  Costs
 	charge func(time.Duration)
 
@@ -88,7 +122,7 @@ type Suite struct {
 // NewSuite returns a suite for node id. charge may be nil (no CPU
 // accounting, e.g. in the real-time fabric where time is real).
 func NewSuite(dir *Directory, id types.NodeID, costs Costs, charge func(time.Duration)) *Suite {
-	return &Suite{dir: dir, id: id, costs: costs, charge: charge,
+	return &Suite{dir: dir, id: id, own: dir.keys[id], costs: costs, charge: charge,
 		cmacs: make(map[types.NodeID]*CMAC)}
 }
 
@@ -117,23 +151,28 @@ func fastTag(signer types.NodeID, payload []byte) []byte {
 // the node's ed25519 counts. Safe to call concurrently.
 func (s *Suite) Ops() (signs, verifies uint64) { return s.signs.Load(), s.verifies.Load() }
 
-// Sign produces a digital signature of payload by this node.
+// Sign produces a digital signature of payload by this node. A node that
+// was not provisioned has no key to sign with: Sign panics.
 func (s *Suite) Sign(payload []byte) []byte {
 	s.signs.Add(1)
 	s.bill(s.costs.Sign)
 	if s.dir.mode == Real {
-		return ed25519.Sign(s.dir.priv[s.id], payload)
+		if s.own == nil {
+			panic(fmt.Sprintf("crypto: node %v has no provisioned key", s.id))
+		}
+		return ed25519.Sign(s.own.resolve().priv, payload)
 	}
 	return fastTag(s.id, payload)
 }
 
-// Verify reports whether sig is signer's signature over payload.
+// Verify reports whether sig is signer's signature over payload; never for
+// a signer that was not provisioned.
 func (s *Suite) Verify(signer types.NodeID, payload, sig []byte) bool {
 	s.verifies.Add(1)
 	s.bill(s.costs.Verify)
 	if s.dir.mode == Real {
-		pub, ok := s.dir.pub[signer]
-		return ok && ed25519.Verify(pub, payload, sig)
+		k := s.dir.keys[signer]
+		return k != nil && ed25519.Verify(k.resolve().pub, payload, sig)
 	}
 	want := fastTag(signer, payload)
 	return len(sig) == len(want) && subtle.ConstantTimeCompare(want, sig) == 1

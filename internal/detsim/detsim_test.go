@@ -320,7 +320,7 @@ func TestTraceSendObserver(t *testing.T) {
 
 func TestSuiteChargingIntegratesWithClock(t *testing.T) {
 	prof := config.UniformProfile(1, 0, 1000)
-	net := New(Options{Profile: prof, Seed: 1, Mode: crypto.Fast, Costs: crypto.DefaultCosts(), JitterFrac: -1})
+	net := New(Options{Profile: prof, Seed: 1, Mode: crypto.Fast, Costs: crypto.Costs{Sign: 25 * time.Microsecond}, JitterFrac: -1})
 	var first, second time.Duration
 	h := &recorder{}
 	h.onInit = func(env *Env) {

@@ -188,8 +188,11 @@ func Open(cfg Config) (*Fabric, error) {
 
 	// Key material covers the whole topology regardless of which replicas
 	// run here: it is derived deterministically per node, so every process
-	// of a multi-process deployment provisions identical directories.
+	// of a multi-process deployment provisions identical directories. Each
+	// node's pair is derived on first use; the hosted replicas' are derived
+	// now, so that no first-round signature pays for one.
 	f.dir = crypto.NewDirectory(cfg.Mode, append(cfg.Topo.AllReplicas(), clientIDs(cfg.Clients)...))
+	f.dir.Resolve(local...)
 	// Two phases: create (and register) every node before starting any, so
 	// no node's first sends can race a sibling's transport registration.
 	boots := make(map[types.NodeID]func(r *core.Replica), len(local))

@@ -141,3 +141,24 @@ func regionOf(topo config.Topology, id types.NodeID) int {
 	}
 	return int(topo.ClusterOf(id))
 }
+
+// TestOpenResolvesOnlyHostedKeys: a fabric that hosts one replica of a
+// deployment, as each process of a multi-process one does, derives that
+// replica's key pair at Open, before any round, and no other node's: the
+// rest are derived when first used.
+func TestOpenResolvesOnlyHostedKeys(t *testing.T) {
+	topo := config.NewTopology(2, 4)
+	self := topo.ReplicaID(1, 2)
+	f := fabric.New(fabric.Config{
+		Topo:      topo,
+		Records:   16,
+		Transport: transport.NewMem(),
+		Local:     []types.NodeID{self},
+	})
+	defer f.Stop()
+	for _, id := range append(topo.AllReplicas(), config.ClientID(0)) {
+		if got := f.KeyResolved(id); got != (id == self) {
+			t.Errorf("node %v: key resolved at Open = %v, want %v", id, got, id == self)
+		}
+	}
+}

@@ -19,33 +19,51 @@ import (
 // execution loop only.
 //
 // The preloaded table is dense — keys 0 … records−1, which is every key a
-// YCSB workload draws — so those rows live in a slice indexed by key: a
-// write is one store, and preloading is one allocation instead of a
-// hundred-thousand-entry map build. Any other key (an RPC client may send
-// one) goes to a spill map. Which of the two holds a row is invisible from
-// outside: Get, Len, Digest and the serialized bytes do not depend on it.
+// YCSB workload draws — so those rows live in fixed-size chunks indexed by
+// key, not in a map. A row is kept XORed with its key, so a
+// preloaded row (key i → value i) is a zero word, and a chunk none of whose
+// rows was ever written is not allocated at all: New writes nothing and
+// allocates one pointer per chunk, and a chunk costs memory only once a key
+// in it is written. Any other key (an RPC client may send one) goes to a
+// spill map. How a row is held is invisible from outside: Get, Len, Digest
+// and the serialized bytes do not depend on it.
 type Store struct {
-	rows    []uint64          // rows[k] is key k's value, for k < len(rows)
+	chunks  []*chunk          // chunks[k>>chunkBits] holds dense key k; nil: every row preloaded
+	records uint64            // dense keys are 0 … records−1
 	spill   map[uint64]uint64 // every other row; nil until one exists
 	applied uint64
 	digest  uint64 // running chain over applied writes
 }
 
+// chunkBits sets the chunk size: 64 rows, 512 bytes. A write allocates at
+// most one chunk, so a fresh store's first batches allocate kilobytes, not
+// the table, and the pointer table is 1/64 of the rows.
+const chunkBits = 6
+
+// chunk holds dense rows, each value XOR its key.
+type chunk [1 << chunkBits]uint64
+
 // New returns a store preloaded with records rows (key i → value i),
 // mirroring the paper's initialization of an identical YCSB table on every
 // replica.
 func New(records int) *Store {
-	s := &Store{rows: make([]uint64, records)}
-	for i := range s.rows {
-		s.rows[i] = uint64(i)
+	return &Store{chunks: make([]*chunk, (records+len(chunk{})-1)>>chunkBits), records: uint64(records)}
+}
+
+// setRow sets dense key k's value, allocating its chunk on first write.
+func (s *Store) setRow(k, v uint64) {
+	c := s.chunks[k>>chunkBits]
+	if c == nil {
+		c = new(chunk)
+		s.chunks[k>>chunkBits] = c
 	}
-	return s
+	c[k%uint64(len(c))] = v ^ k
 }
 
 // Apply executes one write transaction.
 func (s *Store) Apply(t types.Transaction) {
-	if t.Key < uint64(len(s.rows)) {
-		s.rows[t.Key] = t.Value
+	if t.Key < s.records {
+		s.setRow(t.Key, t.Value)
 	} else {
 		if s.spill == nil {
 			s.spill = make(map[uint64]uint64)
@@ -76,8 +94,11 @@ func (s *Store) ApplyBatch(b *types.Batch) {
 
 // Get returns the value of key and whether it exists.
 func (s *Store) Get(key uint64) (uint64, bool) {
-	if key < uint64(len(s.rows)) {
-		return s.rows[key], true
+	if key < s.records {
+		if c := s.chunks[key>>chunkBits]; c != nil {
+			return c[key%uint64(len(c))] ^ key, true
+		}
+		return key, true // preloaded
 	}
 	v, ok := s.spill[key]
 	return v, ok
@@ -97,7 +118,7 @@ func (s *Store) Digest() types.Digest {
 }
 
 // Len returns the number of rows in the table.
-func (s *Store) Len() int { return len(s.rows) + len(s.spill) }
+func (s *Store) Len() int { return int(s.records) + len(s.spill) }
 
 // Serialize returns the canonical byte encoding of the full store state:
 // the applied count, the running digest, and every row in ascending key
@@ -105,7 +126,7 @@ func (s *Store) Len() int { return len(s.rows) + len(s.spill) }
 // serialize to identical bytes, so the hash of this encoding is the state
 // hash that checkpoint snapshots are content-addressed by.
 func (s *Store) Serialize() []byte {
-	// Spill keys are all ≥ len(rows), so dense rows first, then the spill
+	// Spill keys are all ≥ records, so dense rows first, then the spill
 	// keys sorted, is ascending key order.
 	keys := make([]uint64, 0, len(s.spill))
 	for k := range s.spill {
@@ -117,10 +138,18 @@ func (s *Store) Serialize() []byte {
 	put64(out[8:16], s.digest)
 	put64(out[16:24], uint64(s.Len()))
 	off := 24
-	for k, v := range s.rows {
-		put64(out[off:off+8], uint64(k))
-		put64(out[off+8:off+16], v)
-		off += 16
+	var preloaded chunk // a chunk never written: every row is its key
+	for i, c := range s.chunks {
+		if c == nil {
+			c = &preloaded
+		}
+		lo := uint64(i) << chunkBits
+		for j, x := range c[:min(uint64(len(c)), s.records-lo)] {
+			k := lo + uint64(j)
+			put64(out[off:off+8], k)
+			put64(out[off+8:off+16], x^k)
+			off += 16
+		}
 	}
 	for _, k := range keys {
 		put64(out[off:off+8], k)
@@ -158,15 +187,17 @@ func (s *Store) Restore(data []byte) error {
 		}
 		dense++
 	}
-	rows := make([]uint64, dense)
-	for i := range rows {
-		_, rows[i] = row(i)
+	restored := New(dense)
+	for i := 0; i < dense; i++ {
+		if _, v := row(i); v != uint64(i) {
+			restored.setRow(uint64(i), v)
+		}
 	}
 	var spill map[uint64]uint64
 	for i := dense; i < int(n); i++ {
 		k, v := row(i)
 		if k < uint64(dense) {
-			rows[k] = v
+			restored.setRow(k, v)
 			continue
 		}
 		if spill == nil {
@@ -174,7 +205,8 @@ func (s *Store) Restore(data []byte) error {
 		}
 		spill[k] = v
 	}
-	s.rows, s.spill, s.applied, s.digest = rows, spill, applied, digest
+	s.chunks, s.records = restored.chunks, restored.records
+	s.spill, s.applied, s.digest = spill, applied, digest
 	return nil
 }
 

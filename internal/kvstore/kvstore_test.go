@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -20,6 +22,26 @@ func TestPreload(t *testing.T) {
 	}
 	if _, ok := s.Get(100); ok {
 		t.Error("key 100 should not exist")
+	}
+	// The preloaded table costs no row memory: a chunk is allocated only
+	// when a key in it is written.
+	allocated := func() (n int) {
+		for _, c := range s.chunks {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := allocated(); n != 0 {
+		t.Errorf("New allocated %d chunks", n)
+	}
+	s.Apply(types.Transaction{Key: 70, Value: 1})
+	if v, _ := s.Get(70); v != 1 || allocated() != 1 {
+		t.Errorf("after one write: Get(70) = %d, %d chunks allocated; want 1, 1", v, allocated())
+	}
+	if v, _ := s.Get(71); v != 71 {
+		t.Errorf("Get(71) = %d beside a written row", v)
 	}
 }
 
@@ -216,4 +238,36 @@ func BenchmarkNew100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		New(100_000)
 	}
+}
+
+// TestSerializeGolden pins the bytes Serialize produces — the snapshot state
+// hash is their SHA-256, so a change of representation must not move them —
+// for a freshly preloaded table and after a fixed run of writes that
+// includes a spill key, a key in the last, partial chunk, and a rewrite of a
+// preloaded row to its own value.
+func TestSerializeGolden(t *testing.T) {
+	s := New(1000)
+	check := func(stage, want string) {
+		t.Helper()
+		state := s.Serialize()
+		if got := fmt.Sprintf("%x", sha256.Sum256(state)); got != want {
+			t.Errorf("%s: sha256(Serialize()) = %s, want %s", stage, got, want)
+		}
+		r := New(0)
+		if err := r.Restore(state); err != nil {
+			t.Fatalf("%s: Restore: %v", stage, err)
+		}
+		if !bytes.Equal(r.Serialize(), state) || r.Digest() != s.Digest() || r.Len() != s.Len() {
+			t.Errorf("%s: Restore(Serialize()) does not round-trip", stage)
+		}
+	}
+	check("New(1000)", "82d0ca3400fecf2a5733b96ac1d9693f9b43d5cf312d6677a1d3331bd7789bce")
+	for _, w := range []types.Transaction{
+		{Key: 0, Value: 99}, {Key: 999, Value: 0}, {Key: 5, Value: 5},
+		{Key: 1000, Value: 1}, {Key: 1 << 40, Value: 1 << 41}, {Key: 17, Value: 0},
+		{Key: 0, Value: 0},
+	} {
+		s.Apply(w)
+	}
+	check("after writes", "07477c557b842d584c385dc76640e1a3235f264829f4ef51886319e7598c033e")
 }

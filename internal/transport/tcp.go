@@ -33,8 +33,10 @@ type TCP struct {
 	// the frame claims, closing the connection on a mismatch (counted as an
 	// AuthReject drop). Without it the wire `from` field is trusted — fine
 	// on a closed loopback bench, spoofable on a shared network. It must be
-	// set before the first Send, and every process of a deployment must
-	// agree on it (authenticated and plaintext framings do not interoperate).
+	// set before the first Send and before any peer knows the listen
+	// address (NewAuthTCP sets it before the first accept), and every
+	// process of a deployment must agree on it (authenticated and plaintext
+	// framings do not interoperate).
 	Auth FrameAuth
 	// Logf, if set, receives diagnostic messages (dropped frames, decode
 	// failures, reconnects). Optional.
@@ -82,12 +84,21 @@ const (
 // book: it returns the listen address of the process hosting a node, or ""
 // for unknown nodes (sends to them are dropped).
 func NewTCP(listenAddr string, addr func(types.NodeID) string) (*TCP, error) {
+	return NewAuthTCP(listenAddr, addr, nil)
+}
+
+// NewAuthTCP is NewTCP with Auth set to auth before the transport accepts
+// a connection. A process whose peers already know its listen address (a
+// deployment member started from a shared address book) must use it:
+// assigned after NewTCP, Auth races the reads of a peer's first frames.
+func NewAuthTCP(listenAddr string, addr func(types.NodeID) string, auth FrameAuth) (*TCP, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", listenAddr, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &TCP{
+		Auth:    auth,
 		addr:    addr,
 		ln:      ln,
 		boxes:   make(map[types.NodeID]*mailbox),

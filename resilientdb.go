@@ -144,16 +144,16 @@ func OpenRole(o Options, r Role) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		tcp, err := transport.NewTCP(listen, addressBook(&o))
-		if err != nil {
-			return nil, err
-		}
 		// Authenticated framing is not optional on the real wire: without it
 		// any connected socket could claim any replica's identity in the
 		// frame header (the spoofable-`from` hole). Keys are pairwise,
 		// derived from the same deterministic provisioning as the signing
-		// keys, so every process of the deployment agrees.
-		tcp.Auth = crypto.NewFrameMAC(cfg.Mode)
+		// keys, so every process of the deployment agrees. The peers know
+		// this address already, so it is set before the first accept.
+		tcp, err := transport.NewAuthTCP(listen, addressBook(&o), crypto.NewFrameMAC(cfg.Mode))
+		if err != nil {
+			return nil, err
+		}
 		cfg.Transport, cfg.Local = tcp, local
 		db.tcp, rpcListen = tcp, rpcAddr
 	}
